@@ -15,8 +15,6 @@ from .bifurcation import (
     Classification,
     any_zero_sum_subset,
     bif_index,
-    bif_index_two_sided,
-    brouwer_index,
     build_report,
     certify_nontrivial,
     classify_noncompact,
@@ -27,7 +25,6 @@ from .bifurcation import (
 from .euler import (
     EulerElementS1,
     EulerElementT2,
-    NotInvertible,
     embed_s1_to_t2,
     format_element,
 )
@@ -45,7 +42,6 @@ from .representations import (
     deg_minus_id_s1,
     deg_minus_id_t2,
     loop_decompose,
-    nondegenerate_orbit_degree,
     normalize_character,
 )
 from .spectral import (
@@ -54,7 +50,6 @@ from .spectral import (
     CriticalPointProblem,
     InvalidLevel,
     SpectralDatum,
-    hessian_eigenvalue,
     lambda_set,
     level_from_lambda_sq,
     negative_space,
@@ -77,7 +72,6 @@ __all__ = [
     "EulerElementS1",
     "EulerElementT2",
     "InvalidLevel",
-    "NotInvertible",
     "ProblemFormatError",
     "S1Representation",
     "SpectralDatum",
@@ -85,8 +79,6 @@ __all__ = [
     "TorusSubgroup",
     "any_zero_sum_subset",
     "bif_index",
-    "bif_index_two_sided",
-    "brouwer_index",
     "build_report",
     "certify_nontrivial",
     "classify_noncompact",
@@ -97,13 +89,11 @@ __all__ = [
     "example_problem",
     "exists_zero_sum_subset",
     "format_element",
-    "hessian_eigenvalue",
     "lambda_set",
     "level_from_lambda_sq",
     "load_problem",
     "loop_decompose",
     "negative_space",
-    "nondegenerate_orbit_degree",
     "normalize_character",
     "parse_element",
     "parse_problem",

@@ -117,25 +117,6 @@ def bif_index(problem: CriticalPointProblem, level: BifurcationLevel) -> EulerEl
     return deg_h0(problem).star(below).star(kernel_factor)
 
 
-def bif_index_two_sided(
-    problem: CriticalPointProblem, level: BifurcationLevel
-) -> EulerElementT2:
-    """The same index as the difference of the degrees just above and just
-    below the level; equality with `bif_index` is a computed identity, not
-    a definition, and the test suite keeps it honest."""
-    _require_level(problem, level)
-    d0 = deg_h0(problem)
-    above = d0.star(deg_minus_id_t2(negative_space(problem, level, "plus")))
-    below = d0.star(deg_minus_id_t2(negative_space(problem, level, "minus")))
-    return above - below
-
-
-def brouwer_index(problem: CriticalPointProblem) -> int:
-    """Coefficient of the full-orbit class: the ordinary Brouwer index of
-    the critical point."""
-    return problem.deg_s1.fixed
-
-
 def certify_nontrivial(
     problem: CriticalPointProblem, level: BifurcationLevel
 ) -> tuple[bool, Optional[Certificate]]:
@@ -146,15 +127,24 @@ def certify_nontrivial(
     NotApplicable classification.  Otherwise the certificate path is
     evaluated and cross-checked against direct evaluation.
     """
-    checks = validate(problem)
-    if not checks.ok:
+    if not validate(problem).ok:
         return False, None
+    return _certify(problem, level, None)
+
+
+def _certify(
+    problem: CriticalPointProblem,
+    level: BifurcationLevel,
+    index: Optional[EulerElementT2],
+) -> tuple[bool, Certificate]:
+    # Cross-checks the certificate path against the level's index; an index
+    # the caller does not have is formed here from the same reduced product.
     _require_level(problem, level)
-    identity = EulerElementT2.identity()
-    kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - identity
+    kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
     d0 = deg_h0(problem)
     reduced = d0.star(kernel_factor)
-    direct = bif_index(problem, level)
+    if index is None:
+        index = reduced.star(deg_minus_id_t2(negative_space(problem, level, "minus")))
     n0 = problem.deg_s1.fixed
     resonant_part = kernel_factor.project(1)
     if n0:
@@ -181,10 +171,10 @@ def certify_nontrivial(
             claimed = bool(product)
         else:
             certificate = Certificate.DIRECT
-            claimed = bool(direct)
-    if claimed != bool(direct):
+            claimed = bool(index)
+    if claimed != bool(index):
         raise RuntimeError("certificate path disagrees with direct evaluation")
-    return bool(direct), certificate
+    return bool(index), certificate
 
 
 def classify_noncompact(problem: CriticalPointProblem) -> Classification:
@@ -294,14 +284,15 @@ def build_report(
 ) -> BifurcationReport:
     """Assemble the full per-level report.
 
-    When `candidate_levels` are supplied, a level that would otherwise be
-    left with the bare alternative is upgraded to the sum-obstruction
-    guarantee if the critical point is unique and no zero-sum subset
-    anchored at this level exists among the candidates.
+    The level's own index is read from `indices` when the table has it and
+    computed once otherwise; the certificate is checked against that same
+    index.  When `candidate_levels` are supplied, a level that would
+    otherwise be left with the bare alternative is upgraded to the
+    sum-obstruction guarantee if the critical point is unique and no
+    zero-sum subset anchored at this level exists among the candidates.
     """
     _require_level(problem, level)
-    checks = validate(problem)
-    if not checks.nonzero_degree:
+    if not validate(problem).nonzero_degree:
         return BifurcationReport(
             level=level,
             index=EulerElementT2.zero(),
@@ -309,8 +300,8 @@ def build_report(
             certificate=None,
             classification=Classification.NOT_APPLICABLE,
         )
-    index = bif_index(problem, level)
-    nontrivial, certificate = certify_nontrivial(problem, level)
+    index = indices[level] if indices and level in indices else bif_index(problem, level)
+    nontrivial, certificate = _certify(problem, level, index)
     classification = classify_noncompact(problem)
     if (
         classification is Classification.ALTERNATIVE

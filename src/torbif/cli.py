@@ -12,14 +12,17 @@ Subcommands:
 
 Exit codes: 0 success, 2 malformed input (problem files, expressions,
 usage), 3 a frequency that is not a candidate level, 4 output-file
-failure.  Output is deterministic: identical inputs produce byte-identical
-text, and --json swaps in machine-readable JSON.
+failure, 5 an internal cross-check failed (a bug in torbif), 141 stdout
+was closed before all output was written (the status a shell reports for
+a process ended by SIGPIPE).  Output is deterministic: identical inputs
+produce byte-identical text, and --json swaps in machine-readable JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -33,7 +36,7 @@ from .bifurcation import (
 )
 from .euler import EulerElementT2, format_element
 from .grammar import ElementParseError, parse_element
-from .problem_io import ProblemFormatError, load_problem, write_problem
+from .problem_io import load_problem, write_problem
 from .rationals import parse_rational, rational_to_json
 from .spectral import (
     BifurcationLevel,
@@ -207,9 +210,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     levels = lambda_set(problem, args.max_k)
     headline = classify_noncompact(problem)
     admissible = validate(problem).ok
+    searchable = admissible and len(levels) <= _ZERO_SUM_LIMIT
     indices = {lvl: bif_index(problem, lvl) for lvl in levels} if admissible else {}
     reports = [
-        build_report(problem, lvl, candidate_levels=levels if admissible else None, indices=indices)
+        build_report(problem, lvl, candidate_levels=levels if searchable else None, indices=indices)
         for lvl in levels
     ]
     witness: Optional[tuple[BifurcationLevel, ...]] = None
@@ -303,22 +307,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ElementParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except InvalidLevel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 5
+    except BrokenPipeError:
+        # The reader went away; point stdout at devnull so the interpreter's
+        # final flush cannot raise again (the recipe from the signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 def entry() -> None:

@@ -30,10 +30,6 @@ from typing import Union
 from .subgroups import TorusSubgroup
 
 
-class NotInvertible(ValueError):
-    """Inversion was attempted on an element whose identity coefficient is not +-1."""
-
-
 TermsT2 = Union[
     Mapping[TorusSubgroup, int],
     Iterable[tuple[TorusSubgroup, int]],
@@ -137,22 +133,6 @@ class EulerElementT2:
         if dim not in (0, 1, 2):
             raise ValueError(f"dimension must be 0, 1, or 2, got {dim!r}")
         return EulerElementT2(tuple((h, c) for h, c in self.terms if h.dim == dim))
-
-    def invert(self) -> "EulerElementT2":
-        """Multiplicative inverse of a unit.
-
-        An element is a unit exactly when its identity coefficient is +1 or
-        -1; the rest is nilpotent (cube zero by the grading), so the inverse
-        is the usual finite geometric series.
-        """
-        c = self.coefficient(TorusSubgroup.full())
-        if c not in (1, -1):
-            raise NotInvertible(
-                f"identity coefficient is {c}; only coefficients +1 and -1 invert"
-            )
-        nil = self - c * EulerElementT2.identity()
-        series = EulerElementT2.identity() - c * nil + nil.star(nil)
-        return c * series
 
     def __str__(self) -> str:
         return format_element(self)

@@ -185,14 +185,3 @@ def deg_minus_id_s1(rep: S1Representation) -> EulerElementS1:
     finite = EulerElementS1(0, {m: k for m, k in rep.rotating})
     return sign * (EulerElementS1.identity() - finite)
 
-
-def nondegenerate_orbit_degree(morse_index: int, isotropy: int) -> EulerElementS1:
-    """Local degree of a nondegenerate circle orbit of nonstationary
-    solutions: a sign from the Morse index times the class with the orbit's
-    cyclic isotropy."""
-    if not isinstance(morse_index, int) or isinstance(morse_index, bool) or morse_index < 0:
-        raise ValueError(f"morse_index must be a nonnegative int, got {morse_index!r}")
-    if not isinstance(isotropy, int) or isinstance(isotropy, bool) or isotropy < 1:
-        raise ValueError(f"isotropy must be a positive int, got {isotropy!r}")
-    sign = -1 if morse_index % 2 else 1
-    return sign * EulerElementS1.cyclic(isotropy)

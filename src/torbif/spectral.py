@@ -160,11 +160,8 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
     return sorted(found.values(), key=lambda lvl: lvl.lambda_sq)
 
 
-def resonant_pairs(
-    problem: CriticalPointProblem, level: BifurcationLevel
-) -> tuple[tuple[int, Fraction], ...]:
-    """All (mode, alpha) with mode^2 == lambda_sq * alpha, mode >= 1."""
-    q = level.lambda_sq
+def _resonances(problem: CriticalPointProblem, q: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    # All (mode, alpha) with mode^2 == q * alpha, mode >= 1, for q > 0.
     pairs = []
     for datum in problem.spectra:
         if datum.alpha <= 0:
@@ -178,38 +175,23 @@ def resonant_pairs(
     return tuple(sorted(pairs))
 
 
+def resonant_pairs(
+    problem: CriticalPointProblem, level: BifurcationLevel
+) -> tuple[tuple[int, Fraction], ...]:
+    """All (mode, alpha) with mode^2 == lambda_sq * alpha, mode >= 1."""
+    return _resonances(problem, level.lambda_sq)
+
+
 def level_from_lambda_sq(
     problem: CriticalPointProblem, value: int | str | Fraction
 ) -> BifurcationLevel:
     """Resolve a squared frequency to a level of this problem."""
     q = as_fraction(value)
-    if q > 0:
-        candidates = []
-        for datum in problem.spectra:
-            if datum.alpha <= 0:
-                continue
-            target = q * datum.alpha
-            if target.denominator != 1:
-                continue
-            n = math.isqrt(target.numerator)
-            if n >= 1 and n * n == target.numerator:
-                candidates.append((n, datum.alpha))
-        if candidates:
-            n, alpha = min(candidates)
-            return BifurcationLevel(n, alpha)
-    raise InvalidLevel(f"lambda_sq = {q} is not a candidate bifurcation level")
-
-
-def hessian_eigenvalue(
-    mode: int, lambda_sq: int | str | Fraction, alpha: int | str | Fraction
-) -> Fraction:
-    """Scaling factor of the second variation on the `mode`-th Fourier mode
-    over the eigenspace of alpha: (mode^2 - lambda_sq * alpha) / (mode^2 + 1)."""
-    if not isinstance(mode, int) or isinstance(mode, bool) or mode < 0:
-        raise ValueError(f"mode must be a nonnegative int, got {mode!r}")
-    q = as_fraction(lambda_sq)
-    a = as_fraction(alpha)
-    return (Fraction(mode * mode) - q * a) / (mode * mode + 1)
+    pairs = _resonances(problem, q) if q > 0 else ()
+    if not pairs:
+        raise InvalidLevel(f"lambda_sq = {q} is not a candidate bifurcation level")
+    n, alpha = pairs[0]
+    return BifurcationLevel(n, alpha)
 
 
 def negative_space(

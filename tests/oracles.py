@@ -1,7 +1,11 @@
 """Independent cross-checks and seeded generators for the test suite.
 
-The oracles here work from first principles (congruences on finite grids,
-gcds of minors) and never call the canonical-form code they are checking.
+The lattice oracles work from first principles (congruences on finite
+grids, gcds of minors) and never call the canonical-form code they are
+checking.  The ring and index oracles below reach the same values as the
+package by a different route (a unit's geometric-series inverse, the
+two-sided degree jump across a level), so each identity they satisfy is a
+differential check on the package.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ import random
 from fractions import Fraction
 
 from torbif import (
+    BifurcationLevel,
     CriticalPointProblem,
     EulerElementS1,
     EulerElementT2,
@@ -18,7 +23,11 @@ from torbif import (
     SpectralDatum,
     T2Representation,
     TorusSubgroup,
+    deg_h0,
+    deg_minus_id_t2,
+    negative_space,
 )
+from torbif.rationals import as_fraction
 
 ALPHA_POOL = (
     Fraction(1, 2),
@@ -149,3 +158,54 @@ def random_problem(rng, require_positive=True, require_degree=True):
         deg_s1=deg,
         unique_critical_point=rng.random() < 0.5,
     )
+
+
+class NotInvertible(ValueError):
+    """Inversion was attempted on an element whose identity coefficient is not +-1."""
+
+
+def invert(element):
+    """Multiplicative inverse of a unit of the torus ring.
+
+    An element is a unit exactly when its identity coefficient is +1 or -1;
+    the rest is nilpotent (cube zero by the grading), so the inverse is the
+    usual finite geometric series.
+    """
+    c = element.coefficient(TorusSubgroup.full())
+    if c not in (1, -1):
+        raise NotInvertible(f"identity coefficient is {c}; only coefficients +1 and -1 invert")
+    nil = element - c * EulerElementT2.identity()
+    series = EulerElementT2.identity() - c * nil + nil.star(nil)
+    return c * series
+
+
+def hessian_eigenvalue(mode, lambda_sq, alpha):
+    """Scaling factor of the second variation on the `mode`-th Fourier mode
+    over the eigenspace of alpha: (mode^2 - lambda_sq * alpha) / (mode^2 + 1)."""
+    if not isinstance(mode, int) or isinstance(mode, bool) or mode < 0:
+        raise ValueError(f"mode must be a nonnegative int, got {mode!r}")
+    q = as_fraction(lambda_sq)
+    a = as_fraction(alpha)
+    return (Fraction(mode * mode) - q * a) / (mode * mode + 1)
+
+
+def nondegenerate_orbit_degree(morse_index, isotropy):
+    """Local degree of a nondegenerate circle orbit of nonstationary
+    solutions: a sign from the Morse index times the class with the orbit's
+    cyclic isotropy."""
+    if not isinstance(morse_index, int) or isinstance(morse_index, bool) or morse_index < 0:
+        raise ValueError(f"morse_index must be a nonnegative int, got {morse_index!r}")
+    if not isinstance(isotropy, int) or isinstance(isotropy, bool) or isotropy < 1:
+        raise ValueError(f"isotropy must be a positive int, got {isotropy!r}")
+    sign = -1 if morse_index % 2 else 1
+    return sign * EulerElementS1.cyclic(isotropy)
+
+
+def bif_index_two_sided(problem: CriticalPointProblem, level: BifurcationLevel):
+    """The index as the difference of the degrees just above and just below
+    the level; equality with `bif_index` is a computed identity, not a
+    definition.  The level must be a candidate level of the problem."""
+    d0 = deg_h0(problem)
+    above = d0.star(deg_minus_id_t2(negative_space(problem, level, "plus")))
+    below = d0.star(deg_minus_id_t2(negative_space(problem, level, "minus")))
+    return above - below

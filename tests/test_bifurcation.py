@@ -18,8 +18,6 @@ from torbif import (
     TorusSubgroup,
     any_zero_sum_subset,
     bif_index,
-    bif_index_two_sided,
-    brouwer_index,
     build_report,
     certify_nontrivial,
     classify_noncompact,
@@ -29,7 +27,7 @@ from torbif import (
     lambda_set,
 )
 
-from oracles import random_problem
+from oracles import bif_index_two_sided, random_problem
 
 I = EulerElementT2.identity()
 
@@ -62,7 +60,7 @@ def test_example_golden_family():
         index = bif_index(prob, BifurcationLevel(k, 2))
         assert index == -1 * gen((1, 0), (0, k))
     assert deg_h0(prob) == gen((1, 0))
-    assert brouwer_index(prob) == 0
+    assert prob.deg_s1.fixed == 0
 
 
 def test_example_certificate_and_classification():
@@ -79,7 +77,7 @@ def test_fixed_coefficient_path():
     assert index == -2 * gen((1, 1)) - 2 * gen((-1, 1)) + 2 * gen((2, 0), (1, 1))
     assert certify_nontrivial(prob, level) == (True, Certificate.FIXED_COEFFICIENT)
     assert classify_noncompact(prob) is Classification.NONCOMPACT_FIXED_COEFFICIENT
-    assert brouwer_index(prob) == 2
+    assert prob.deg_s1.fixed == 2
 
 
 def test_invalid_level_is_rejected():

@@ -1,10 +1,29 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import torbif
+import torbif.bifurcation
+from torbif import (
+    CriticalPointProblem,
+    EulerElementS1,
+    EulerElementT2,
+    example_problem,
+    write_problem,
+)
 from torbif.cli import main
+
+
+def module_env():
+    """Environment in which `python -m torbif` imports this checkout's package."""
+    src = str(Path(torbif.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture()
@@ -167,12 +186,75 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "torbif", "example", str(path)],
         capture_output=True,
         text=True,
+        env=module_env(),
     )
     assert written.returncode == 0
     result = subprocess.run(
         [sys.executable, "-m", "torbif", "index", "--problem", str(path), "--k", "1", "--alpha", "2"],
         capture_output=True,
         text=True,
+        env=module_env(),
     )
     assert result.returncode == 0
     assert result.stdout == "-1*F(1,0;0,1)\ncertificate: SameSignPath\n"
+
+
+def test_closed_stdout_exits_quietly(example_path):
+    # 3000 level lines overflow the pipe buffer, so the writer is still
+    # printing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "torbif", "levels", "--problem", example_path, "--max-k", "3000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=module_env(),
+    )
+    assert proc.stdout.readline().startswith(b"k=1 ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_cross_check_failure_is_an_internal_error(example_path, capsys, monkeypatch):
+    # a wrong direct index makes the same-sign certificate disagree with it
+    monkeypatch.setattr(torbif.bifurcation, "bif_index", lambda problem, level: EulerElementT2.zero())
+    assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: certificate path disagrees with direct evaluation\n"
+
+
+def test_one_index_evaluation_per_level(example_path, capsys, monkeypatch):
+    sides = []
+    original = torbif.bifurcation.negative_space
+
+    def counting(problem, level, side="minus"):
+        sides.append(side)
+        return original(problem, level, side)
+
+    monkeypatch.setattr(torbif.bifurcation, "negative_space", counting)
+    assert main(["classify", "--problem", example_path, "--max-k", "3"]) == 0
+    assert sides == ["minus"] * 3
+    sides.clear()
+    assert main(["index", "--problem", example_path, "--k", "2", "--alpha", "2"]) == 0
+    assert sides == ["minus"]
+    capsys.readouterr()
+
+
+def test_classify_above_zero_sum_limit_stays_alternative(tmp_path, capsys):
+    # mixed-sign degree with a unique critical point: Alternative, and at
+    # 21 levels the zero-sum search (anchored or global) is not attempted
+    problem = CriticalPointProblem(
+        spectra=example_problem().spectra,
+        deg_s1=EulerElementS1(0, {1: 1, 2: -1}),
+        unique_critical_point=True,
+    )
+    path = tmp_path / "mixed.json"
+    write_problem(problem, path)
+    assert main(["classify", "--problem", str(path), "--max-k", "21"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "classification: Alternative"
+    assert len(lines) == 23
+    assert all(" classification=Alternative " in line for line in lines[1:22])
+    assert lines[22] == "zero-sum check: skipped (more than 20 levels)"

@@ -14,11 +14,10 @@ from torbif import (
     deg_minus_id_t2,
     embed_s1_to_t2,
     loop_decompose,
-    nondegenerate_orbit_degree,
     normalize_character,
 )
 
-from oracles import random_s1_rep, random_t2_rep
+from oracles import nondegenerate_orbit_degree, random_s1_rep, random_t2_rep
 
 I = EulerElementT2.identity()
 

@@ -15,7 +15,6 @@ from torbif import (
     SpectralDatum,
     T2Representation,
     example_problem,
-    hessian_eigenvalue,
     lambda_set,
     level_from_lambda_sq,
     loop_decompose,
@@ -25,7 +24,7 @@ from torbif import (
     validate,
 )
 
-from oracles import random_problem
+from oracles import hessian_eigenvalue, random_problem
 
 
 def test_spectral_datum_coerces_alpha():
