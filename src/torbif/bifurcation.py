@@ -21,13 +21,16 @@ degree:
   with positive loop component; for each pair of support generators the
   resulting coefficient is a one-sided sum, hence nonzero.
 
-Both paths are cross-checked against direct evaluation.  The
-classification upgrades a nonzero index to a non-compactness guarantee
-when the critical point is unique: "c1" when n0 != 0, "c2" when n0 == 0
-and the finite-isotropy coefficients all share one sign, and
-"sum_obstruction" when an exhaustive subset search shows the indices over
-a supplied candidate set cannot cancel.  Otherwise the global alternative
-stands unsharpened.
+`build_report` forms the factors and the index once per level and
+cross-checks both paths against direct evaluation on those same values.
+The degree factors take one factor T - k*H per character of multiplicity
+k, which relies on H * H = 0 for one-dimensional classes H (checked in
+the test suite).  The classification upgrades a nonzero index to a
+non-compactness guarantee when the critical point is unique: "c1" when
+n0 != 0, "c2" when n0 == 0 and the finite-isotropy coefficients all share
+one sign, and "sum_obstruction", issued by `torbif classify`, when no
+zero-sum subset of the enumerated levels' indices contains the level.
+Otherwise the global alternative stands unsharpened.
 """
 
 from __future__ import annotations
@@ -102,19 +105,9 @@ def deg_h0(problem: CriticalPointProblem) -> EulerElementT2:
     return embed_s1_to_t2(problem.deg_s1)
 
 
-def _require_level(problem: CriticalPointProblem, level: BifurcationLevel) -> None:
-    if not resonant_pairs(problem, level):
-        raise InvalidLevel(
-            f"lambda_sq = {level.lambda_sq} resonates with no positive eigenvalue"
-        )
-
-
 def bif_index(problem: CriticalPointProblem, level: BifurcationLevel) -> EulerElementT2:
     """The bifurcation index of the level."""
-    _require_level(problem, level)
-    below = deg_minus_id_t2(negative_space(problem, level, "minus"))
-    kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
-    return deg_h0(problem).star(below).star(kernel_factor)
+    return build_report(problem, level).index
 
 
 def certify_nontrivial(
@@ -129,22 +122,36 @@ def certify_nontrivial(
     """
     if not validate(problem).ok:
         return False, None
-    return _certify(problem, level, None)
+    report = build_report(problem, level)
+    return report.nontrivial, report.certificate
 
 
-def _certify(
-    problem: CriticalPointProblem,
-    level: BifurcationLevel,
-    index: Optional[EulerElementT2],
-) -> tuple[bool, Certificate]:
-    # Cross-checks the certificate path against the level's index; an index
-    # the caller does not have is formed here from the same reduced product.
-    _require_level(problem, level)
-    kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
+def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> BifurcationReport:
+    """Assemble the full per-level report in one pass.
+
+    The resonant factor, the factor below the level, the reduced product
+    of the degree with the null-mode factor, and the index are each formed
+    once, and the certificate path is cross-checked against those same
+    values.  The classification is the problem-wide one; the
+    sum-obstruction upgrade needs the indices of all levels and is made by
+    the caller that has them.
+    """
+    if not resonant_pairs(problem, level):
+        raise InvalidLevel(
+            f"lambda_sq = {level.lambda_sq} resonates with no positive eigenvalue"
+        )
+    if not validate(problem).nonzero_degree:
+        return BifurcationReport(
+            level=level,
+            index=EulerElementT2.zero(),
+            nontrivial=False,
+            certificate=None,
+            classification=Classification.NOT_APPLICABLE,
+        )
     d0 = deg_h0(problem)
+    kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
     reduced = d0.star(kernel_factor)
-    if index is None:
-        index = reduced.star(deg_minus_id_t2(negative_space(problem, level, "minus")))
+    index = reduced.star(deg_minus_id_t2(negative_space(problem, level, "minus")))
     n0 = problem.deg_s1.fixed
     resonant_part = kernel_factor.project(1)
     if n0:
@@ -174,7 +181,13 @@ def _certify(
             claimed = bool(index)
     if claimed != bool(index):
         raise RuntimeError("certificate path disagrees with direct evaluation")
-    return bool(index), certificate
+    return BifurcationReport(
+        level=level,
+        index=index,
+        nontrivial=bool(index),
+        certificate=certificate,
+        classification=classify_noncompact(problem),
+    )
 
 
 def classify_noncompact(problem: CriticalPointProblem) -> Classification:
@@ -184,8 +197,10 @@ def classify_noncompact(problem: CriticalPointProblem) -> Classification:
     and the structural assumptions hold: with a nonzero full-orbit
     coefficient ("c1"), or with uniformly signed finite-isotropy
     coefficients ("c2").  This function never emits the sum-obstruction
-    tag; that one is relative to an enumerated candidate set and is issued
-    by the report layer.
+    tag; that one is relative to the enumerated levels and is issued by
+    `torbif classify` (`cli._cmd_classify`) after its zero-sum search over
+    their indices.  The indices themselves use the identity H * H = 0 for
+    one-dimensional classes H, which the test suite checks.
     """
     checks = validate(problem)
     if not (problem.unique_critical_point and checks.ok):
@@ -274,50 +289,6 @@ def any_zero_sum_subset(
     pool = sorted(levels, key=lambda l: l.lambda_sq)
     table = _index_table(problem, pool, indices)
     return _zero_sum_dfs(EulerElementT2.zero(), pool, table, need_pick=True)
-
-
-def build_report(
-    problem: CriticalPointProblem,
-    level: BifurcationLevel,
-    candidate_levels: Optional[Iterable[BifurcationLevel]] = None,
-    indices: Optional[Mapping[BifurcationLevel, EulerElementT2]] = None,
-) -> BifurcationReport:
-    """Assemble the full per-level report.
-
-    The level's own index is read from `indices` when the table has it and
-    computed once otherwise; the certificate is checked against that same
-    index.  When `candidate_levels` are supplied, a level that would
-    otherwise be left with the bare alternative is upgraded to the
-    sum-obstruction guarantee if the critical point is unique and no
-    zero-sum subset anchored at this level exists among the candidates.
-    """
-    _require_level(problem, level)
-    if not validate(problem).nonzero_degree:
-        return BifurcationReport(
-            level=level,
-            index=EulerElementT2.zero(),
-            nontrivial=False,
-            certificate=None,
-            classification=Classification.NOT_APPLICABLE,
-        )
-    index = indices[level] if indices and level in indices else bif_index(problem, level)
-    nontrivial, certificate = _certify(problem, level, index)
-    classification = classify_noncompact(problem)
-    if (
-        classification is Classification.ALTERNATIVE
-        and problem.unique_critical_point
-        and candidate_levels is not None
-    ):
-        found, _ = exists_zero_sum_subset(problem, candidate_levels, level, indices)
-        if not found:
-            classification = Classification.NONCOMPACT_SUM_OBSTRUCTION
-    return BifurcationReport(
-        level=level,
-        index=index,
-        nontrivial=nontrivial,
-        certificate=certificate,
-        classification=classification,
-    )
 
 
 def example_problem() -> CriticalPointProblem:

@@ -24,15 +24,17 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .bifurcation import (
     BifurcationReport,
+    Classification,
     any_zero_sum_subset,
-    bif_index,
     build_report,
     classify_noncompact,
     example_problem,
+    exists_zero_sum_subset,
 )
 from .euler import EulerElementT2, format_element
 from .grammar import ElementParseError, parse_element
@@ -209,23 +211,29 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     problem = load_problem(args.problem)
     levels = lambda_set(problem, args.max_k)
     headline = classify_noncompact(problem)
-    admissible = validate(problem).ok
-    searchable = admissible and len(levels) <= _ZERO_SUM_LIMIT
-    indices = {lvl: bif_index(problem, lvl) for lvl in levels} if admissible else {}
-    reports = [
-        build_report(problem, lvl, candidate_levels=levels if searchable else None, indices=indices)
-        for lvl in levels
-    ]
+    reports = [build_report(problem, lvl) for lvl in levels]
     witness: Optional[tuple[BifurcationLevel, ...]] = None
-    if not admissible:
+    if not validate(problem).ok:
         zero_sum_state = "skipped (assumptions not satisfied)"
     elif not levels:
         zero_sum_state = "skipped (no levels)"
     elif len(levels) > _ZERO_SUM_LIMIT:
         zero_sum_state = f"skipped (more than {_ZERO_SUM_LIMIT} levels)"
     else:
+        indices = {report.level: report.index for report in reports}
         witness = any_zero_sum_subset(problem, levels, indices)
         zero_sum_state = "checked"
+        if headline is Classification.ALTERNATIVE and problem.unique_critical_point:
+            # A level is upgraded when no zero-sum subset contains it.  Without
+            # a witness no zero-sum subset exists at all; the witness's own
+            # levels lie in one; any other level needs a search anchored at it.
+            for pos, report in enumerate(reports):
+                if witness is not None and (
+                    report.level in witness
+                    or exists_zero_sum_subset(problem, levels, report.level, indices)[0]
+                ):
+                    continue
+                reports[pos] = replace(report, classification=Classification.NONCOMPACT_SUM_OBSTRUCTION)
 
     if args.json:
         if zero_sum_state == "checked":

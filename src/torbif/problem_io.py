@@ -150,6 +150,8 @@ def parse_problem(text: str) -> CriticalPointProblem:
         raise
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemFormatError("not valid JSON: nested too deeply") from exc
     top = _require_object(
         payload, ("spectra", "deg_s1", "unique_critical_point"), "problem"
     )

@@ -13,11 +13,12 @@ representation of its space of Fourier modes: the extra circle rotates the
 loop parameter, and a plane with spatial speed m contributes the
 characters (m, n) and (-m, n) on the n-th mode.  `deg_minus_id_t2`
 computes the equivariant degree of minus-identity on the unit ball of a
-torus representation as the product over irreducible summands, one factor
-of identity-minus-generator per plane and a global sign from the parity of
-the trivial part; that the dimension-at-least-one part collapses to an
-affine expression in the multiplicities is checked by the test suite, not
-assumed here.
+torus representation as the product over isotypic summands, one factor
+T - k*H per character of multiplicity k and a global sign from the parity
+of the trivial part.  Collapsing the k plane factors T - H into one relies
+on H * H = 0 for every one-dimensional class H, since the dimensions 1 + 1
+do not add up to 2 + 1; the test suite checks that identity and compares
+the result with the plane-by-plane product.
 """
 
 from __future__ import annotations
@@ -162,14 +163,15 @@ def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
 
 def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     """Equivariant degree of minus-identity on the unit ball of `rep`,
-    computed as the product of the degrees of the irreducible summands."""
+    computed as the product of the degrees of the isotypic summands.
+
+    The k planes of one character contribute (T - H)^k = T - k*H, because
+    H * H = 0 for the one-dimensional kernel H (1 + 1 != 2 + 1)."""
     sign = -1 if rep.trivial % 2 else 1
     acc = sign * EulerElementT2.identity()
     one = EulerElementT2.identity()
     for (m, n), mult in rep.characters:
-        factor = one - EulerElementT2.generator(TorusSubgroup.kernel(m, n))
-        for _ in range(mult):
-            acc = acc.star(factor)
+        acc = acc.star(one - mult * EulerElementT2.generator(TorusSubgroup.kernel(m, n)))
     return acc
 
 

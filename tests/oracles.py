@@ -4,8 +4,8 @@ The lattice oracles work from first principles (congruences on finite
 grids, gcds of minors) and never call the canonical-form code they are
 checking.  The ring and index oracles below reach the same values as the
 package by a different route (a unit's geometric-series inverse, the
-two-sided degree jump across a level), so each identity they satisfy is a
-differential check on the package.
+plane-by-plane degree product, the two-sided degree jump across a level),
+so each identity they satisfy is a differential check on the package.
 """
 
 from __future__ import annotations
@@ -126,12 +126,12 @@ def random_s1_rep(rng, allow_empty=False):
             return rep
 
 
-def random_t2_rep(rng, max_chars=4, span=6):
+def random_t2_rep(rng, max_chars=4, span=6, max_mult=2):
     trivial = rng.randint(0, 2)
     characters = {}
     for _ in range(rng.randint(0, max_chars)):
         key = random_character(rng, span)
-        characters[key] = characters.get(key, 0) + rng.randint(1, 2)
+        characters[key] = characters.get(key, 0) + rng.randint(1, max_mult)
     return T2Representation(trivial=trivial, characters=characters)
 
 
@@ -209,3 +209,17 @@ def bif_index_two_sided(problem: CriticalPointProblem, level: BifurcationLevel):
     above = d0.star(deg_minus_id_t2(negative_space(problem, level, "plus")))
     below = d0.star(deg_minus_id_t2(negative_space(problem, level, "minus")))
     return above - below
+
+
+def deg_minus_id_t2_expanded(rep):
+    """Degree of minus-identity as the product of one factor T - H per
+    plane, without the collapse (T - H)^k = T - k*H that `deg_minus_id_t2`
+    takes from H * H = 0."""
+    sign = -1 if rep.trivial % 2 else 1
+    acc = sign * EulerElementT2.identity()
+    one = EulerElementT2.identity()
+    for (m, n), mult in rep.characters:
+        factor = one - EulerElementT2.generator(TorusSubgroup.kernel(m, n))
+        for _ in range(mult):
+            acc = acc.star(factor)
+    return acc

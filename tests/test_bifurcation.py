@@ -1,10 +1,14 @@
+import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torbif.bifurcation
+import torbif.cli
 from torbif import (
     BifurcationLevel,
     Certificate,
@@ -25,7 +29,10 @@ from torbif import (
     example_problem,
     exists_zero_sum_subset,
     lambda_set,
+    write_problem,
 )
+from torbif.cli import main
+from torbif.rationals import rational_to_json
 
 from oracles import bif_index_two_sided, random_problem
 
@@ -123,19 +130,84 @@ def test_mixed_sign_indices_by_hand():
         assert index == -1 * gen((1, 0), (0, k)) + gen((2, 0), (0, k))
 
 
-def test_sum_obstruction_upgrade():
+def classify_reports(problem, tmp_path, capsys, max_k=4):
+    """The per-level reports `torbif classify --json` prints for `problem`."""
+    path = tmp_path / "problem.json"
+    write_problem(problem, path)
+    assert main(["classify", "--problem", str(path), "--max-k", str(max_k), "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def count_calls(monkeypatch, name, modules):
+    """Record the arguments of every call to `name`, wherever it is called from."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_sum_obstruction_upgrade(tmp_path, capsys):
     prob = axis_family_problem(finite={1: 1, 2: -1})
     levels = lambda_set(prob, 4)
     level = levels[0]
     bare = build_report(prob, level)
     assert bare.classification is Classification.ALTERNATIVE
-    upgraded = build_report(prob, level, candidate_levels=levels)
-    assert upgraded.classification is Classification.NONCOMPACT_SUM_OBSTRUCTION
-    assert upgraded.nontrivial
+    upgraded = classify_reports(prob, tmp_path, capsys)["reports"][0]
+    assert upgraded["classification"] == Classification.NONCOMPACT_SUM_OBSTRUCTION.value
+    assert upgraded["nontrivial"]
     # without uniqueness the upgrade is off
     loose = axis_family_problem(finite={1: 1, 2: -1}, unique=False)
-    report = build_report(loose, level, candidate_levels=lambda_set(loose, 4))
-    assert report.classification is Classification.ALTERNATIVE
+    report = classify_reports(loose, tmp_path, capsys)["reports"][0]
+    assert report["classification"] == Classification.ALTERNATIVE.value
+
+
+def test_classify_searches_once_without_witness(tmp_path, capsys, monkeypatch):
+    # no zero-sum subset at all: every level is upgraded with no anchored
+    # search, and each level's resonant factor is formed once
+    prob = axis_family_problem(finite={1: 1, 2: -1})
+    anchored = count_calls(monkeypatch, "exists_zero_sum_subset", [torbif.bifurcation, torbif.cli])
+    resonant = count_calls(monkeypatch, "resonant_space", [torbif.bifurcation])
+    payload = classify_reports(prob, tmp_path, capsys)
+    assert payload["zero_sum_subset"] == {"exists": False, "witness": None}
+    assert all(
+        r["classification"] == Classification.NONCOMPACT_SUM_OBSTRUCTION.value
+        for r in payload["reports"]
+    )
+    assert anchored == []
+    assert [args[1] for args in resonant] == lambda_set(prob, 4)
+
+
+def test_classify_witness_branch(tmp_path, capsys, monkeypatch):
+    # injected indices {l0: x, l1: -x, l2: x, l3: z}: the witness is (l0, l1);
+    # l2 lies in the zero-sum subset {l1, l2}, which only its anchored search
+    # finds; l3 lies in none and is upgraded
+    prob = axis_family_problem(finite={1: 1, 2: -1})
+    levels = lambda_set(prob, 4)
+    x = gen((1, 0), (0, 2)) - 3 * I
+    table = dict(zip(levels, (x, -1 * x, x, gen((1, 1)))))
+    original = torbif.cli.build_report
+    monkeypatch.setattr(
+        torbif.cli,
+        "build_report",
+        lambda problem, level: replace(original(problem, level), index=table[level]),
+    )
+    anchored = count_calls(monkeypatch, "exists_zero_sum_subset", [torbif.bifurcation, torbif.cli])
+    payload = classify_reports(prob, tmp_path, capsys)
+    witness = payload["zero_sum_subset"]["witness"]
+    assert [w["lambda_sq"] for w in witness] == [rational_to_json(l.lambda_sq) for l in levels[:2]]
+    assert [r["classification"] for r in payload["reports"]] == [
+        Classification.ALTERNATIVE.value,
+        Classification.ALTERNATIVE.value,
+        Classification.ALTERNATIVE.value,
+        Classification.NONCOMPACT_SUM_OBSTRUCTION.value,
+    ]
+    assert [args[2] for args in anchored] == levels[2:]
 
 
 def test_zero_sum_subset_searches():

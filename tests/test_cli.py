@@ -113,6 +113,15 @@ def test_missing_problem_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_deeply_nested_problem_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    assert main(["levels", "--problem", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not valid JSON: nested too deeply\n"
+
+
 def test_malformed_problem_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"spectra": []}')
@@ -217,8 +226,16 @@ def test_closed_stdout_exits_quietly(example_path):
 
 
 def test_cross_check_failure_is_an_internal_error(example_path, capsys, monkeypatch):
-    # a wrong direct index makes the same-sign certificate disagree with it
-    monkeypatch.setattr(torbif.bifurcation, "bif_index", lambda problem, level: EulerElementT2.zero())
+    # a zero factor below the level makes the direct index vanish, so the
+    # same-sign certificate, read off the other two factors, disagrees with it
+    below = object()
+    degree = torbif.bifurcation.deg_minus_id_t2
+    monkeypatch.setattr(torbif.bifurcation, "negative_space", lambda problem, level, side: below)
+    monkeypatch.setattr(
+        torbif.bifurcation,
+        "deg_minus_id_t2",
+        lambda rep: EulerElementT2.zero() if rep is below else degree(rep),
+    )
     assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""

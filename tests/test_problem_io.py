@@ -141,6 +141,8 @@ def test_rejects_non_json_and_wrong_shapes():
         parse_problem("not json at all")
     with pytest.raises(ProblemFormatError):
         parse_problem("[1, 2, 3]")
+    with pytest.raises(ProblemFormatError):
+        parse_problem("[" * 200000)
     payload = base_payload()
     payload["unique_critical_point"] = "yes"
     with pytest.raises(ProblemFormatError):
@@ -153,3 +155,4 @@ def test_rejects_non_json_and_wrong_shapes():
     payload["spectra"][0]["isotypic"] = []
     with pytest.raises(ProblemFormatError):
         parse_problem(dumps(payload))
+

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torbif import (
@@ -17,7 +17,13 @@ from torbif import (
     normalize_character,
 )
 
-from oracles import nondegenerate_orbit_degree, random_s1_rep, random_t2_rep
+from oracles import (
+    deg_minus_id_t2_expanded,
+    nondegenerate_orbit_degree,
+    random_character,
+    random_s1_rep,
+    random_t2_rep,
+)
 
 I = EulerElementT2.identity()
 
@@ -97,6 +103,26 @@ def test_deg_minus_id_t2_known_values():
     assert deg_minus_id_t2(T2Representation(characters={(1, 1): 2})) == I - 2 * gen((1, 1))
     two_planes = T2Representation(characters={(1, 0): 1, (0, 1): 1})
     assert deg_minus_id_t2(two_planes) == I - gen((1, 0)) - gen((0, 1)) + gen((1, 0), (0, 1))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 10**9))
+def test_deg_minus_id_t2_matches_plane_by_plane_product(seed):
+    rep = random_t2_rep(random.Random(seed), max_mult=30)
+    assert deg_minus_id_t2(rep) == deg_minus_id_t2_expanded(rep)
+
+
+@given(st.integers(0, 10**9))
+def test_one_dimensional_generators_square_to_zero(seed):
+    h = TorusSubgroup.kernel(*random_character(random.Random(seed)))
+    assert h.dim == 1
+    g = EulerElementT2.generator(h)
+    assert g.star(g) == EulerElementT2.zero()
+
+
+def test_deg_minus_id_t2_huge_multiplicity():
+    rep = T2Representation(characters={(2, 3): 10**6})
+    assert deg_minus_id_t2(rep) == I - 10**6 * EulerElementT2.generator(TorusSubgroup.kernel(2, 3))
 
 
 @given(st.integers(0, 10**9))
