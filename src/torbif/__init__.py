@@ -41,6 +41,7 @@ from .representations import (
     T2Representation,
     deg_minus_id_s1,
     deg_minus_id_t2,
+    deg_minus_id_t2_truncated,
     loop_decompose,
     normalize_character,
 )
@@ -85,6 +86,7 @@ __all__ = [
     "deg_h0",
     "deg_minus_id_s1",
     "deg_minus_id_t2",
+    "deg_minus_id_t2_truncated",
     "embed_s1_to_t2",
     "example_problem",
     "exists_zero_sum_subset",

@@ -25,7 +25,15 @@ degree:
 cross-checks both paths against direct evaluation on those same values.
 The degree factors take one factor T - k*H per character of multiplicity
 k, which relies on H * H = 0 for one-dimensional classes H (checked in
-the test suite).  The classification upgrades a nonzero index to a
+the test suite).  The factor below the level enters only through its
+T and one-dimensional part, sign * (T - B1): the reduced product has no T
+term, because the null modes have n >= 1 and hence no trivial summand, so
+every finite class B2 of that factor would multiply it to zero
+(dimensions at most 1 + 0 never reach 2 + 0).  B2 is therefore never
+formed, the per-level cost is linear in the number of characters below
+the level, and `build_report` checks that the reduced product indeed has
+no T term.  The full three-factor product is kept as an oracle in the
+test suite.  The classification upgrades a nonzero index to a
 non-compactness guarantee when the critical point is unique: "c1" when
 n0 != 0, "c2" when n0 == 0 and the finite-isotropy coefficients all share
 one sign, and "sum_obstruction", issued by `torbif classify`, when no
@@ -42,7 +50,7 @@ from typing import Iterable, Mapping, Optional
 
 from .euler import EulerElementS1, EulerElementT2, embed_s1_to_t2
 from .rationals import rational_to_json
-from .representations import S1Representation, deg_minus_id_t2
+from .representations import S1Representation, deg_minus_id_t2, deg_minus_id_t2_truncated
 from .spectral import (
     BifurcationLevel,
     CriticalPointProblem,
@@ -132,9 +140,12 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     The resonant factor, the factor below the level, the reduced product
     of the degree with the null-mode factor, and the index are each formed
     once, and the certificate path is cross-checked against those same
-    values.  The classification is the problem-wide one; the
-    sum-obstruction upgrade needs the indices of all levels and is made by
-    the caller that has them.
+    values.  The factor below the level is truncated to its T and
+    one-dimensional part: the reduced product has no T term (checked
+    here), so the finite classes B2 of that factor would only contribute
+    zero products and are never formed.  The classification is the
+    problem-wide one; the sum-obstruction upgrade needs the indices of all
+    levels and is made by the caller that has them.
     """
     if not resonant_pairs(problem, level):
         raise InvalidLevel(
@@ -151,7 +162,9 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     d0 = deg_h0(problem)
     kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
     reduced = d0.star(kernel_factor)
-    index = reduced.star(deg_minus_id_t2(negative_space(problem, level, "minus")))
+    if reduced.project(2):
+        raise RuntimeError("reduced product has a T term; the truncated factor below the level is not exact")
+    index = reduced.star(deg_minus_id_t2_truncated(negative_space(problem, level, "minus")))
     n0 = problem.deg_s1.fixed
     resonant_part = kernel_factor.project(1)
     if n0:

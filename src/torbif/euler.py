@@ -138,7 +138,7 @@ class EulerElementT2:
         return format_element(self)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _generator_product(h1: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup | None:
     """Product of two orbit-class generators, or None when it vanishes."""
     meet = h1.intersect(h2)

@@ -19,6 +19,13 @@ of the trivial part.  Collapsing the k plane factors T - H into one relies
 on H * H = 0 for every one-dimensional class H, since the dimensions 1 + 1
 do not add up to 2 + 1; the test suite checks that identity and compares
 the result with the plane-by-plane product.
+
+`deg_minus_id_t2_truncated` keeps only the dimension-2 and dimension-1
+parts of that degree, sign * (T - sum_chi k_chi H_chi), read off the
+multiplicities with no ring product.  The dropped classes are finite, and
+a finite class times anything without a T term is zero, so the truncation
+is exact as a right factor of such an element; the bifurcation index uses
+it for the factor below the level.
 """
 
 from __future__ import annotations
@@ -173,6 +180,19 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     for (m, n), mult in rep.characters:
         acc = acc.star(one - mult * EulerElementT2.generator(TorusSubgroup.kernel(m, n)))
     return acc
+
+
+def deg_minus_id_t2_truncated(rep: T2Representation) -> EulerElementT2:
+    """`deg_minus_id_t2(rep)` with the finite-subgroup classes dropped.
+
+    The cross terms of the product over characters are all finite, so what
+    is left is sign * (T - sum_chi k_chi H_chi), formed in one pass over
+    the characters."""
+    sign = -1 if rep.trivial % 2 else 1
+    terms = {TorusSubgroup.full(): sign}
+    for (m, n), mult in rep.characters:
+        terms[TorusSubgroup.kernel(m, n)] = -sign * mult
+    return EulerElementT2(terms)
 
 
 def deg_minus_id_s1(rep: S1Representation) -> EulerElementS1:

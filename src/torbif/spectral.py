@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Iterable, Literal
 
 from .euler import EulerElementS1
 from .rationals import as_fraction
-from .representations import S1Representation, T2Representation, loop_decompose
+from .representations import CharacterKey, S1Representation, T2Representation, loop_decompose
 
 Side = Literal["minus", "plus"]
 
@@ -194,6 +194,16 @@ def level_from_lambda_sq(
     return BifurcationLevel(n, alpha)
 
 
+def _mode_sum(modes: Iterable[tuple[S1Representation, int]]) -> T2Representation:
+    # Direct sum of positive Fourier modes (so no trivial part), merged in
+    # one dict and normalized once.
+    chars: dict[CharacterKey, int] = {}
+    for rep, n in modes:
+        for key, mult in loop_decompose(rep, n).characters:
+            chars[key] = chars.get(key, 0) + mult
+    return T2Representation(0, chars)
+
+
 def negative_space(
     problem: CriticalPointProblem, level: BifurcationLevel, side: Side = "minus"
 ) -> T2Representation:
@@ -204,23 +214,20 @@ def negative_space(
         raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
     strict = side == "minus"
     q = level.lambda_sq
-    total = T2Representation()
+    modes = []
     for datum in problem.spectra:
         if datum.alpha <= 0:
             continue
         bound = q * datum.alpha
         n = 1
         while n * n < bound or (not strict and n * n == bound):
-            total = total + loop_decompose(datum.isotypic, n)
+            modes.append((datum.isotypic, n))
             n += 1
-    return total
+    return _mode_sum(modes)
 
 
 def resonant_space(
     problem: CriticalPointProblem, level: BifurcationLevel
 ) -> T2Representation:
     """Direct sum of the null Fourier modes of the second variation at the level."""
-    total = T2Representation()
-    for n, alpha in resonant_pairs(problem, level):
-        total = total + loop_decompose(problem.eigenspace(alpha), n)
-    return total
+    return _mode_sum((problem.eigenspace(alpha), n) for n, alpha in resonant_pairs(problem, level))

@@ -172,7 +172,8 @@ class TorusSubgroup:
         return f"F({a},{z};{b},{d})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _interned(rows: tuple[Character, ...]) -> TorusSubgroup:
     # Canonical rows recur constantly in ring products; share the instances.
+    # The bound keeps a long-lived process from growing the cache without limit.
     return TorusSubgroup(rows)

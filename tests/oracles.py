@@ -4,7 +4,8 @@ The lattice oracles work from first principles (congruences on finite
 grids, gcds of minors) and never call the canonical-form code they are
 checking.  The ring and index oracles below reach the same values as the
 package by a different route (a unit's geometric-series inverse, the
-plane-by-plane degree product, the two-sided degree jump across a level),
+plane-by-plane degree product, the untruncated three-factor index, the
+mode-by-mode negative space, the two-sided degree jump across a level),
 so each identity they satisfy is a differential check on the package.
 """
 
@@ -25,7 +26,9 @@ from torbif import (
     TorusSubgroup,
     deg_h0,
     deg_minus_id_t2,
+    loop_decompose,
     negative_space,
+    resonant_space,
 )
 from torbif.rationals import as_fraction
 
@@ -223,3 +226,26 @@ def deg_minus_id_t2_expanded(rep):
         for _ in range(mult):
             acc = acc.star(factor)
     return acc
+
+
+def bif_index_expanded(problem: CriticalPointProblem, level: BifurcationLevel):
+    """The index as the full product d0 * (deg(-Id, resonant) - T) *
+    deg(-Id, below), with the factor below the level untruncated."""
+    kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
+    below = deg_minus_id_t2(negative_space(problem, level, "minus"))
+    return deg_h0(problem).star(kernel_factor).star(below)
+
+
+def negative_space_by_mode(problem: CriticalPointProblem, level: BifurcationLevel, side="minus"):
+    """The negative space as a running sum of one representation per
+    Fourier mode."""
+    q = level.lambda_sq
+    total = T2Representation()
+    for datum in problem.spectra:
+        if datum.alpha <= 0:
+            continue
+        n = 1
+        while n * n < q * datum.alpha or (side == "plus" and n * n == q * datum.alpha):
+            total = total + loop_decompose(datum.isotypic, n)
+            n += 1
+    return total

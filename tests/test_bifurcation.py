@@ -34,7 +34,7 @@ from torbif import (
 from torbif.cli import main
 from torbif.rationals import rational_to_json
 
-from oracles import bif_index_two_sided, random_problem
+from oracles import bif_index_expanded, bif_index_two_sided, random_problem
 
 I = EulerElementT2.identity()
 
@@ -264,6 +264,15 @@ def test_index_pipeline_properties(seed):
         assert nontrivial
         expected = Certificate.FIXED_COEFFICIENT if n0 else Certificate.SAME_SIGN
         assert certificate is expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9))
+def test_index_matches_three_factor_product(seed):
+    rng = random.Random(seed)
+    prob = random_problem(rng)
+    for level in lambda_set(prob, 3):
+        assert build_report(prob, level).index == bif_index_expanded(prob, level)
 
 
 @given(st.integers(0, 10**9))

@@ -12,10 +12,14 @@ from torbif import (
     CriticalPointProblem,
     EulerElementS1,
     EulerElementT2,
+    S1Representation,
+    SpectralDatum,
     example_problem,
     write_problem,
 )
 from torbif.cli import main
+from torbif.euler import _generator_product
+from torbif.subgroups import _interned
 
 
 def module_env():
@@ -229,17 +233,66 @@ def test_cross_check_failure_is_an_internal_error(example_path, capsys, monkeypa
     # a zero factor below the level makes the direct index vanish, so the
     # same-sign certificate, read off the other two factors, disagrees with it
     below = object()
-    degree = torbif.bifurcation.deg_minus_id_t2
+    degree = torbif.bifurcation.deg_minus_id_t2_truncated
     monkeypatch.setattr(torbif.bifurcation, "negative_space", lambda problem, level, side: below)
     monkeypatch.setattr(
         torbif.bifurcation,
-        "deg_minus_id_t2",
+        "deg_minus_id_t2_truncated",
         lambda rep: EulerElementT2.zero() if rep is below else degree(rep),
     )
     assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: certificate path disagrees with direct evaluation\n"
+
+
+def test_reduced_product_with_t_term_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # with a full-orbit degree, a resonant factor equal to 2*T leaves a T term
+    # in the reduced product, where truncating the factor below the level
+    # would no longer be exact
+    problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
+    path = tmp_path / "fixed.json"
+    write_problem(problem, path)
+    monkeypatch.setattr(torbif.bifurcation, "deg_minus_id_t2", lambda rep: 2 * EulerElementT2.identity())
+    assert main(["index", "--problem", str(path), "--k", "1", "--alpha", "2"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal: reduced product has a T term; "
+        "the truncated factor below the level is not exact\n"
+    )
+
+
+def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys):
+    # deterministic counters, not timings: one generator product per
+    # character below the level, not one per pair of characters
+    _generator_product.cache_clear()
+    assert main(["index", "--problem", example_path, "--k", "6400", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out == "-1*F(1,0;0,6400)\ncertificate: SameSignPath\n"
+    assert _generator_product.cache_info().misses < 2 * 6400
+    problem = CriticalPointProblem(
+        spectra=(SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1, 2: 1})),),
+        deg_s1=EulerElementS1.cyclic(1),
+        unique_critical_point=True,
+    )
+    path = tmp_path / "rotating.json"
+    write_problem(problem, path)
+    _generator_product.cache_clear()
+    assert main(["index", "--problem", str(path), "--k", "250", "--alpha", "1"]) == 0
+    assert capsys.readouterr().out == "-5*F(1,0;0,250)\ncertificate: SameSignPath\n"
+    # 249 modes below the level, 5 characters each
+    assert _generator_product.cache_info().misses < 2 * 5 * 250
+
+
+def test_caches_stay_bounded(example_path, capsys):
+    _generator_product.cache_clear()
+    _interned.cache_clear()
+    assert main(["index", "--problem", example_path, "--k", "25600", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out == "-1*F(1,0;0,25600)\ncertificate: SameSignPath\n"
+    for cache in (_generator_product, _interned):
+        info = cache.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 def test_one_index_evaluation_per_level(example_path, capsys, monkeypatch):

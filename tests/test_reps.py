@@ -12,6 +12,7 @@ from torbif import (
     TorusSubgroup,
     deg_minus_id_s1,
     deg_minus_id_t2,
+    deg_minus_id_t2_truncated,
     embed_s1_to_t2,
     loop_decompose,
     normalize_character,
@@ -21,6 +22,7 @@ from oracles import (
     deg_minus_id_t2_expanded,
     nondegenerate_orbit_degree,
     random_character,
+    random_element,
     random_s1_rep,
     random_t2_rep,
 )
@@ -123,6 +125,29 @@ def test_one_dimensional_generators_square_to_zero(seed):
 def test_deg_minus_id_t2_huge_multiplicity():
     rep = T2Representation(characters={(2, 3): 10**6})
     assert deg_minus_id_t2(rep) == I - 10**6 * EulerElementT2.generator(TorusSubgroup.kernel(2, 3))
+
+
+def test_deg_minus_id_t2_truncated_known_values():
+    assert deg_minus_id_t2_truncated(T2Representation()) == I
+    assert deg_minus_id_t2_truncated(T2Representation(trivial=3)) == -1 * I
+    two_planes = T2Representation(trivial=1, characters={(1, 0): 1, (0, 1): 2})
+    assert deg_minus_id_t2_truncated(two_planes) == -1 * (I - gen((1, 0)) - 2 * gen((0, 1)))
+
+
+@given(st.integers(0, 10**9))
+def test_deg_minus_id_t2_truncated_is_the_upper_part(seed):
+    rep = random_t2_rep(random.Random(seed), max_mult=10**6)
+    degree = deg_minus_id_t2(rep)
+    assert deg_minus_id_t2_truncated(rep) == degree.project(2) + degree.project(1)
+
+
+@given(st.integers(0, 10**9))
+def test_truncation_is_exact_after_an_element_without_t(seed):
+    rng = random.Random(seed)
+    element = random_element(rng)
+    element = element - element.project(2)
+    rep = random_t2_rep(rng, max_mult=10**6)
+    assert element.star(deg_minus_id_t2_truncated(rep)) == element.star(deg_minus_id_t2(rep))
 
 
 @given(st.integers(0, 10**9))

@@ -24,7 +24,7 @@ from torbif import (
     validate,
 )
 
-from oracles import hessian_eigenvalue, random_problem
+from oracles import hessian_eigenvalue, negative_space_by_mode, random_problem
 
 
 def test_spectral_datum_coerces_alpha():
@@ -164,6 +164,14 @@ def test_plus_side_absorbs_resonant_space(seed):
         plus = negative_space(prob, level, "plus")
         minus = negative_space(prob, level, "minus")
         assert minus + resonant_space(prob, level) == plus
+
+
+@given(st.integers(0, 10**9))
+def test_negative_space_matches_per_mode_sum(seed):
+    prob = random_problem(random.Random(seed))
+    for level in lambda_set(prob, 6):
+        for side in ("minus", "plus"):
+            assert negative_space(prob, level, side) == negative_space_by_mode(prob, level, side)
 
 
 @given(st.integers(0, 10**9))
