@@ -164,7 +164,7 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     reduced = d0.star(kernel_factor)
     if reduced.project(2):
         raise RuntimeError("reduced product has a T term; the truncated factor below the level is not exact")
-    index = reduced.star(deg_minus_id_t2_truncated(negative_space(problem, level, "minus")))
+    index = reduced.star(deg_minus_id_t2_truncated(negative_space(problem, level)))
     n0 = problem.deg_s1.fixed
     resonant_part = kernel_factor.project(1)
     if n0:

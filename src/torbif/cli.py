@@ -36,7 +36,7 @@ from .bifurcation import (
     example_problem,
     exists_zero_sum_subset,
 )
-from .euler import EulerElementT2, format_element
+from .euler import format_element
 from .grammar import ElementParseError, parse_element
 from .problem_io import load_problem, write_problem
 from .rationals import parse_rational, rational_to_json

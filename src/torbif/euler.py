@@ -11,7 +11,9 @@ identity.  Grading by subgroup dimension, products of two one-dimensional
 classes land in degree zero and everything below degree one multiplies to
 zero, which makes the non-identity part of any element nilpotent of order
 three.  Elements are canonically sorted sparse integer combinations, so
-equality is structural and all arithmetic is exact.
+equality is structural and all arithmetic is exact.  The constructor is the
+only normalizer: it checks every term, merges like terms, drops zeros and
+sorts, so sums and products hand it raw (subgroup, coefficient) pairs.
 
 The circle's Euler ring enters only through its additive group, generated
 by the full-orbit class and the classes with finite cyclic isotropy, and
@@ -25,20 +27,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 from .subgroups import TorusSubgroup
-
-
-TermsT2 = Union[
-    Mapping[TorusSubgroup, int],
-    Iterable[tuple[TorusSubgroup, int]],
-]
-
-
-def _term_key(item: tuple[TorusSubgroup, int]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    subgroup, _ = item
-    return (-subgroup.dim, subgroup.rows)
 
 
 def _check_coeff(value: int) -> int:
@@ -66,10 +56,9 @@ class EulerElementT2:
             if not isinstance(subgroup, TorusSubgroup):
                 raise TypeError(f"expected TorusSubgroup keys, got {subgroup!r}")
             merged[subgroup] = merged.get(subgroup, 0) + _check_coeff(coeff)
-        cleaned = tuple(
-            sorted(((h, c) for h, c in merged.items() if c), key=_term_key)
-        )
-        object.__setattr__(self, "terms", cleaned)
+        cleaned = [(h, c) for h, c in merged.items() if c]
+        cleaned.sort(key=lambda t: (-t[0].dim, t[0].rows))
+        object.__setattr__(self, "terms", tuple(cleaned))
 
     @classmethod
     def zero(cls) -> "EulerElementT2":
@@ -96,10 +85,7 @@ class EulerElementT2:
     def __add__(self, other: "EulerElementT2") -> "EulerElementT2":
         if not isinstance(other, EulerElementT2):
             return NotImplemented
-        merged = {h: c for h, c in self.terms}
-        for h, c in other.terms:
-            merged[h] = merged.get(h, 0) + c
-        return EulerElementT2(merged)
+        return EulerElementT2(self.terms + other.terms)
 
     def __sub__(self, other: "EulerElementT2") -> "EulerElementT2":
         if not isinstance(other, EulerElementT2):
@@ -117,16 +103,18 @@ class EulerElementT2:
     __rmul__ = __mul__
 
     def star(self, other: "EulerElementT2") -> "EulerElementT2":
-        """Ring product, extended bilinearly from generator products."""
+        """Ring product, extended bilinearly from generator products.
+
+        A pair whose dimensions sum to less than 2 is zero by the grading
+        alone, so it never reaches the generator product."""
         if not isinstance(other, EulerElementT2):
             raise TypeError(f"cannot multiply EulerElementT2 by {type(other).__name__}")
-        out: dict[TorusSubgroup, int] = {}
-        for h1, c1 in self.terms:
-            for h2, c2 in other.terms:
-                h0 = _generator_product(h1, h2)
-                if h0 is not None:
-                    out[h0] = out.get(h0, 0) + c1 * c2
-        return EulerElementT2(out)
+        return EulerElementT2(
+            (h0, c1 * c2)
+            for h1, c1 in self.terms
+            for h2, c2 in other.terms
+            if h1.dim + h2.dim >= 2 and (h0 := _generator_product(h1, h2)) is not None
+        )
 
     def project(self, dim: int) -> "EulerElementT2":
         """The part supported on subgroups of the given dimension."""
@@ -147,22 +135,22 @@ def _generator_product(h1: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup | 
     return None
 
 
+def _format_terms(terms: Iterable[tuple[object, int]]) -> str:
+    # 'c1*g1 + c2*g2 - c3*g3', with no terms printing as '0'.
+    parts: list[str] = []
+    for label, coeff in terms:
+        if not parts:
+            parts.append(f"{coeff}*{label}")
+        elif coeff < 0:
+            parts.append(f" - {-coeff}*{label}")
+        else:
+            parts.append(f" + {coeff}*{label}")
+    return "".join(parts) or "0"
+
+
 def format_element(element: EulerElementT2) -> str:
     """Render an element in the textual grammar; the zero element is '0'."""
-    if not element.terms:
-        return "0"
-    parts: list[str] = []
-    for subgroup, coeff in element.terms:
-        if not parts:
-            parts.append(f"{coeff}*{subgroup}")
-        elif coeff < 0:
-            parts.append(f" - {-coeff}*{subgroup}")
-        else:
-            parts.append(f" + {coeff}*{subgroup}")
-    return "".join(parts)
-
-
-TermsS1 = Union[Mapping[int, int], Iterable[tuple[int, int]]]
+    return _format_terms(element.terms)
 
 
 @dataclass(frozen=True)
@@ -208,10 +196,7 @@ class EulerElementS1:
     def __add__(self, other: "EulerElementS1") -> "EulerElementS1":
         if not isinstance(other, EulerElementS1):
             return NotImplemented
-        merged = {k: c for k, c in self.finite}
-        for k, c in other.finite:
-            merged[k] = merged.get(k, 0) + c
-        return EulerElementS1(self.fixed + other.fixed, merged)
+        return EulerElementS1(self.fixed + other.fixed, self.finite + other.finite)
 
     def __sub__(self, other: "EulerElementS1") -> "EulerElementS1":
         if not isinstance(other, EulerElementS1):
@@ -229,21 +214,8 @@ class EulerElementS1:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        if not self:
-            return "0"
-        labelled = []
-        if self.fixed:
-            labelled.append(("S1", self.fixed))
-        labelled.extend((f"Z{k}", c) for k, c in self.finite)
-        parts: list[str] = []
-        for label, coeff in labelled:
-            if not parts:
-                parts.append(f"{coeff}*{label}")
-            elif coeff < 0:
-                parts.append(f" - {-coeff}*{label}")
-            else:
-                parts.append(f" + {coeff}*{label}")
-        return "".join(parts)
+        fixed = [("S1", self.fixed)] if self.fixed else []
+        return _format_terms(fixed + [(f"Z{k}", c) for k, c in self.finite])
 
 
 def embed_s1_to_t2(element: EulerElementS1) -> EulerElementT2:
@@ -252,9 +224,7 @@ def embed_s1_to_t2(element: EulerElementS1) -> EulerElementT2:
     The full-orbit class maps to the identity and the class with isotropy
     of order k maps to the kernel of the character (k, 0).
     """
-    terms: dict[TorusSubgroup, int] = {}
-    if element.fixed:
-        terms[TorusSubgroup.full()] = element.fixed
-    for order, coeff in element.finite:
-        terms[TorusSubgroup.kernel(order, 0)] = coeff
-    return EulerElementT2(terms)
+    return EulerElementT2(
+        [(TorusSubgroup.full(), element.fixed)]
+        + [(TorusSubgroup.kernel(order, 0), coeff) for order, coeff in element.finite]
+    )

@@ -109,11 +109,11 @@ class _Scanner:
     def element(self) -> EulerElementT2:
         if self.text.strip() == "0":
             return EulerElementT2.zero()
-        terms: dict[TorusSubgroup, int] = {}
+        terms: list[tuple[TorusSubgroup, int]] = []
 
         def add(sign: int) -> None:
             coeff, subgroup = self.term()
-            terms[subgroup] = terms.get(subgroup, 0) + sign * coeff
+            terms.append((subgroup, sign * coeff))
 
         add(1)
         while True:

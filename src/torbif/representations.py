@@ -6,11 +6,13 @@ representation splits into a trivial part and planes labelled by a
 character (m, n), determined up to global sign.  Characters are stored
 with the sign convention n > 0, or n == 0 and m > 0, matching the rank-1
 generator convention of `TorusSubgroup`, so a representation is a frozen
-multiset of irreducibles.
+multiset of irreducibles.  The constructors are the only normalizers:
+they check multiplicities, apply that convention, merge like keys, drop
+zeros and sort, so callers pass raw (key, multiplicity) pairs.
 
 `loop_decompose` passes from a circle representation to the torus
 representation of its space of Fourier modes: the extra circle rotates the
-loop parameter, and a plane with spatial speed m contributes the
+loop parameter, and a plane with spatial speed m contributes the raw
 characters (m, n) and (-m, n) on the n-th mode.  `deg_minus_id_t2`
 computes the equivariant degree of minus-identity on the unit ball of a
 torus representation as the product over isotypic summands, one factor
@@ -30,16 +32,13 @@ it for the factor below the level.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Union
 
 from .euler import EulerElementS1, EulerElementT2
 from .subgroups import TorusSubgroup
 
 CharacterKey = tuple[int, int]
-RotatingInput = Union[Mapping[int, int], Iterable[tuple[int, int]]]
-CharactersInput = Union[Mapping[CharacterKey, int], Iterable[tuple[CharacterKey, int]]]
 
 
 def normalize_character(m: int, n: int) -> CharacterKey:
@@ -88,10 +87,7 @@ class S1Representation:
     def __add__(self, other: "S1Representation") -> "S1Representation":
         if not isinstance(other, S1Representation):
             return NotImplemented
-        merged = {m: k for m, k in self.rotating}
-        for m, k in other.rotating:
-            merged[m] = merged.get(m, 0) + k
-        return S1Representation(self.trivial + other.trivial, merged)
+        return S1Representation(self.trivial + other.trivial, self.rotating + other.rotating)
 
     def __str__(self) -> str:
         parts = []
@@ -132,10 +128,7 @@ class T2Representation:
     def __add__(self, other: "T2Representation") -> "T2Representation":
         if not isinstance(other, T2Representation):
             return NotImplemented
-        merged = {key: k for key, k in self.characters}
-        for key, k in other.characters:
-            merged[key] = merged.get(key, 0) + k
-        return T2Representation(self.trivial + other.trivial, merged)
+        return T2Representation(self.trivial + other.trivial, self.characters + other.characters)
 
     def __str__(self) -> str:
         parts = []
@@ -152,20 +145,18 @@ def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
     Mode zero keeps the original splitting with the loop circle acting
     trivially; a positive mode doubles everything, sending the trivial part
     to the character (0, mode) and each rotation plane of speed m to the
-    pair of characters (m, mode) and (-m, mode).
+    pair of characters (m, mode) and (-m, mode), which the constructor
+    normalizes and merges.
     """
     if not isinstance(mode, int) or isinstance(mode, bool) or mode < 0:
         raise ValueError(f"mode must be a nonnegative int, got {mode!r}")
     if mode == 0:
-        return T2Representation(rep.trivial, {(m, 0): k for m, k in rep.rotating})
-    chars: dict[CharacterKey, int] = {}
-    if rep.trivial:
-        chars[(0, mode)] = rep.trivial
-    for m, k in rep.rotating:
-        chars[(m, mode)] = chars.get((m, mode), 0) + k
-        key = normalize_character(-m, mode)
-        chars[key] = chars.get(key, 0) + k
-    return T2Representation(0, chars)
+        return T2Representation(rep.trivial, [((m, 0), k) for m, k in rep.rotating])
+    return T2Representation(
+        0,
+        [((0, mode), rep.trivial)]
+        + [((s * m, mode), k) for m, k in rep.rotating for s in (1, -1)],
+    )
 
 
 def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
@@ -189,10 +180,10 @@ def deg_minus_id_t2_truncated(rep: T2Representation) -> EulerElementT2:
     is left is sign * (T - sum_chi k_chi H_chi), formed in one pass over
     the characters."""
     sign = -1 if rep.trivial % 2 else 1
-    terms = {TorusSubgroup.full(): sign}
-    for (m, n), mult in rep.characters:
-        terms[TorusSubgroup.kernel(m, n)] = -sign * mult
-    return EulerElementT2(terms)
+    return EulerElementT2(
+        [(TorusSubgroup.full(), sign)]
+        + [(TorusSubgroup.kernel(m, n), -sign * mult) for (m, n), mult in rep.characters]
+    )
 
 
 def deg_minus_id_s1(rep: S1Representation) -> EulerElementS1:
@@ -204,6 +195,6 @@ def deg_minus_id_s1(rep: S1Representation) -> EulerElementS1:
     mode-zero decomposition and the ring embedding.
     """
     sign = -1 if rep.trivial % 2 else 1
-    finite = EulerElementS1(0, {m: k for m, k in rep.rotating})
+    finite = EulerElementS1(0, rep.rotating)
     return sign * (EulerElementS1.identity() - finite)
 

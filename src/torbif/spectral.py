@@ -14,9 +14,11 @@ with lambda^2 alpha.  A candidate level is a frequency whose square q
 makes q * alpha a perfect square for some positive eigenvalue alpha;
 levels are identified by q, so coincident frequencies arising from
 different eigenvalues are a single level and every comparison is
-decidable.  The negative space is taken just below or just above the
-level ("minus" keeps n^2 < q alpha strict, "plus" also absorbs the null
-modes), which is exactly the difference of Morse data across the level.
+decidable.  The negative space is taken just below the level, over the
+modes 1 <= n <= isqrt(ceil(q alpha) - 1), which are exactly those with
+n^2 < q alpha; the null modes n^2 == q alpha form the resonant space.
+Both are handed to the representation constructor as one list of
+characters over all modes.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .euler import EulerElementS1
 from .rationals import as_fraction
-from .representations import CharacterKey, S1Representation, T2Representation, loop_decompose
-
-Side = Literal["minus", "plus"]
+from .representations import S1Representation, T2Representation, loop_decompose
 
 
 class InvalidLevel(ValueError):
@@ -195,35 +195,22 @@ def level_from_lambda_sq(
 
 
 def _mode_sum(modes: Iterable[tuple[S1Representation, int]]) -> T2Representation:
-    # Direct sum of positive Fourier modes (so no trivial part), merged in
-    # one dict and normalized once.
-    chars: dict[CharacterKey, int] = {}
-    for rep, n in modes:
-        for key, mult in loop_decompose(rep, n).characters:
-            chars[key] = chars.get(key, 0) + mult
+    # Direct sum of positive Fourier modes (so no trivial part), built by
+    # one constructor call over every mode's characters.
+    chars = [item for rep, n in modes for item in loop_decompose(rep, n).characters]
     return T2Representation(0, chars)
 
 
-def negative_space(
-    problem: CriticalPointProblem, level: BifurcationLevel, side: Side = "minus"
-) -> T2Representation:
-    """Direct sum of the negative Fourier modes of the second variation at
-    the level; side "minus" keeps the comparison strict, side "plus" also
-    absorbs the null modes."""
-    if side not in ("minus", "plus"):
-        raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
-    strict = side == "minus"
+def negative_space(problem: CriticalPointProblem, level: BifurcationLevel) -> T2Representation:
+    """Direct sum of the strictly negative Fourier modes of the second
+    variation at the level: the modes n >= 1 with n^2 < lambda_sq * alpha."""
     q = level.lambda_sq
-    modes = []
-    for datum in problem.spectra:
-        if datum.alpha <= 0:
-            continue
-        bound = q * datum.alpha
-        n = 1
-        while n * n < bound or (not strict and n * n == bound):
-            modes.append((datum.isotypic, n))
-            n += 1
-    return _mode_sum(modes)
+    return _mode_sum(
+        (datum.isotypic, n)
+        for datum in problem.spectra
+        if datum.alpha > 0
+        for n in range(1, math.isqrt(math.ceil(q * datum.alpha) - 1) + 1)
+    )
 
 
 def resonant_space(

@@ -209,8 +209,8 @@ def bif_index_two_sided(problem: CriticalPointProblem, level: BifurcationLevel):
     the level; equality with `bif_index` is a computed identity, not a
     definition.  The level must be a candidate level of the problem."""
     d0 = deg_h0(problem)
-    above = d0.star(deg_minus_id_t2(negative_space(problem, level, "plus")))
-    below = d0.star(deg_minus_id_t2(negative_space(problem, level, "minus")))
+    above = d0.star(deg_minus_id_t2(negative_space_by_mode(problem, level, "plus")))
+    below = d0.star(deg_minus_id_t2(negative_space(problem, level)))
     return above - below
 
 
@@ -232,13 +232,15 @@ def bif_index_expanded(problem: CriticalPointProblem, level: BifurcationLevel):
     """The index as the full product d0 * (deg(-Id, resonant) - T) *
     deg(-Id, below), with the factor below the level untruncated."""
     kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
-    below = deg_minus_id_t2(negative_space(problem, level, "minus"))
+    below = deg_minus_id_t2(negative_space(problem, level))
     return deg_h0(problem).star(kernel_factor).star(below)
 
 
 def negative_space_by_mode(problem: CriticalPointProblem, level: BifurcationLevel, side="minus"):
     """The negative space as a running sum of one representation per
-    Fourier mode."""
+    Fourier mode, found by comparing n^2 with lambda_sq * alpha mode by
+    mode; side "minus" keeps the comparison strict, side "plus" also
+    takes the null modes, giving the negative space just above the level."""
     q = level.lambda_sq
     total = T2Representation()
     for datum in problem.spectra:

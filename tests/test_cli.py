@@ -14,6 +14,7 @@ from torbif import (
     EulerElementT2,
     S1Representation,
     SpectralDatum,
+    TorusSubgroup,
     example_problem,
     write_problem,
 )
@@ -234,7 +235,7 @@ def test_cross_check_failure_is_an_internal_error(example_path, capsys, monkeypa
     # same-sign certificate, read off the other two factors, disagrees with it
     below = object()
     degree = torbif.bifurcation.deg_minus_id_t2_truncated
-    monkeypatch.setattr(torbif.bifurcation, "negative_space", lambda problem, level, side: below)
+    monkeypatch.setattr(torbif.bifurcation, "negative_space", lambda problem, level: below)
     monkeypatch.setattr(
         torbif.bifurcation,
         "deg_minus_id_t2_truncated",
@@ -289,6 +290,12 @@ def test_caches_stay_bounded(example_path, capsys):
     _interned.cache_clear()
     assert main(["index", "--problem", example_path, "--k", "25600", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,25600)\ncertificate: SameSignPath\n"
+    # the index makes few generator products, so fill that cache with a
+    # product of two sums of 200 lines each, no line of one parallel to a
+    # line of the other: 40,000 distinct pairs, each of dimension 1 + 1
+    left = EulerElementT2((TorusSubgroup.kernel(1, n), 1) for n in range(1, 201))
+    right = EulerElementT2((TorusSubgroup.kernel(-n, 1), 1) for n in range(1, 201))
+    assert len(left.star(right).terms) > 0
     for cache in (_generator_product, _interned):
         info = cache.cache_info()
         assert info.misses > info.maxsize
@@ -296,19 +303,19 @@ def test_caches_stay_bounded(example_path, capsys):
 
 
 def test_one_index_evaluation_per_level(example_path, capsys, monkeypatch):
-    sides = []
+    calls = []
     original = torbif.bifurcation.negative_space
 
-    def counting(problem, level, side="minus"):
-        sides.append(side)
-        return original(problem, level, side)
+    def counting(problem, level):
+        calls.append(level)
+        return original(problem, level)
 
     monkeypatch.setattr(torbif.bifurcation, "negative_space", counting)
     assert main(["classify", "--problem", example_path, "--max-k", "3"]) == 0
-    assert sides == ["minus"] * 3
-    sides.clear()
+    assert len(calls) == 3
+    calls.clear()
     assert main(["index", "--problem", example_path, "--k", "2", "--alpha", "2"]) == 0
-    assert sides == ["minus"]
+    assert len(calls) == 1
     capsys.readouterr()
 
 

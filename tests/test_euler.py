@@ -11,6 +11,7 @@ from torbif import (
     embed_s1_to_t2,
     format_element,
 )
+from torbif.euler import _generator_product
 
 from oracles import NotInvertible, invert, random_element, random_unit
 
@@ -35,6 +36,19 @@ def test_identity_is_full_orbit_class():
     a = gen((1, 2)) - 3 * gen((1, 0), (0, 4))
     assert I.star(a) == a
     assert a.star(I) == a
+
+
+def test_star_skips_pairs_below_dimension_two():
+    # dimensions 1 + 0 and 0 + 0 never reach 2 + dim of the meet, so these
+    # pairs are zero without a generator product
+    line = gen((1, 1))
+    finite = gen((1, 0), (0, 2))
+    _generator_product.cache_clear()
+    assert line.star(finite) == EulerElementT2.zero()
+    assert finite.star(line + finite) == EulerElementT2.zero()
+    assert _generator_product.cache_info().misses == 0
+    assert (I + line).star(finite) == finite
+    assert _generator_product.cache_info().misses == 1
 
 
 def test_star_known_products():
@@ -136,6 +150,10 @@ def test_s1_elements():
     assert e + 2 * z3 == EulerElementS1.identity()
     assert str(EulerElementS1.zero()) == "0"
     assert not EulerElementS1.zero()
+    # the T2 and S1 printers share one term joiner; a negative first term
+    # keeps its sign in front
+    assert str(EulerElementS1(-1, {3: 2})) == "-1*S1 + 2*Z3"
+    assert str(EulerElementS1(0, {2: -1})) == "-1*Z2"
     with pytest.raises(ValueError):
         EulerElementS1(0, ((0, 1),))
 

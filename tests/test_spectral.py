@@ -149,11 +149,10 @@ def test_negative_space_example():
     level = BifurcationLevel(3, 2)
     below = negative_space(prob, level)
     assert below == T2Representation(characters={(0, 1): 1, (0, 2): 1})
-    at = negative_space(prob, level, "plus")
+    at = negative_space_by_mode(prob, level, "plus")
     assert at == T2Representation(characters={(0, 1): 1, (0, 2): 1, (0, 3): 1})
     assert resonant_space(prob, level) == T2Representation(characters={(0, 3): 1})
-    with pytest.raises(ValueError):
-        negative_space(prob, level, "above")
+    assert below + resonant_space(prob, level) == at
 
 
 @given(st.integers(0, 10**9))
@@ -161,8 +160,8 @@ def test_plus_side_absorbs_resonant_space(seed):
     rng = random.Random(seed)
     prob = random_problem(rng)
     for level in lambda_set(prob, 4):
-        plus = negative_space(prob, level, "plus")
-        minus = negative_space(prob, level, "minus")
+        plus = negative_space_by_mode(prob, level, "plus")
+        minus = negative_space(prob, level)
         assert minus + resonant_space(prob, level) == plus
 
 
@@ -170,8 +169,9 @@ def test_plus_side_absorbs_resonant_space(seed):
 def test_negative_space_matches_per_mode_sum(seed):
     prob = random_problem(random.Random(seed))
     for level in lambda_set(prob, 6):
-        for side in ("minus", "plus"):
-            assert negative_space(prob, level, side) == negative_space_by_mode(prob, level, side)
+        below = negative_space(prob, level)
+        assert below == negative_space_by_mode(prob, level, "minus")
+        assert below + resonant_space(prob, level) == negative_space_by_mode(prob, level, "plus")
 
 
 @given(st.integers(0, 10**9))
