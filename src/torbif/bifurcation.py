@@ -38,7 +38,11 @@ non-compactness guarantee when the critical point is unique: "c1" when
 n0 != 0, "c2" when n0 == 0 and the finite-isotropy coefficients all share
 one sign, and "sum_obstruction", issued by `torbif classify`, when no
 zero-sum subset of the enumerated levels' indices contains the level.
-Otherwise the global alternative stands unsharpened.
+Otherwise the global alternative stands unsharpened.  The zero-sum search
+walks the subsets depth first in ascending lambda_sq and drops a partial
+sum as soon as one of its terms has no later index holding that generator
+with the opposite sign.  This is linear in the number of levels when each
+index has a generator of its own, and exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .spectral import (
     resonant_space,
     validate,
 )
+from .subgroups import TorusSubgroup
 
 
 class Certificate(enum.Enum):
@@ -248,18 +253,30 @@ def _zero_sum_dfs(
     need_pick: bool,
 ) -> Optional[tuple[BifurcationLevel, ...]]:
     # Depth-first over subsets with an accumulated partial sum, smallest
-    # frequencies preferred, so the first witness found is deterministic.
-    def walk(pos: int, acc: EulerElementT2, picked: tuple) -> Optional[tuple]:
-        if pos == len(pool):
-            if (picked or not need_pick) and not acc:
-                return picked
-            return None
-        hit = walk(pos + 1, acc + table[pool[pos]], picked + (pool[pos],))
-        if hit is not None:
-            return hit
-        return walk(pos + 1, acc, picked)
-
-    return walk(0, base, ())
+    # frequencies first and "include" before "exclude", so the first
+    # witness found is deterministic.  A term (h, c) of the partial sum can
+    # only be cancelled by a later index holding h with the opposite sign,
+    # so a node at `pos` is dead once some term has no such index at `pos`
+    # or later; pruning it cuts only subtrees without a witness.  At the end
+    # of the pool every term is dead, so a live leaf has a zero sum.  The
+    # walk keeps its own stack, so a long pool cannot exhaust recursion.
+    indices = [table[lvl] for lvl in pool]
+    last: dict[tuple[TorusSubgroup, bool], int] = {}
+    for pos, index in enumerate(indices):
+        for h, c in index.terms:
+            last[(h, c > 0)] = pos
+    stack: list[tuple[int, EulerElementT2, tuple[int, ...]]] = [(0, base, ())]
+    while stack:
+        pos, acc, picked = stack.pop()
+        if any(last.get((h, c < 0), -1) < pos for h, c in acc.terms):
+            continue
+        if pos == len(indices):
+            if picked or not need_pick:
+                return tuple(pool[i] for i in picked)
+            continue
+        stack.append((pos + 1, acc, picked))
+        stack.append((pos + 1, acc + indices[pos], picked + (pos,)))
+    return None
 
 
 def exists_zero_sum_subset(
@@ -276,6 +293,10 @@ def exists_zero_sum_subset(
     the supplied candidate set.  `indices` may supply precomputed indices
     (any missing levels are computed on demand).  Returns the verdict and
     a witness subset sorted by frequency when one exists.
+
+    The search drops every partial sum with a term that no remaining
+    level's index can cancel, so it is linear in the number of levels when
+    each index has a generator of its own; the worst case is exponential.
     """
     pool = list(levels)
     if anchor not in pool:

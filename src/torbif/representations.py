@@ -138,6 +138,12 @@ class T2Representation:
         return " + ".join(parts) if parts else "0"
 
 
+def _mode_characters(rep: S1Representation, mode: int) -> list[tuple[CharacterKey, int]]:
+    # Raw characters of the positive mode `mode`: (0, mode) for the trivial
+    # part, (m, mode) and (-m, mode) for each rotation plane of speed m.
+    return [((0, mode), rep.trivial)] + [((s * m, mode), k) for m, k in rep.rotating for s in (1, -1)]
+
+
 def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
     """Torus representation carried by the `mode`-th Fourier modes of loops
     valued in `rep`.
@@ -152,11 +158,7 @@ def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
         raise ValueError(f"mode must be a nonnegative int, got {mode!r}")
     if mode == 0:
         return T2Representation(rep.trivial, [((m, 0), k) for m, k in rep.rotating])
-    return T2Representation(
-        0,
-        [((0, mode), rep.trivial)]
-        + [((s * m, mode), k) for m, k in rep.rotating for s in (1, -1)],
-    )
+    return T2Representation(0, _mode_characters(rep, mode))
 
 
 def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from .euler import EulerElementS1
 from .rationals import as_fraction
-from .representations import S1Representation, T2Representation, loop_decompose
+from .representations import S1Representation, T2Representation, _mode_characters
 
 
 class InvalidLevel(ValueError):
@@ -196,9 +196,8 @@ def level_from_lambda_sq(
 
 def _mode_sum(modes: Iterable[tuple[S1Representation, int]]) -> T2Representation:
     # Direct sum of positive Fourier modes (so no trivial part), built by
-    # one constructor call over every mode's characters.
-    chars = [item for rep, n in modes for item in loop_decompose(rep, n).characters]
-    return T2Representation(0, chars)
+    # one constructor call over every mode's raw characters.
+    return T2Representation(0, [item for rep, n in modes for item in _mode_characters(rep, n)])
 
 
 def negative_space(problem: CriticalPointProblem, level: BifurcationLevel) -> T2Representation:

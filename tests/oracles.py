@@ -5,14 +5,15 @@ grids, gcds of minors) and never call the canonical-form code they are
 checking.  The ring and index oracles below reach the same values as the
 package by a different route (a unit's geometric-series inverse, the
 plane-by-plane degree product, the untruncated three-factor index, the
-mode-by-mode negative space, the two-sided degree jump across a level),
-so each identity they satisfy is a differential check on the package.
+mode-by-mode negative space, the two-sided degree jump across a level,
+the unpruned walk over every subset of a zero-sum pool), so each identity
+they satisfy is a differential check on the package.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import random
 from fractions import Fraction
 
 from torbif import (
@@ -251,3 +252,16 @@ def negative_space_by_mode(problem: CriticalPointProblem, level: BifurcationLeve
             total = total + loop_decompose(datum.isotypic, n)
             n += 1
     return total
+
+
+def zero_sum_first_witness(base, pool, table, need_pick):
+    """The levels of `pool` that the zero-sum search picks first, by brute
+    force: the indicator vectors over `pool` in descending lexicographic
+    order (include before exclude, position by position), the first whose
+    indices sum with `base` to zero, skipping the empty pick when
+    `need_pick`.  Returns None when no vector qualifies."""
+    for bits in itertools.product((1, 0), repeat=len(pool)):
+        picked = tuple(lvl for lvl, bit in zip(pool, bits) if bit)
+        if (picked or not need_pick) and not sum((table[lvl] for lvl in picked), base):
+            return picked
+    return None

@@ -15,7 +15,6 @@ from torbif import (
     Classification,
     EulerElementS1,
     EulerElementT2,
-    S1Representation,
     T2Representation,
     TorusSubgroup,
     bif_index,

@@ -34,7 +34,13 @@ from torbif import (
 from torbif.cli import main
 from torbif.rationals import rational_to_json
 
-from oracles import bif_index_expanded, bif_index_two_sided, random_problem
+from oracles import (
+    bif_index_expanded,
+    bif_index_two_sided,
+    random_element,
+    random_problem,
+    zero_sum_first_witness,
+)
 
 I = EulerElementT2.identity()
 
@@ -235,6 +241,54 @@ def test_zero_sum_subset_with_supplied_indices():
     # anchored at the odd one out there is no cancelling companion
     found, witness = exists_zero_sum_subset(prob, levels, levels[2], table)
     assert (found, witness) == (False, None)
+
+
+def planted_pool(rng):
+    """Random indices for 1 to 8 levels, some of them negated copies, sums
+    or negated sums of earlier ones, so that many pools hold a zero-sum
+    subset and share generators with both signs."""
+    elements = []
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        if elements and roll < 0.25:
+            elements.append(-1 * rng.choice(elements))
+        elif len(elements) >= 2 and roll < 0.5:
+            a, b = rng.sample(elements, 2)
+            elements.append(rng.choice((1, -1)) * (a + b))
+        else:
+            elements.append(random_element(rng, max_terms=3, coeff_span=2, span=3))
+    rng.shuffle(elements)
+    return elements
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**9))
+def test_zero_sum_searches_match_brute_force(seed):
+    # the pruned walk returns exactly the unpruned walk's first witness,
+    # globally and at every anchor
+    rng = random.Random(seed)
+    prob = example_problem()
+    elements = planted_pool(rng)
+    levels = lambda_set(prob, len(elements))
+    table = dict(zip(levels, elements))
+    shuffled = rng.sample(levels, len(levels))
+    expected = zero_sum_first_witness(EulerElementT2.zero(), levels, table, need_pick=True)
+    assert any_zero_sum_subset(prob, shuffled, table) == expected
+    for anchor in levels:
+        others = [lvl for lvl in levels if lvl != anchor]
+        combo = zero_sum_first_witness(table[anchor], others, table, need_pick=False)
+        witness = None if combo is None else tuple(sorted((anchor,) + combo, key=lambda l: l.lambda_sq))
+        assert exists_zero_sum_subset(prob, shuffled, anchor, table) == (combo is not None, witness)
+
+
+def test_zero_sum_search_on_a_long_pool():
+    # 3,000 levels with distinct one-term indices: no subset cancels, and the
+    # walk is not bounded by the interpreter's recursion limit
+    prob = example_problem()
+    levels = [BifurcationLevel(k, 2) for k in range(1, 3001)]
+    table = {lvl: gen((lvl.k, 1)) for lvl in levels}
+    assert any_zero_sum_subset(prob, levels, table) is None
+    assert exists_zero_sum_subset(prob, levels, levels[1500], table) == (False, None)
 
 
 def test_report_to_dict_shape():

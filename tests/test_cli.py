@@ -8,6 +8,7 @@ import pytest
 
 import torbif
 import torbif.bifurcation
+import torbif.cli
 from torbif import (
     CriticalPointProblem,
     EulerElementS1,
@@ -335,3 +336,32 @@ def test_classify_above_zero_sum_limit_stays_alternative(tmp_path, capsys):
     assert len(lines) == 23
     assert all(" classification=Alternative " in line for line in lines[1:22])
     assert lines[22] == "zero-sum check: skipped (more than 20 levels)"
+
+
+def test_zero_sum_search_adds_once_per_level(example_path, capsys, monkeypatch):
+    # every index of the worked example has a generator no later index can
+    # cancel, so the pruned search forms one partial sum per level
+    adds = []
+    searching = []
+    add = EulerElementT2.__add__
+    search = torbif.cli.any_zero_sum_subset
+
+    def counting_add(self, other):
+        if searching:
+            adds.append(other)
+        return add(self, other)
+
+    def flagged_search(*args):
+        searching.append(True)
+        try:
+            return search(*args)
+        finally:
+            searching.clear()
+
+    monkeypatch.setattr(EulerElementT2, "__add__", counting_add)
+    monkeypatch.setattr(torbif.cli, "any_zero_sum_subset", flagged_search)
+    assert main(["classify", "--problem", example_path, "--max-k", "20"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 22
+    assert lines[-1] == "zero-sum subsets among computed levels: none"
+    assert 0 < len(adds) <= 20

@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or of its test suite imports a name it never uses.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree instead.  `__init__.py` is skipped because its imports are the
@@ -17,7 +17,7 @@ import torbif
 
 MODULES = sorted(
     path for path in Path(torbif.__file__).resolve().parent.glob("*.py") if path.name != "__init__.py"
-)
+) + sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
