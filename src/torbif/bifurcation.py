@@ -25,24 +25,21 @@ degree:
 cross-checks both paths against direct evaluation on those same values.
 The degree factors take one factor T - k*H per character of multiplicity
 k, which relies on H * H = 0 for one-dimensional classes H (checked in
-the test suite).  The factor below the level enters only through its
-T and one-dimensional part, sign * (T - B1): the reduced product has no T
-term, because the null modes have n >= 1 and hence no trivial summand, so
-every finite class B2 of that factor would multiply it to zero
-(dimensions at most 1 + 0 never reach 2 + 0).  B2 is therefore never
-formed, the per-level cost is linear in the number of characters below
-the level, and `build_report` checks that the reduced product indeed has
-no T term.  The full three-factor product is kept as an oracle in the
-test suite.  The classification upgrades a nonzero index to a
-non-compactness guarantee when the critical point is unique: "c1" when
-n0 != 0, "c2" when n0 == 0 and the finite-isotropy coefficients all share
-one sign, and "sum_obstruction", issued by `torbif classify`, when no
-zero-sum subset of the enumerated levels' indices contains the level.
-Otherwise the global alternative stands unsharpened.  The zero-sum search
-walks the subsets depth first in ascending lambda_sq and drops a partial
-sum as soon as one of its terms has no later index holding that generator
-with the opposite sign.  This is linear in the number of levels when each
-index has a generator of its own, and exponential in the worst case.
+the test suite).  The index is reduced - reduced_1 * B1, with B1 the sum
+of k*H over the characters below the level: the reduced product has no T
+term (checked), so by the grading the finite classes of the factor below
+the level and reduced_0 * B1 are zero.  The full three-factor product is
+kept as an oracle in the test suite.  The classification upgrades a
+nonzero index to a non-compactness guarantee when the critical point is
+unique: "c1" when n0 != 0, "c2" when n0 == 0 and the finite-isotropy
+coefficients all share one sign, and "sum_obstruction", issued by
+`torbif classify`, when no zero-sum subset of the enumerated levels'
+indices contains the level.  Otherwise the global alternative stands
+unsharpened.  The zero-sum search walks the subsets depth first in
+ascending lambda_sq and drops a partial sum as soon as one of its terms
+has no later index holding that generator with the opposite sign.  This
+is linear in the number of levels when each index has a generator of its
+own, and exponential in the worst case.
 """
 
 from __future__ import annotations
@@ -54,7 +51,7 @@ from typing import Iterable, Mapping, Optional
 
 from .euler import EulerElementS1, EulerElementT2, embed_s1_to_t2
 from .rationals import rational_to_json
-from .representations import S1Representation, deg_minus_id_t2, deg_minus_id_t2_truncated
+from .representations import S1Representation, deg_minus_id_t2
 from .spectral import (
     BifurcationLevel,
     CriticalPointProblem,
@@ -142,13 +139,12 @@ def certify_nontrivial(
 def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> BifurcationReport:
     """Assemble the full per-level report in one pass.
 
-    The resonant factor, the factor below the level, the reduced product
-    of the degree with the null-mode factor, and the index are each formed
-    once, and the certificate path is cross-checked against those same
-    values.  The factor below the level is truncated to its T and
-    one-dimensional part: the reduced product has no T term (checked
-    here), so the finite classes B2 of that factor would only contribute
-    zero products and are never formed.  The classification is the
+    The resonant factor, the reduced product of the degree with the
+    null-mode factor, and the index are each formed once, and the
+    certificate path is cross-checked against those same values.  The
+    index is reduced - reduced_1 * B1 (see the module docstring), and
+    reduced_1 = n0 * (null-mode part), so the space below the level is
+    formed only when n0 != 0.  The classification is the
     problem-wide one; the sum-obstruction upgrade needs the indices of all
     levels and is made by the caller that has them.
     """
@@ -169,13 +165,19 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     reduced = d0.star(kernel_factor)
     if reduced.project(2):
         raise RuntimeError("reduced product has a T term; the truncated factor below the level is not exact")
-    index = reduced.star(deg_minus_id_t2_truncated(negative_space(problem, level)))
+    reduced_1 = reduced.project(1)
+    index = reduced
+    if reduced_1:
+        b1 = EulerElementT2(
+            (TorusSubgroup.kernel(m, n), mult) for (m, n), mult in negative_space(problem, level).characters
+        )
+        index = reduced - reduced_1.star(b1)
     n0 = problem.deg_s1.fixed
     resonant_part = kernel_factor.project(1)
     if n0:
         certificate = Certificate.FIXED_COEFFICIENT
         expected = n0 * resonant_part
-        if reduced.project(1) != expected or not expected:
+        if reduced_1 != expected or not expected:
             raise RuntimeError("fixed-coefficient path disagrees with the reduced product")
         claimed = True
     else:

@@ -320,12 +320,32 @@ def test_index_pipeline_properties(seed):
         assert certificate is expected
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**9))
-def test_index_matches_three_factor_product(seed):
-    rng = random.Random(seed)
+def scaled_problem(rng, full_orbit):
+    """A random problem with multiplicities scaled up to about 10**6, a
+    trivial part of either parity, and a full-orbit degree term exactly
+    when `full_orbit`."""
     prob = random_problem(rng)
-    for level in lambda_set(prob, 3):
+    scale = rng.randint(1, 10**6)
+    spectra = tuple(
+        SpectralDatum(
+            d.alpha,
+            S1Representation(
+                trivial=scale * d.isotypic.trivial + rng.randint(0, 1),
+                rotating={m: scale * k for m, k in d.isotypic.rotating},
+            ),
+        )
+        for d in prob.spectra
+    )
+    fixed = rng.choice((1, -1, 2, -3)) if full_orbit else 0
+    degree = EulerElementS1(fixed, prob.deg_s1.finite or {1: 1})
+    return replace(prob, spectra=spectra, deg_s1=degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.booleans())
+def test_index_matches_three_factor_product(seed, full_orbit):
+    prob = scaled_problem(random.Random(seed), full_orbit)
+    for level in lambda_set(prob, 4):
         assert build_report(prob, level).index == bif_index_expanded(prob, level)
 
 

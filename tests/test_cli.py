@@ -231,18 +231,26 @@ def test_closed_stdout_exits_quietly(example_path):
     assert err == b""
 
 
-def test_cross_check_failure_is_an_internal_error(example_path, capsys, monkeypatch):
-    # a zero factor below the level makes the direct index vanish, so the
-    # same-sign certificate, read off the other two factors, disagrees with it
-    below = object()
-    degree = torbif.bifurcation.deg_minus_id_t2_truncated
-    monkeypatch.setattr(torbif.bifurcation, "negative_space", lambda problem, level: below)
-    monkeypatch.setattr(
-        torbif.bifurcation,
-        "deg_minus_id_t2_truncated",
-        lambda rep: EulerElementT2.zero() if rep is below else degree(rep),
+def test_cross_check_failure_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    # with a full-orbit degree the index is the reduced product minus a
+    # dimension-0 correction; a subtraction that drops the whole index there
+    # makes the direct index vanish, so the fixed-coefficient certificate,
+    # read off the reduced product, disagrees with it
+    problem = CriticalPointProblem(
+        spectra=(SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1})),),
+        deg_s1=EulerElementS1(fixed=1),
     )
-    assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
+    path = tmp_path / "fixed.json"
+    write_problem(problem, path)
+    sub = EulerElementT2.__sub__
+
+    def dropping_sub(self, other):
+        if other and all(h.dim == 0 for h, _ in other.terms):
+            return EulerElementT2.zero()
+        return sub(self, other)
+
+    monkeypatch.setattr(EulerElementT2, "__sub__", dropping_sub)
+    assert main(["index", "--problem", str(path), "--k", "2", "--alpha", "1"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: certificate path disagrees with direct evaluation\n"
@@ -250,8 +258,8 @@ def test_cross_check_failure_is_an_internal_error(example_path, capsys, monkeypa
 
 def test_reduced_product_with_t_term_is_an_internal_error(tmp_path, capsys, monkeypatch):
     # with a full-orbit degree, a resonant factor equal to 2*T leaves a T term
-    # in the reduced product, where truncating the factor below the level
-    # would no longer be exact
+    # in the reduced product, which would then meet the finite classes of
+    # the factor below the level that the index leaves out
     problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
     path = tmp_path / "fixed.json"
     write_problem(problem, path)
@@ -266,8 +274,9 @@ def test_reduced_product_with_t_term_is_an_internal_error(tmp_path, capsys, monk
 
 
 def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys):
-    # deterministic counters, not timings: one generator product per
-    # character below the level, not one per pair of characters
+    # deterministic counters, not timings: at most one generator product per
+    # character below the level, not one per pair of characters; neither
+    # degree here has a full-orbit term, so neither index needs any of them
     _generator_product.cache_clear()
     assert main(["index", "--problem", example_path, "--k", "6400", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,6400)\ncertificate: SameSignPath\n"
@@ -303,21 +312,45 @@ def test_caches_stay_bounded(example_path, capsys):
         assert info.currsize <= info.maxsize
 
 
-def test_one_index_evaluation_per_level(example_path, capsys, monkeypatch):
+def counting_calls(monkeypatch, name):
+    """Record the level of every call to `torbif.bifurcation.<name>`."""
     calls = []
-    original = torbif.bifurcation.negative_space
+    original = getattr(torbif.bifurcation, name)
 
     def counting(problem, level):
         calls.append(level)
         return original(problem, level)
 
-    monkeypatch.setattr(torbif.bifurcation, "negative_space", counting)
+    monkeypatch.setattr(torbif.bifurcation, name, counting)
+    return calls
+
+
+def test_one_index_evaluation_per_level(example_path, tmp_path, capsys, monkeypatch):
+    calls = counting_calls(monkeypatch, "resonant_space")
     assert main(["classify", "--problem", example_path, "--max-k", "3"]) == 0
     assert len(calls) == 3
     calls.clear()
     assert main(["index", "--problem", example_path, "--k", "2", "--alpha", "2"]) == 0
     assert len(calls) == 1
+    # a full-orbit degree needs the space below each level, once per level
+    problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
+    path = tmp_path / "fixed.json"
+    write_problem(problem, path)
+    below = counting_calls(monkeypatch, "negative_space")
+    assert main(["classify", "--problem", str(path), "--max-k", "3"]) == 0
+    assert len(below) == 3
     capsys.readouterr()
+
+
+def test_index_without_full_orbit_term_ignores_the_space_below(example_path, capsys, monkeypatch):
+    # the worked example's degree has no S1 term, so its index is the
+    # reduced product: the cost does not depend on k
+    below = counting_calls(monkeypatch, "negative_space")
+    _generator_product.cache_clear()
+    assert main(["index", "--problem", example_path, "--k", "400000", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out == "-1*F(1,0;0,400000)\ncertificate: SameSignPath\n"
+    assert below == []
+    assert _generator_product.cache_info().misses < 10
 
 
 def test_classify_above_zero_sum_limit_stays_alternative(tmp_path, capsys):
