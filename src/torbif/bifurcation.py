@@ -21,13 +21,21 @@ degree:
   with positive loop component; for each pair of support generators the
   resulting coefficient is a one-sided sum, hence nonzero.
 
-`build_report` forms the factors and the index once per level and
-cross-checks both paths against direct evaluation on those same values.
-The degree factors take one factor T - k*H per character of multiplicity
-k, which relies on H * H = 0 for one-dimensional classes H (checked in
-the test suite).  The index is reduced - reduced_1 * B1, with B1 the sum
-of k*H over the characters below the level: the reduced product has no T
-term (checked), so by the grading the finite classes of the factor below
+Every valid level takes one of the two paths.  When n0 == 0 the nonzero
+degree is all finite-isotropy part, and the null modes form a nonempty
+space without trivial part whose characters all have loop component at
+least 1, so the hypotheses of the same-sign argument hold by
+construction: the coefficient of F(a,0;b,d) is c_a times a sum of
+multiplicities of null-mode characters, a sum of same-sign terms.
+
+`build_report` forms the factors and the index once per level, checks
+the certificate path against the reduced product and raises if the index
+it claims nonzero is zero.  The degree of minus-identity on a
+representation is sign * (T - B1 + B1 * B1 / 2), with B1 the sum of k*H
+over its characters of multiplicity k, by the grading (see
+`representations`).  The index is reduced - reduced_1 * B1, with B1 taken
+below the level: the reduced product has no T term (checked), so by the
+grading the finite classes of the factor below
 the level and reduced_0 * B1 are zero.  The full three-factor product is
 kept as an oracle in the test suite.  The classification upgrades a
 nonzero index to a non-compactness guarantee when the critical point is
@@ -51,7 +59,7 @@ from typing import Iterable, Mapping, Optional
 
 from .euler import EulerElementS1, EulerElementT2, embed_s1_to_t2
 from .rationals import rational_to_json
-from .representations import S1Representation, deg_minus_id_t2
+from .representations import S1Representation, _one_dimensional_sum, deg_minus_id_t2
 from .spectral import (
     BifurcationLevel,
     CriticalPointProblem,
@@ -70,7 +78,6 @@ class Certificate(enum.Enum):
 
     FIXED_COEFFICIENT = "FixedCoefficientPath"
     SAME_SIGN = "SameSignPath"
-    DIRECT = "DirectEvaluation"
 
 
 class Classification(enum.Enum):
@@ -144,7 +151,8 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     certificate path is cross-checked against those same values.  The
     index is reduced - reduced_1 * B1 (see the module docstring), and
     reduced_1 = n0 * (null-mode part), so the space below the level is
-    formed only when n0 != 0.  The classification is the
+    formed only when n0 != 0, and then only its B1: its full degree would
+    square a sum whose length grows with k.  The classification is the
     problem-wide one; the sum-obstruction upgrade needs the indices of all
     levels and is made by the caller that has them.
     """
@@ -168,10 +176,7 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     reduced_1 = reduced.project(1)
     index = reduced
     if reduced_1:
-        b1 = EulerElementT2(
-            (TorusSubgroup.kernel(m, n), mult) for (m, n), mult in negative_space(problem, level).characters
-        )
-        index = reduced - reduced_1.star(b1)
+        index = reduced - reduced_1.star(_one_dimensional_sum(negative_space(problem, level)))
     n0 = problem.deg_s1.fixed
     resonant_part = kernel_factor.project(1)
     if n0:
@@ -179,27 +184,11 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
         expected = n0 * resonant_part
         if reduced_1 != expected or not expected:
             raise RuntimeError("fixed-coefficient path disagrees with the reduced product")
-        claimed = True
     else:
-        axis_part = d0.project(1)
-        coeffs = [c for _, c in resonant_part.terms]
-        hypotheses = (
-            bool(axis_part)
-            and bool(resonant_part)
-            and (all(c > 0 for c in coeffs) or all(c < 0 for c in coeffs))
-            and all(h.rows[0][1] >= 1 for h, _ in resonant_part.terms)
-            and all(h.rows[0][1] == 0 for h, _ in axis_part.terms)
-        )
-        if hypotheses:
-            certificate = Certificate.SAME_SIGN
-            product = axis_part.star(resonant_part)
-            if reduced != product:
-                raise RuntimeError("same-sign path disagrees with the reduced product")
-            claimed = bool(product)
-        else:
-            certificate = Certificate.DIRECT
-            claimed = bool(index)
-    if claimed != bool(index):
+        certificate = Certificate.SAME_SIGN
+        if reduced != d0.project(1).star(resonant_part):
+            raise RuntimeError("same-sign path disagrees with the reduced product")
+    if not index:
         raise RuntimeError("certificate path disagrees with direct evaluation")
     return BifurcationReport(
         level=level,

@@ -59,7 +59,7 @@ class _Scanner:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        if self.peek() in "+-":
+        if self.peek() in ("+", "-"):
             self.pos += 1
         if not self.peek().isdigit():
             self.pos = start
@@ -100,7 +100,7 @@ class _Scanner:
     def term(self) -> tuple[int, TorusSubgroup]:
         self.skip_ws()
         head = self.peek()
-        if head.isdigit() or head in "+-":
+        if head.isdigit() or head in ("+", "-"):
             coeff = self.integer()
             self.expect("*")
             return coeff, self.generator()
@@ -121,7 +121,7 @@ class _Scanner:
             if self.pos >= len(self.text):
                 break
             op = self.peek()
-            if op not in "+-":
+            if op not in ("+", "-"):
                 self.fail("expected '+' or '-'")
             self.pos += 1
             add(1 if op == "+" else -1)

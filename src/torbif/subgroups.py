@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Character = tuple[int, int]
 
@@ -42,43 +42,29 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def _fold(pivot: Character, vec: Character) -> tuple[Character, int]:
-    """Absorb `vec` into a second-coordinate pivot.
+def _canonical_rows(chars: Sequence[Character]) -> tuple[Character, ...]:
+    """Canonical basis of the sublattice of Z^2 spanned by `chars`, as a
+    Hermite normal form in two passes.
 
-    Returns an updated pivot whose second coordinate is
-    gcd(pivot[1], vec[1]) >= 0 plus the first coordinate of a leftover
-    vector on the first axis; the spanned lattice is unchanged.
+    The first pass folds the extended gcd over the second coordinates into
+    a lattice vector (m0, d), with d >= 0 the gcd of all of them.  Each
+    character minus n/d times that pivot lies on the first axis, and those
+    remainders generate the lattice's part on that axis, so the second
+    pass takes their gcd a (or the gcd of the first coordinates when
+    d == 0).  (0, 0) entries change neither pass.
     """
-    m1, n1 = pivot
-    m2, n2 = vec
-    if n2 == 0:
-        return pivot, m2
-    if n1 == 0:
-        if n2 < 0:
-            m2, n2 = -m2, -n2
-        return (m2, n2), m1
-    g, x, y = _xgcd(n1, n2)
-    m0 = x * m1 + y * m2
-    r1 = m1 - (n1 // g) * m0
-    r2 = m2 - (n2 // g) * m0
-    return (m0, g), math.gcd(r1, r2)
-
-
-def _canonical_rows(chars: Iterable[Character]) -> tuple[Character, ...]:
-    """Canonical basis of the sublattice of Z^2 spanned by `chars`."""
-    pivot: Character = (0, 0)
-    axis = 0
+    m0, d = 0, 0
     for m, n in chars:
-        if m == 0 and n == 0:
-            continue
-        pivot, leftover = _fold(pivot, (m, n))
-        axis = math.gcd(axis, leftover)
-    m0, d = pivot
+        d, x, y = _xgcd(d, n)
+        m0 = x * m0 + y * m
+    a = 0
+    for m, n in chars:
+        a = math.gcd(a, m - (n // d) * m0 if d else m)
     if d == 0:
-        return () if axis == 0 else ((axis, 0),)
-    if axis == 0:
+        return () if a == 0 else ((a, 0),)
+    if a == 0:
         return ((m0, d),)
-    return ((axis, 0), (m0 % axis, d))
+    return ((a, 0), (m0 % a, d))
 
 
 def _check_int(value: int) -> int:

@@ -1,8 +1,9 @@
 """Independent cross-checks and seeded generators for the test suite.
 
 The lattice oracles work from first principles (congruences on finite
-grids, gcds of minors) and never call the canonical-form code they are
-checking.  The ring and index oracles below reach the same values as the
+grids, gcds of minors, a pairwise fold of the characters where the
+package takes two gcd passes) and never call the canonical-form code they
+are checking.  The ring and index oracles below reach the same values as the
 package by a different route (a unit's geometric-series inverse, the
 plane-by-plane degree product, the untruncated three-factor index, the
 mode-by-mode negative space, the two-sided degree jump across a level,
@@ -83,6 +84,40 @@ def minor_gcd_index(chars):
             (a, b), (c, d) = chars[i], chars[j]
             g = math.gcd(g, abs(a * d - b * c))
     return g
+
+
+def _extended_gcd(a, b):
+    # (g, x, y) with g == gcd(a, b) >= 0 and g == x*a + y*b, recursively
+    if b == 0:
+        return (abs(a), 1 if a >= 0 else -1, 0)
+    g, x, y = _extended_gcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def canonical_rows_by_folding(chars):
+    """Canonical lattice basis of `chars` by a pairwise fold: each character
+    is absorbed into a pivot on the second coordinate, and what is left of
+    the pair lands on the first axis, where its gcd is kept."""
+    m1, n1 = 0, 0
+    axis = 0
+    for m2, n2 in chars:
+        if n2 == 0:
+            axis = math.gcd(axis, m2)
+        elif n1 == 0:
+            if n2 < 0:
+                m2, n2 = -m2, -n2
+            axis = math.gcd(axis, m1)
+            m1, n1 = m2, n2
+        else:
+            g, x, y = _extended_gcd(n1, n2)
+            m0 = x * m1 + y * m2
+            axis = math.gcd(axis, m1 - (n1 // g) * m0, m2 - (n2 // g) * m0)
+            m1, n1 = m0, g
+    if n1 == 0:
+        return () if axis == 0 else ((axis, 0),)
+    if axis == 0:
+        return ((m1, n1),)
+    return ((axis, 0), (m1 % axis, n1))
 
 
 def random_character(rng, span=9):

@@ -9,6 +9,7 @@ import pytest
 import torbif
 import torbif.bifurcation
 import torbif.cli
+import torbif.euler
 from torbif import (
     CriticalPointProblem,
     EulerElementS1,
@@ -251,6 +252,21 @@ def test_cross_check_failure_is_an_internal_error(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(EulerElementT2, "__sub__", dropping_sub)
     assert main(["index", "--problem", str(path), "--k", "2", "--alpha", "1"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: certificate path disagrees with direct evaluation\n"
+
+
+def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys, monkeypatch):
+    # with every product of two one-dimensional classes stubbed to vanish,
+    # the worked example's index is zero although its certificate says not
+    product = torbif.euler._generator_product
+
+    def vanishing_product(h1, h2):
+        return None if h1.dim == h2.dim == 1 else product(h1, h2)
+
+    monkeypatch.setattr(torbif.euler, "_generator_product", vanishing_product)
+    assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: certificate path disagrees with direct evaluation\n"

@@ -62,12 +62,13 @@ def test_parse_error_positions():
         parse_element("1*T @ 2*T")
     assert info.value.position == 4
     assert "at position 4" in str(info.value)
-    with pytest.raises(ElementParseError) as info:
-        parse_element("1*T +")
-    assert info.value.position == 5
-    with pytest.raises(ElementParseError) as info:
-        parse_element("")
-    assert info.value.position == 0
+    # at the end of input a generator is missing, not an integer
+    for text, position in (("", 0), ("1*T +", 5), ("T+ ", 3)):
+        with pytest.raises(ElementParseError) as info:
+            parse_element(text)
+        assert info.value.position == position
+        message = "expected a generator 'T', 'H(m,n)', or 'F(a,b;c,d)'"
+        assert str(info.value) == f"{message} at position {position}"
     with pytest.raises(ElementParseError):
         parse_element("1*H(1)")
     with pytest.raises(ElementParseError):

@@ -16,6 +16,7 @@ from torbif import (
     loop_decompose,
     normalize_character,
 )
+from torbif.representations import _one_dimensional_sum
 
 from oracles import (
     deg_minus_id_t2_expanded,
@@ -109,8 +110,24 @@ def test_deg_minus_id_t2_known_values():
 @settings(deadline=None)
 @given(st.integers(0, 10**9))
 def test_deg_minus_id_t2_matches_plane_by_plane_product(seed):
-    rep = random_t2_rep(random.Random(seed), max_mult=30)
+    rep = random_t2_rep(random.Random(seed), max_chars=8, max_mult=30)
     assert deg_minus_id_t2(rep) == deg_minus_id_t2_expanded(rep)
+
+
+def test_deg_minus_id_t2_makes_one_product(monkeypatch):
+    # the closed form squares B1 once, whatever the number of characters
+    calls = []
+    star = EulerElementT2.star
+
+    def counting_star(self, other):
+        calls.append(1)
+        return star(self, other)
+
+    monkeypatch.setattr(EulerElementT2, "star", counting_star)
+    rep = T2Representation(characters={(1, n): 1 for n in range(1, 9)})
+    degree = deg_minus_id_t2(rep)
+    assert len(calls) == 1
+    assert len(degree.project(0).terms) > 0
 
 
 @given(st.integers(0, 10**9))
@@ -124,6 +141,11 @@ def test_one_dimensional_generators_square_to_zero(seed):
 def test_deg_minus_id_t2_huge_multiplicity():
     rep = T2Representation(characters={(2, 3): 10**6})
     assert deg_minus_id_t2(rep) == I - 10**6 * EulerElementT2.generator(TorusSubgroup.kernel(2, 3))
+    # two non-parallel characters: the cross term is the product of the
+    # multiplicities on the class of the intersection of their kernels
+    rep = T2Representation(characters={(2, 3): 10**6, (1, 1): 3 * 10**6})
+    expected = I - 10**6 * gen((2, 3)) - 3 * 10**6 * gen((1, 1)) + 3 * 10**12 * gen((2, 3), (1, 1))
+    assert deg_minus_id_t2(rep) == expected
 
 
 @given(st.integers(0, 10**9))
@@ -135,7 +157,7 @@ def test_truncation_is_exact_after_an_element_without_t(seed):
     element = element - element.project(2)
     rep = random_t2_rep(rng, max_mult=10**6)
     rep = T2Representation(trivial=0, characters=rep.characters)
-    b1 = EulerElementT2((TorusSubgroup.kernel(m, n), mult) for (m, n), mult in rep.characters)
+    b1 = _one_dimensional_sum(rep)
     assert element.star(deg_minus_id_t2(rep)) == element - element.project(1).star(b1)
 
 

@@ -5,12 +5,29 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torbif import TorusSubgroup
+from torbif.subgroups import _canonical_rows
 
-from oracles import minor_gcd_index, torsion_points
+from oracles import canonical_rows_by_folding, minor_gcd_index, torsion_points
 
 characters = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(
     lambda v: v != (0, 0)
 )
+entries = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))
+
+
+@st.composite
+def character_lists(draw):
+    """0 to 5 characters with entries up to 10**6, sometimes with (0, 0)
+    or an integer multiple of an earlier character mixed in."""
+    chars = draw(st.lists(st.tuples(entries, entries), max_size=5))
+    for _ in range(draw(st.integers(0, 2))):
+        if chars and draw(st.booleans()):
+            m, n = draw(st.sampled_from(chars))
+            c = draw(st.integers(-5, 5))
+            chars.insert(draw(st.integers(0, len(chars))), (c * m, c * n))
+        else:
+            chars.insert(draw(st.integers(0, len(chars))), (0, 0))
+    return chars
 
 
 def test_full_group_form():
@@ -139,3 +156,16 @@ def test_dim_by_rank():
     assert TorusSubgroup.full().dim == 2
     assert TorusSubgroup.kernel(3, 7).dim == 1
     assert TorusSubgroup.from_characters([(1, 0), (0, 5)]).dim == 0
+
+
+@settings(max_examples=500)
+@given(character_lists())
+def test_canonical_rows_match_pairwise_fold(chars):
+    assert _canonical_rows(chars) == canonical_rows_by_folding(chars)
+
+
+def test_canonical_rows_of_parallel_characters():
+    assert _canonical_rows([(2, 4), (3, 6)]) == ((1, 2),)
+    assert _canonical_rows([(4, 0), (6, 0)]) == ((2, 0),)
+    assert canonical_rows_by_folding([(2, 4), (3, 6)]) == ((1, 2),)
+    assert canonical_rows_by_folding([(4, 0), (6, 0)]) == ((2, 0),)
