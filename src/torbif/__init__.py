@@ -42,7 +42,6 @@ from .representations import (
     deg_minus_id_s1,
     deg_minus_id_t2,
     loop_decompose,
-    normalize_character,
 )
 from .spectral import (
     AssumptionReport,
@@ -57,7 +56,7 @@ from .spectral import (
     resonant_space,
     validate,
 )
-from .subgroups import TorusSubgroup
+from .subgroups import TorusSubgroup, normalize_character
 
 __version__ = "0.1.0"
 

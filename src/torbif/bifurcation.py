@@ -9,24 +9,24 @@ periodic solutions through the level.  The middle factor is a unit, so
 nontriviality only depends on the other two; the certificate records which
 structural argument establishes it.
 
-Writing n0 for the coefficient of the full-orbit class in the circle
-degree:
+At a valid level the null modes form a nonempty space without trivial
+part whose characters all have loop component n >= 1.  Write B1r for the
+sum of k*H over those characters of multiplicity k, n0 for the coefficient
+of the full-orbit class in the circle degree and c_i for its finite
+coefficients.  Every valid level takes one of two paths:
 
-* n0 != 0 ("FixedCoefficientPath"): the dimension-one part of the reduced
-  product is n0 times the dimension-one part of the null-mode factor,
-  which is a nonzero all-negative combination, so the index cannot vanish.
-* n0 == 0 ("SameSignPath"): the reduced product is the product of the
-  finite-isotropy part of the degree, supported on kernels of characters
-  (i, 0), with that same all-negative combination, supported on kernels
-  with positive loop component; for each pair of support generators the
-  resulting coefficient is a one-sided sum, hence nonzero.
+* n0 != 0 ("FixedCoefficientPath"): the dimension-one part of the index
+  is -n0 * B1r, so phi, the sum of the coefficients of the dimension-one
+  terms, is -n0 times the sum of the multiplicities k.
+* n0 == 0 ("SameSignPath"): the index is (sum of c_i H(i,0)) * (-B1r),
+  and H(i,0) * H(m,n) = F(i,0;m mod i,n) for n >= 1.  For one i with
+  c_i != 0, phi_i, the sum of the coefficients of the terms whose rows
+  begin with (i,0), is -c_i times the sum of the multiplicities k.
 
-Every valid level takes one of the two paths.  When n0 == 0 the nonzero
-degree is all finite-isotropy part, and the null modes form a nonempty
-space without trivial part whose characters all have loop component at
-least 1, so the hypotheses of the same-sign argument hold by
-construction: the coefficient of F(a,0;b,d) is c_a times a sum of
-multiplicities of null-mode characters, a sum of same-sign terms.
+So every term that phi or phi_i counts has the sign of -n0 or -c_i, the
+same at every level.  The index is never zero, and since phi and phi_i
+are additive, no nonempty subset of a valid problem's level indices sums
+to zero either.
 
 `build_report` forms the factors and the index once per level, checks
 the certificate path against the reduced product and raises if the index
@@ -42,12 +42,15 @@ nonzero index to a non-compactness guarantee when the critical point is
 unique: "c1" when n0 != 0, "c2" when n0 == 0 and the finite-isotropy
 coefficients all share one sign, and "sum_obstruction", issued by
 `torbif classify`, when no zero-sum subset of the enumerated levels'
-indices contains the level.  Otherwise the global alternative stands
-unsharpened.  The zero-sum search walks the subsets depth first in
+indices contains the level, which by the argument above is every level.
+Otherwise the global alternative stands unsharpened.  `torbif classify`
+still runs `any_zero_sum_subset` as a runtime check of that argument and
+fails if it finds a subset.  The search walks the subsets depth first in
 ascending lambda_sq and drops a partial sum as soon as one of its terms
-has no later index holding that generator with the opposite sign.  This
-is linear in the number of levels when each index has a generator of its
-own, and exponential in the worst case.
+has no later index holding that generator with the opposite sign.  On
+level indices that cuts each "include" branch as soon as it is entered,
+one addition per level; the walk is exponential only on tables that
+callers pass in.
 """
 
 from __future__ import annotations
@@ -206,10 +209,11 @@ def classify_noncompact(problem: CriticalPointProblem) -> Classification:
     and the structural assumptions hold: with a nonzero full-orbit
     coefficient ("c1"), or with uniformly signed finite-isotropy
     coefficients ("c2").  This function never emits the sum-obstruction
-    tag; that one is relative to the enumerated levels and is issued by
-    `torbif classify` (`cli._cmd_classify`) after its zero-sum search over
-    their indices.  The indices themselves use the identity H * H = 0 for
-    one-dimensional classes H, which the test suite checks.
+    tag; `torbif classify` (`cli._cmd_classify`) issues it at every
+    enumerated level once its zero-sum check has run, since no subset of
+    level indices cancels (see the module docstring).  The indices
+    themselves use the identity H * H = 0 for one-dimensional classes H,
+    which the test suite checks.
     """
     checks = validate(problem)
     if not (problem.unique_critical_point and checks.ok):
@@ -241,7 +245,6 @@ def _zero_sum_dfs(
     base: EulerElementT2,
     pool: list[BifurcationLevel],
     table: Mapping[BifurcationLevel, EulerElementT2],
-    need_pick: bool,
 ) -> Optional[tuple[BifurcationLevel, ...]]:
     # Depth-first over subsets with an accumulated partial sum, smallest
     # frequencies first and "include" before "exclude", so the first
@@ -249,7 +252,8 @@ def _zero_sum_dfs(
     # only be cancelled by a later index holding h with the opposite sign,
     # so a node at `pos` is dead once some term has no such index at `pos`
     # or later; pruning it cuts only subtrees without a witness.  At the end
-    # of the pool every term is dead, so a live leaf has a zero sum.  The
+    # of the pool every term is dead, so a live leaf has a zero sum; the
+    # all-exclude leaf comes last and is live only for a zero `base`.  The
     # walk keeps its own stack, so a long pool cannot exhaust recursion.
     indices = [table[lvl] for lvl in pool]
     last: dict[tuple[TorusSubgroup, bool], int] = {}
@@ -262,9 +266,7 @@ def _zero_sum_dfs(
         if any(last.get((h, c < 0), -1) < pos for h, c in acc.terms):
             continue
         if pos == len(indices):
-            if picked or not need_pick:
-                return tuple(pool[i] for i in picked)
-            continue
+            return tuple(pool[i] for i in picked)
         stack.append((pos + 1, acc, picked))
         stack.append((pos + 1, acc + indices[pos], picked + (pos,)))
     return None
@@ -285,16 +287,16 @@ def exists_zero_sum_subset(
     (any missing levels are computed on demand).  Returns the verdict and
     a witness subset sorted by frequency when one exists.
 
-    The search drops every partial sum with a term that no remaining
-    level's index can cancel, so it is linear in the number of levels when
-    each index has a generator of its own; the worst case is exponential.
+    On a problem's own indices the answer is always `False`, with at most
+    one addition per level (see the module docstring); a witness, and the
+    exponential worst case, come only from tables passed in `indices`.
     """
     pool = list(levels)
     if anchor not in pool:
         raise ValueError("anchor must be one of the supplied levels")
     table = _index_table(problem, pool, indices)
     others = sorted((lvl for lvl in pool if lvl != anchor), key=lambda l: l.lambda_sq)
-    combo = _zero_sum_dfs(table[anchor], others, table, need_pick=False)
+    combo = _zero_sum_dfs(table[anchor], others, table)
     if combo is None:
         return False, None
     witness = tuple(sorted((anchor,) + combo, key=lambda l: l.lambda_sq))
@@ -313,7 +315,7 @@ def any_zero_sum_subset(
     """
     pool = sorted(levels, key=lambda l: l.lambda_sq)
     table = _index_table(problem, pool, indices)
-    return _zero_sum_dfs(EulerElementT2.zero(), pool, table, need_pick=True)
+    return _zero_sum_dfs(EulerElementT2.zero(), pool, table) or None
 
 
 def example_problem() -> CriticalPointProblem:

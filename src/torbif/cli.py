@@ -34,7 +34,6 @@ from .bifurcation import (
     build_report,
     classify_noncompact,
     example_problem,
-    exists_zero_sum_subset,
 )
 from .euler import format_element
 from .grammar import ElementParseError, parse_element
@@ -212,7 +211,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     levels = lambda_set(problem, args.max_k)
     headline = classify_noncompact(problem)
     reports = [build_report(problem, lvl) for lvl in levels]
-    witness: Optional[tuple[BifurcationLevel, ...]] = None
     if not validate(problem).ok:
         zero_sum_state = "skipped (assumptions not satisfied)"
     elif not levels:
@@ -220,27 +218,21 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     elif len(levels) > _ZERO_SUM_LIMIT:
         zero_sum_state = f"skipped (more than {_ZERO_SUM_LIMIT} levels)"
     else:
+        # No subset of level indices sums to zero (see `bifurcation`), so
+        # every level is upgraded; the search checks that at run time.
         indices = {report.level: report.index for report in reports}
-        witness = any_zero_sum_subset(problem, levels, indices)
+        if any_zero_sum_subset(problem, levels, indices) is not None:
+            raise RuntimeError("a subset of the level indices sums to zero")
         zero_sum_state = "checked"
         if headline is Classification.ALTERNATIVE and problem.unique_critical_point:
-            # A level is upgraded when no zero-sum subset contains it.  Without
-            # a witness no zero-sum subset exists at all; the witness's own
-            # levels lie in one; any other level needs a search anchored at it.
-            for pos, report in enumerate(reports):
-                if witness is not None and (
-                    report.level in witness
-                    or exists_zero_sum_subset(problem, levels, report.level, indices)[0]
-                ):
-                    continue
-                reports[pos] = replace(report, classification=Classification.NONCOMPACT_SUM_OBSTRUCTION)
+            reports = [
+                replace(report, classification=Classification.NONCOMPACT_SUM_OBSTRUCTION)
+                for report in reports
+            ]
 
     if args.json:
         if zero_sum_state == "checked":
-            zero_sum = {
-                "exists": witness is not None,
-                "witness": [_level_payload(problem, lvl) for lvl in witness] if witness else None,
-            }
+            zero_sum = {"exists": False, "witness": None}
         else:
             zero_sum = {"skipped": zero_sum_state}
         _emit_json(
@@ -257,11 +249,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     for report in reports:
         print(_report_line(report))
     if zero_sum_state == "checked":
-        if witness is None:
-            print("zero-sum subsets among computed levels: none")
-        else:
-            listed = ", ".join(str(lvl.lambda_sq) for lvl in witness)
-            print(f"zero-sum subset found at lambda_sq in {{{listed}}}")
+        print("zero-sum subsets among computed levels: none")
     else:
         print(f"zero-sum check: {zero_sum_state}")
     return 0

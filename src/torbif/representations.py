@@ -4,11 +4,12 @@ An orthogonal representation of the circle splits into a trivial part and
 planes on which the circle acts by rotation with speed m >= 1; a torus
 representation splits into a trivial part and planes labelled by a
 character (m, n), determined up to global sign.  Characters are stored
-with the sign convention n > 0, or n == 0 and m > 0, matching the rank-1
-generator convention of `TorusSubgroup`, so a representation is a frozen
-multiset of irreducibles.  The constructors are the only normalizers:
-they check multiplicities, apply that convention, merge like keys, drop
-zeros and sort, so callers pass raw (key, multiplicity) pairs.
+with the sign convention n > 0, or n == 0 and m > 0, of the rank-1
+generators of `TorusSubgroup` (`subgroups.normalize_character`), so a
+representation is a frozen multiset of irreducibles.  The constructors
+are the only normalizers: they check multiplicities, apply that
+convention, merge like keys, drop zeros and sort, so callers pass raw
+(key, multiplicity) pairs.
 
 `loop_decompose` passes from a circle representation to the torus
 representation of its space of Fourier modes: the extra circle rotates the
@@ -32,18 +33,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .euler import EulerElementS1, EulerElementT2
-from .subgroups import TorusSubgroup
+from .subgroups import TorusSubgroup, normalize_character
 
 CharacterKey = tuple[int, int]
-
-
-def normalize_character(m: int, n: int) -> CharacterKey:
-    """Canonical representative of {(m, n), (-m, -n)}; (0, 0) is rejected."""
-    if m == 0 and n == 0:
-        raise ValueError("(0, 0) does not label a nontrivial character")
-    if n < 0 or (n == 0 and m < 0):
-        return (-m, -n)
-    return (m, n)
 
 
 def _check_mult(value: int, what: str) -> int:

@@ -67,6 +67,15 @@ def _canonical_rows(chars: Sequence[Character]) -> tuple[Character, ...]:
     return ((a, 0), (m0 % a, d))
 
 
+def normalize_character(m: int, n: int) -> Character:
+    """Canonical representative of {(m, n), (-m, -n)}; (0, 0) is rejected."""
+    if m == 0 and n == 0:
+        raise ValueError("(0, 0) does not label a nontrivial character")
+    if n < 0 or (n == 0 and m < 0):
+        return (-m, -n)
+    return (m, n)
+
+
 def _check_int(value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"character entries must be ints, got {value!r}")
@@ -121,8 +130,12 @@ class TorusSubgroup:
 
     @classmethod
     def kernel(cls, m: int, n: int) -> "TorusSubgroup":
-        """Kernel of the single character (m, n)."""
-        return cls.from_characters([(m, n)])
+        """Kernel of the single character (m, n), whose canonical row is the
+        character itself with the sign of `normalize_character`."""
+        m, n = _check_int(m), _check_int(n)
+        if m == 0 and n == 0:
+            return cls.full()
+        return _interned((normalize_character(m, n),))
 
     @classmethod
     def trivial(cls) -> "TorusSubgroup":

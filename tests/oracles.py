@@ -300,3 +300,16 @@ def zero_sum_first_witness(base, pool, table, need_pick):
         if (picked or not need_pick) and not sum((table[lvl] for lvl in picked), base):
             return picked
     return None
+
+
+def one_signed_functional(problem, index):
+    """The additive functional that has one sign on every level index of
+    `problem` (the proof in the `bifurcation` docstring): with a full-orbit
+    coefficient n0 != 0, the sum of the coefficients of the dimension-one
+    terms, -n0 times the multiplicity of the null modes; otherwise, for the
+    smallest isotropy order i with c_i != 0, the sum of the coefficients of
+    the terms whose rows begin with (i, 0), -c_i times that multiplicity."""
+    if problem.deg_s1.fixed:
+        return sum(c for h, c in index.terms if h.dim == 1)
+    i = problem.deg_s1.finite[0][0]
+    return sum(c for h, c in index.terms if h.rows[:1] == ((i, 0),))

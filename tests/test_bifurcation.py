@@ -29,14 +29,15 @@ from torbif import (
     example_problem,
     exists_zero_sum_subset,
     lambda_set,
+    resonant_space,
     write_problem,
 )
 from torbif.cli import main
-from torbif.rationals import rational_to_json
 
 from oracles import (
     bif_index_expanded,
     bif_index_two_sided,
+    one_signed_functional,
     random_element,
     random_problem,
     zero_sum_first_witness,
@@ -177,7 +178,7 @@ def test_classify_searches_once_without_witness(tmp_path, capsys, monkeypatch):
     # no zero-sum subset at all: every level is upgraded with no anchored
     # search, and each level's resonant factor is formed once
     prob = axis_family_problem(finite={1: 1, 2: -1})
-    anchored = count_calls(monkeypatch, "exists_zero_sum_subset", [torbif.bifurcation, torbif.cli])
+    anchored = count_calls(monkeypatch, "exists_zero_sum_subset", [torbif.bifurcation])
     resonant = count_calls(monkeypatch, "resonant_space", [torbif.bifurcation])
     payload = classify_reports(prob, tmp_path, capsys)
     assert payload["zero_sum_subset"] == {"exists": False, "witness": None}
@@ -190,9 +191,8 @@ def test_classify_searches_once_without_witness(tmp_path, capsys, monkeypatch):
 
 
 def test_classify_witness_branch(tmp_path, capsys, monkeypatch):
-    # injected indices {l0: x, l1: -x, l2: x, l3: z}: the witness is (l0, l1);
-    # l2 lies in the zero-sum subset {l1, l2}, which only its anchored search
-    # finds; l3 lies in none and is upgraded
+    # injected indices {l0: x, l1: -x, l2: x, l3: z} cancel, which no valid
+    # problem's indices can: the search's witness is an internal error
     prob = axis_family_problem(finite={1: 1, 2: -1})
     levels = lambda_set(prob, 4)
     x = gen((1, 0), (0, 2)) - 3 * I
@@ -203,17 +203,13 @@ def test_classify_witness_branch(tmp_path, capsys, monkeypatch):
         "build_report",
         lambda problem, level: replace(original(problem, level), index=table[level]),
     )
-    anchored = count_calls(monkeypatch, "exists_zero_sum_subset", [torbif.bifurcation, torbif.cli])
-    payload = classify_reports(prob, tmp_path, capsys)
-    witness = payload["zero_sum_subset"]["witness"]
-    assert [w["lambda_sq"] for w in witness] == [rational_to_json(l.lambda_sq) for l in levels[:2]]
-    assert [r["classification"] for r in payload["reports"]] == [
-        Classification.ALTERNATIVE.value,
-        Classification.ALTERNATIVE.value,
-        Classification.ALTERNATIVE.value,
-        Classification.NONCOMPACT_SUM_OBSTRUCTION.value,
-    ]
-    assert [args[2] for args in anchored] == levels[2:]
+    path = tmp_path / "problem.json"
+    write_problem(prob, path)
+    for extra in ([], ["--json"]):
+        assert main(["classify", "--problem", str(path), "--max-k", "4", *extra]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: internal: a subset of the level indices sums to zero\n"
 
 
 def test_zero_sum_subset_searches():
@@ -289,6 +285,25 @@ def test_zero_sum_search_on_a_long_pool():
     table = {lvl: gen((lvl.k, 1)) for lvl in levels}
     assert any_zero_sum_subset(prob, levels, table) is None
     assert exists_zero_sum_subset(prob, levels, levels[1500], table) == (False, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_level_indices_never_cancel(seed):
+    # the functional of the proof in the `bifurcation` docstring is -n0 or
+    # -c_i times the multiplicity of the null modes at every level, so no
+    # nonempty sum of level indices vanishes
+    prob = random_problem(random.Random(seed))
+    levels = lambda_set(prob, 4)
+    n0 = prob.deg_s1.fixed
+    coeff = n0 or prob.deg_s1.finite[0][1]
+    indices = {}
+    for level in levels:
+        indices[level] = build_report(prob, level).index
+        multiplicity = sum(k for _, k in resonant_space(prob, level).characters)
+        assert multiplicity > 0
+        assert one_signed_functional(prob, indices[level]) == -coeff * multiplicity
+    assert any_zero_sum_subset(prob, levels, indices) is None
 
 
 def test_report_to_dict_shape():

@@ -413,4 +413,4 @@ def test_zero_sum_search_adds_once_per_level(example_path, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 22
     assert lines[-1] == "zero-sum subsets among computed levels: none"
-    assert 0 < len(adds) <= 20
+    assert len(adds) == 20

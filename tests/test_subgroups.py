@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import torbif.subgroups
 from torbif import TorusSubgroup
 from torbif.subgroups import _canonical_rows
 
@@ -45,6 +46,26 @@ def test_kernel_normalizes_sign():
     assert str(TorusSubgroup.kernel(1, 1)) == "H(1,1)"
     # the kernel of the zero character is everything
     assert TorusSubgroup.kernel(0, 0).is_full
+
+
+@settings(max_examples=500)
+@given(entries, entries)
+def test_kernel_matches_canonical_rows(m, n):
+    # the canonical row of one character is that character, sign-normalized
+    assert TorusSubgroup.kernel(m, n).rows == _canonical_rows([(m, n)])
+
+
+def test_kernel_checks_entries_without_the_normal_form(monkeypatch):
+    def refuse(chars):
+        raise AssertionError("kernel computed a lattice normal form")
+
+    monkeypatch.setattr(torbif.subgroups, "_canonical_rows", refuse)
+    assert TorusSubgroup.kernel(3, -5).rows == ((-3, 5),)
+    assert TorusSubgroup.kernel(1, 0).rows == ((1, 0),)
+    # True == 1 for the intern cache, so a bool must be refused before it
+    for m, n in ((True, 0), (1, True), (0, False)):
+        with pytest.raises(TypeError):
+            TorusSubgroup.kernel(m, n)
 
 
 def test_kernel_keeps_imprimitive_characters():
