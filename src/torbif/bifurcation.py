@@ -64,6 +64,7 @@ from .euler import EulerElementS1, EulerElementT2, embed_s1_to_t2
 from .rationals import rational_to_json
 from .representations import S1Representation, _one_dimensional_sum, deg_minus_id_t2
 from .spectral import (
+    AssumptionReport,
     BifurcationLevel,
     CriticalPointProblem,
     InvalidLevel,
@@ -163,7 +164,8 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
         raise InvalidLevel(
             f"lambda_sq = {level.lambda_sq} resonates with no positive eigenvalue"
         )
-    if not validate(problem).nonzero_degree:
+    checks = validate(problem)
+    if not checks.nonzero_degree:
         return BifurcationReport(
             level=level,
             index=EulerElementT2.zero(),
@@ -198,7 +200,7 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
         index=index,
         nontrivial=bool(index),
         certificate=certificate,
-        classification=classify_noncompact(problem),
+        classification=_classification(problem, checks),
     )
 
 
@@ -215,7 +217,10 @@ def classify_noncompact(problem: CriticalPointProblem) -> Classification:
     themselves use the identity H * H = 0 for one-dimensional classes H,
     which the test suite checks.
     """
-    checks = validate(problem)
+    return _classification(problem, validate(problem))
+
+
+def _classification(problem: CriticalPointProblem, checks: AssumptionReport) -> Classification:
     if not (problem.unique_critical_point and checks.ok):
         return Classification.ALTERNATIVE
     if problem.deg_s1.fixed:

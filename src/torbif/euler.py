@@ -10,10 +10,14 @@ and zero otherwise; the class of the full torus is the multiplicative
 identity.  Grading by subgroup dimension, products of two one-dimensional
 classes land in degree zero and everything below degree one multiplies to
 zero, which makes the non-identity part of any element nilpotent of order
-three.  Elements are canonically sorted sparse integer combinations, so
-equality is structural and all arithmetic is exact.  The constructor is the
-only normalizer: it checks every term, merges like terms, drops zeros and
-sorts, so sums and products hand it raw (subgroup, coefficient) pairs.
+three.  So `star` splits each operand by dimension once: the full-torus
+term scales the other operand, and only pairs of two lines reach a
+generator product, which has a closed form in the two characters.
+Elements are canonically sorted sparse integer combinations, so equality
+is structural and all arithmetic is exact.  The constructor is the only
+normalizer: it checks every term, merges like terms, drops zeros and
+sorts on the subgroups' stored keys, so sums and products hand it raw
+(subgroup, coefficient) pairs.
 
 The circle's Euler ring enters only through its additive group, generated
 by the full-orbit class and the classes with finite cyclic isotropy, and
@@ -28,7 +32,9 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .subgroups import TorusSubgroup
+from .subgroups import TorusSubgroup, _interned, _xgcd
+
+_Terms = tuple[tuple[TorusSubgroup, int], ...]
 
 
 def _check_coeff(value: int) -> int:
@@ -46,7 +52,7 @@ class EulerElementT2:
     by descending subgroup dimension and then by lattice rows.
     """
 
-    terms: tuple[tuple[TorusSubgroup, int], ...] = ()
+    terms: _Terms = ()
 
     def __post_init__(self) -> None:
         raw = self.terms
@@ -55,9 +61,11 @@ class EulerElementT2:
         for subgroup, coeff in items:
             if not isinstance(subgroup, TorusSubgroup):
                 raise TypeError(f"expected TorusSubgroup keys, got {subgroup!r}")
-            merged[subgroup] = merged.get(subgroup, 0) + _check_coeff(coeff)
+            if coeff.__class__ is not int:
+                _check_coeff(coeff)
+            merged[subgroup] = merged.get(subgroup, 0) + coeff
         cleaned = [(h, c) for h, c in merged.items() if c]
-        cleaned.sort(key=lambda t: (-t[0].dim, t[0].rows))
+        cleaned.sort(key=lambda t: t[0].key)
         object.__setattr__(self, "terms", tuple(cleaned))
 
     @classmethod
@@ -90,7 +98,7 @@ class EulerElementT2:
     def __sub__(self, other: "EulerElementT2") -> "EulerElementT2":
         if not isinstance(other, EulerElementT2):
             return NotImplemented
-        return self + (-other)
+        return EulerElementT2(self.terms + tuple((h, -c) for h, c in other.terms))
 
     def __neg__(self) -> "EulerElementT2":
         return EulerElementT2(tuple((h, -c) for h, c in self.terms))
@@ -105,16 +113,24 @@ class EulerElementT2:
     def star(self, other: "EulerElementT2") -> "EulerElementT2":
         """Ring product, extended bilinearly from generator products.
 
-        A pair whose dimensions sum to less than 2 is zero by the grading
-        alone, so it never reaches the generator product."""
+        Each operand is split by dimension once.  Its full-torus term, the
+        identity, scales the other operand; of the remaining pairs only
+        line x line has total dimension 2, so every other pair is zero by
+        the grading and only line pairs reach the generator product."""
         if not isinstance(other, EulerElementT2):
             raise TypeError(f"cannot multiply EulerElementT2 by {type(other).__name__}")
-        return EulerElementT2(
+        t1, below1, lines1 = _split(self.terms)
+        t2, _, lines2 = _split(other.terms)
+        terms = [(h, t1 * c) for h, c in other.terms] if t1 else []
+        if t2:
+            terms += [(h, t2 * c) for h, c in below1]
+        terms += [
             (h0, c1 * c2)
-            for h1, c1 in self.terms
-            for h2, c2 in other.terms
-            if h1.dim + h2.dim >= 2 and (h0 := _generator_product(h1, h2)) is not None
-        )
+            for h1, c1 in lines1
+            for h2, c2 in lines2
+            if (h0 := _generator_product(h1, h2)) is not None
+        ]
+        return EulerElementT2(terms)
 
     def project(self, dim: int) -> "EulerElementT2":
         """The part supported on subgroups of the given dimension."""
@@ -126,13 +142,34 @@ class EulerElementT2:
         return format_element(self)
 
 
+def _split(terms: _Terms) -> tuple[int, _Terms, _Terms]:
+    """The coefficient of T, the terms below T and the line terms of an
+    element's sorted terms."""
+    t = terms[0][1] if terms and terms[0][0].dim == 2 else 0
+    below = terms[1:] if t else terms
+    return t, below, tuple(term for term in below if term[0].dim == 1)
+
+
 @lru_cache(maxsize=1 << 14)
 def _generator_product(h1: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup | None:
-    """Product of two orbit-class generators, or None when it vanishes."""
-    meet = h1.intersect(h2)
-    if h1.dim + h2.dim == 2 + meet.dim:
-        return meet
-    return None
+    """Product of two one-dimensional generators, or None when it vanishes.
+
+    For the kernels of (a, b) and (m, n), let det = a*n - b*m.  When det is
+    0 the characters are parallel, the intersection is one-dimensional and
+    the product vanishes by the dimension rule.  Otherwise the intersection
+    is finite and its lattice, spanned by both characters, has index |det|.
+    With (d, x, y) = _xgcd(b, n), the gcd d of the second coordinates is
+    reached by the lattice vector x*(a, b) + y*(m, n), so the lattice meets
+    the first axis in multiples of |det| / d, and its canonical rows are
+    (|det| / d, 0) and (x*a + y*m mod |det| / d, d)."""
+    (a, b), = h1.rows
+    (m, n), = h2.rows
+    det = a * n - b * m
+    if det == 0:
+        return None
+    d, x, y = _xgcd(b, n)
+    axis = abs(det) // d
+    return _interned(((axis, 0), ((x * a + y * m) % axis, d)))
 
 
 def _format_terms(terms: Iterable[tuple[object, int]]) -> str:

@@ -17,12 +17,20 @@ spanned by (2, 0) annihilates {z: z^2 = 1} x S^1, a strictly smaller
 lattice than the one spanned by (1, 0), so (2, 0) and (1, 0) name
 different subgroups.  Intersecting subgroups corresponds to summing their
 lattices, which keeps everything downstream purely integral.
+
+A subgroup stores its dimension, its sort key (len(rows), rows), which
+orders subgroups by descending dimension and then by rows, and its hash,
+each computed once from `rows` when it is built; ring elements read them
+on every merge and sort.  Equality stays on `rows` (with an identity fast
+path) rather than on identity: `_interned` shares instances, but it is a
+bounded cache that can evict an entry, so two distinct instances with the
+same rows can exist and must compare equal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -82,7 +90,7 @@ def _check_int(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusSubgroup:
     """A closed subgroup of T^2, identified by its annihilator lattice.
 
@@ -92,6 +100,9 @@ class TorusSubgroup:
     """
 
     rows: tuple[Character, ...] = ()
+    dim: int = field(init=False, repr=False, compare=False)
+    key: tuple[int, tuple[Character, ...]] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = self.rows
@@ -102,17 +113,29 @@ class TorusSubgroup:
         for r in rows:
             _check_int(r[0])
             _check_int(r[1])
-        if len(rows) == 0:
-            return
         if len(rows) == 1:
             m, n = rows[0]
-            if n > 0 or (n == 0 and m > 0):
-                return
+            canonical = n > 0 or (n == 0 and m > 0)
         elif len(rows) == 2:
             (a, z), (b, d) = rows
-            if z == 0 and a > 0 and d > 0 and 0 <= b < a:
-                return
-        raise ValueError(f"rows {rows!r} are not a canonical lattice basis")
+            canonical = z == 0 and a > 0 and d > 0 and 0 <= b < a
+        else:
+            canonical = not rows
+        if not canonical:
+            raise ValueError(f"rows {rows!r} are not a canonical lattice basis")
+        object.__setattr__(self, "dim", 2 - len(rows))
+        object.__setattr__(self, "key", (len(rows), rows))
+        object.__setattr__(self, "_hash", hash((rows,)))
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not TorusSubgroup:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_characters(cls, chars: Iterable[Character]) -> "TorusSubgroup":
@@ -141,10 +164,6 @@ class TorusSubgroup:
     def trivial(cls) -> "TorusSubgroup":
         """The one-element subgroup."""
         return _interned(((1, 0), (0, 1)))
-
-    @property
-    def dim(self) -> int:
-        return 2 - len(self.rows)
 
     @property
     def order(self) -> int:

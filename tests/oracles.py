@@ -4,11 +4,13 @@ The lattice oracles work from first principles (congruences on finite
 grids, gcds of minors, a pairwise fold of the characters where the
 package takes two gcd passes) and never call the canonical-form code they
 are checking.  The ring and index oracles below reach the same values as the
-package by a different route (a unit's geometric-series inverse, the
-plane-by-plane degree product, the untruncated three-factor index, the
-mode-by-mode negative space, the two-sided degree jump across a level,
-the unpruned walk over every subset of a zero-sum pool), so each identity
-they satisfy is a differential check on the package.
+package by a different route (the intersection of two generators under
+the dimension rule, the bilinear product over every pair of terms, a
+unit's geometric-series inverse, the plane-by-plane degree product, the
+untruncated three-factor index, the mode-by-mode negative space, the
+two-sided degree jump across a level, the unpruned walk over every subset
+of a zero-sum pool), so each identity they satisfy is a differential check
+on the package.
 """
 
 from __future__ import annotations
@@ -196,6 +198,26 @@ def random_problem(rng, require_positive=True, require_degree=True):
         spectra=spectra,
         deg_s1=deg,
         unique_critical_point=rng.random() < 0.5,
+    )
+
+
+def generator_product_by_intersection(h1, h2):
+    """Product of two generators by the dimension rule: the intersection
+    when dim H1 + dim H2 == 2 + dim (H1 n H2), otherwise None."""
+    meet = h1.intersect(h2)
+    if h1.dim + h2.dim == 2 + meet.dim:
+        return meet
+    return None
+
+
+def star_by_pairs(x, y):
+    """Ring product as the bilinear sum over every pair of terms, each pair
+    through `generator_product_by_intersection`."""
+    return EulerElementT2(
+        (h0, c1 * c2)
+        for h1, c1 in x.terms
+        for h2, c2 in y.terms
+        if (h0 := generator_product_by_intersection(h1, h2)) is not None
     )
 
 

@@ -190,6 +190,19 @@ def test_classify_searches_once_without_witness(tmp_path, capsys, monkeypatch):
     assert [args[1] for args in resonant] == lambda_set(prob, 4)
 
 
+def test_validate_runs_once_per_level(tmp_path, capsys, monkeypatch):
+    # the assumption check is problem-wide: a report runs it once, and
+    # classify adds one run for its headline and one for its zero-sum gate
+    prob = axis_family_problem(finite={1: 1, 2: -1})
+    levels = lambda_set(prob, 4)
+    calls = count_calls(monkeypatch, "validate", [torbif.bifurcation, torbif.cli])
+    build_report(prob, levels[0])
+    assert len(calls) == 1
+    calls.clear()
+    classify_reports(prob, tmp_path, capsys)
+    assert len(calls) == len(levels) + 2
+
+
 def test_classify_witness_branch(tmp_path, capsys, monkeypatch):
     # injected indices {l0: x, l1: -x, l2: x, l3: z} cancel, which no valid
     # problem's indices can: the search's witness is an internal error

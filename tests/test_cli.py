@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import torbif
 import torbif.bifurcation
 import torbif.cli
 import torbif.euler
+import torbif.subgroups
 from torbif import (
     CriticalPointProblem,
     EulerElementS1,
@@ -414,3 +416,46 @@ def test_zero_sum_search_adds_once_per_level(example_path, capsys, monkeypatch):
     assert len(lines) == 22
     assert lines[-1] == "zero-sum subsets among computed levels: none"
     assert len(adds) == 20
+
+
+def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
+    # deterministic counters on a dense problem with a full-orbit degree:
+    # a product of two lines has a closed form and T * x needs no product,
+    # so no lattice normal form and no intersection runs
+    problem = CriticalPointProblem(
+        spectra=tuple(
+            SpectralDatum(alpha, S1Representation(trivial=1, rotating=speeds))
+            for alpha, speeds in ((2, {1: 1, 4: 1}), (4, {3: 1, 4: 1}), (6, {3: 1, 4: 1}))
+        ),
+        deg_s1=EulerElementS1(fixed=-2),
+        unique_critical_point=True,
+    )
+    path = tmp_path / "dense.json"
+    write_problem(problem, path)
+    counts = Counter()
+    canonical_rows = torbif.subgroups._canonical_rows
+    intersect = TorusSubgroup.intersect
+    post_init = EulerElementT2.__post_init__
+
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(torbif.subgroups, "_canonical_rows", counting("canonical_rows", canonical_rows))
+    monkeypatch.setattr(TorusSubgroup, "intersect", counting("intersect", intersect))
+    monkeypatch.setattr(EulerElementT2, "__post_init__", counting("build", post_init))
+    _interned.cache_clear()
+    _generator_product.cache_clear()
+    assert main(["classify", "--problem", str(path), "--max-k", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "classification: NonCompactGuaranteed(c1)"
+    assert len(lines) == 23
+    assert counts["canonical_rows"] == 0
+    assert counts["intersect"] == 0
+    # the pairwise product through intersections, with a separate negation
+    # in every subtraction, built 336 elements here (and ran 1,912
+    # intersections and normal forms); the split product builds 294
+    assert counts["build"] < 336

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torbif import (
@@ -13,7 +13,14 @@ from torbif import (
 )
 from torbif.euler import _generator_product
 
-from oracles import NotInvertible, invert, random_element, random_unit
+from oracles import (
+    NotInvertible,
+    generator_product_by_intersection,
+    invert,
+    random_element,
+    random_unit,
+    star_by_pairs,
+)
 
 I = EulerElementT2.identity()
 
@@ -31,6 +38,18 @@ def test_constructor_merges_and_drops_zeros():
     assert EulerElementT2([(h, 1), (h, 2)]).coefficient(h) == 3
 
 
+def test_constructor_checks_keys_and_coefficients():
+    h = TorusSubgroup.kernel(1, 1)
+    with pytest.raises(TypeError, match="expected TorusSubgroup keys, got"):
+        EulerElementT2([((1, 1), 1)])
+    for bad in (True, False, 1.0, "1", None):
+        with pytest.raises(TypeError, match="coefficients must be ints, got"):
+            EulerElementT2([(h, bad)])
+    for rows in (((0, 1), (0, 1)), ((2, 1), (0, 1)), ((1, 0), (0, 1), (0, 1)), ((-1, 0),)):
+        with pytest.raises(ValueError, match="are not a canonical lattice basis"):
+            TorusSubgroup(rows)
+
+
 def test_identity_is_full_orbit_class():
     assert I.terms == ((TorusSubgroup.full(), 1),)
     a = gen((1, 2)) - 3 * gen((1, 0), (0, 4))
@@ -40,7 +59,7 @@ def test_identity_is_full_orbit_class():
 
 def test_star_skips_pairs_below_dimension_two():
     # dimensions 1 + 0 and 0 + 0 never reach 2 + dim of the meet, so these
-    # pairs are zero without a generator product
+    # pairs are zero without a generator product, and T * x is x without one
     line = gen((1, 1))
     finite = gen((1, 0), (0, 2))
     _generator_product.cache_clear()
@@ -48,7 +67,41 @@ def test_star_skips_pairs_below_dimension_two():
     assert finite.star(line + finite) == EulerElementT2.zero()
     assert _generator_product.cache_info().misses == 0
     assert (I + line).star(finite) == finite
-    assert _generator_product.cache_info().misses == 1
+    assert _generator_product.cache_info().misses == 0
+
+
+entries = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))
+characters = st.tuples(entries, entries).filter(lambda v: v != (0, 0))
+
+
+@st.composite
+def line_pairs(draw):
+    """Two nonzero characters; the second is often a multiple of the first
+    (parallel, antiparallel or scaled), otherwise drawn on its own."""
+    first = draw(characters)
+    if draw(st.booleans()):
+        c = draw(st.integers(-7, 7).filter(bool))
+        return first, (c * first[0], c * first[1])
+    return first, draw(characters)
+
+
+@settings(max_examples=500)
+@given(line_pairs())
+def test_line_product_matches_intersection(pair):
+    h1, h2 = (TorusSubgroup.kernel(m, n) for m, n in pair)
+    assert _generator_product.__wrapped__(h1, h2) == generator_product_by_intersection(h1, h2)
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 10**9))
+def test_star_matches_pairwise_product(seed):
+    rng = random.Random(seed)
+    span = rng.choice((3, 9, 10**6))
+    a = random_element(rng, max_terms=6, span=span) + rng.randint(-3, 3) * I
+    b = random_element(rng, max_terms=6, span=span)
+    assert a.star(b) == star_by_pairs(a, b)
+    assert b.star(a) == star_by_pairs(b, a)
+    assert a.star(a) == star_by_pairs(a, a)
 
 
 def test_star_known_products():

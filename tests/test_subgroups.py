@@ -5,8 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torbif.subgroups
-from torbif import TorusSubgroup
-from torbif.subgroups import _canonical_rows
+from torbif import EulerElementT2, TorusSubgroup
+from torbif.subgroups import _canonical_rows, _interned
 
 from oracles import canonical_rows_by_folding, minor_gcd_index, torsion_points
 
@@ -190,3 +190,22 @@ def test_canonical_rows_of_parallel_characters():
     assert _canonical_rows([(4, 0), (6, 0)]) == ((2, 0),)
     assert canonical_rows_by_folding([(2, 4), (3, 6)]) == ((1, 2),)
     assert canonical_rows_by_folding([(4, 0), (6, 0)]) == ((2, 0),)
+
+
+@settings(max_examples=200)
+@given(character_lists(), character_lists())
+def test_stored_fields_follow_rows(chars, others):
+    # dim, the sort key and the hash are stored once per instance; equality
+    # must stay on rows, since the bounded intern cache can evict an entry
+    # and a later build then makes a second instance with the same rows
+    h = TorusSubgroup.from_characters(chars)
+    g = TorusSubgroup.from_characters(others)
+    assert h.dim == 2 - len(h.rows)
+    assert (h.key < g.key) == ((-h.dim, h.rows) < (-g.dim, g.rows))
+    assert (h.key == g.key) == (h == g)
+    _interned.cache_clear()
+    again = TorusSubgroup.from_characters(chars)
+    assert again is not h
+    assert again == h
+    assert hash(again) == hash(h)
+    assert EulerElementT2([(h, 1), (again, 2)]).terms == ((h, 3),)
