@@ -28,29 +28,35 @@ same at every level.  The index is never zero, and since phi and phi_i
 are additive, no nonempty subset of a valid problem's level indices sums
 to zero either.
 
-`build_report` forms the factors and the index once per level, checks
-the certificate path against the reduced product and raises if the index
-it claims nonzero is zero.  The degree of minus-identity on a
-representation is sign * (T - B1 + B1 * B1 / 2), with B1 the sum of k*H
-over its characters of multiplicity k, by the grading (see
-`representations`).  The index is reduced - reduced_1 * B1, with B1 taken
-below the level: the reduced product has no T term (checked), so by the
-grading the finite classes of the factor below
-the level and reduced_0 * B1 are zero.  The full three-factor product is
-kept as an oracle in the test suite.  The classification upgrades a
-nonzero index to a non-compactness guarantee when the critical point is
-unique: "c1" when n0 != 0, "c2" when n0 == 0 and the finite-isotropy
-coefficients all share one sign, and "sum_obstruction", issued by
-`torbif classify`, when no zero-sum subset of the enumerated levels'
-indices contains the level, which by the argument above is every level.
-Otherwise the global alternative stands unsharpened.  `torbif classify`
-still runs `any_zero_sum_subset` as a runtime check of that argument and
-fails if it finds a subset.  The search walks the subsets depth first in
-ascending lambda_sq and drops a partial sum as soon as one of its terms
-has no later index holding that generator with the opposite sign.  On
-level indices that cuts each "include" branch as soon as it is entered,
-one addition per level; the walk is exponential only on tables that
-callers pass in.
+`build_report` forms the index once per level in closed form.  The
+degree of minus-identity on a representation is sign * (T - B1 + B1 *
+B1 / 2), with B1 the sum of k*H over its characters of multiplicity k, by
+the grading (see `representations`); on the null modes the sign is +1.
+Write d0 = n0 * T + D1 for the embedded circle degree, D1 the sum of
+c_i H(i,0), and B1b for the B1 of the space below the level.  The grading
+kills every product of three one-dimensional classes, so the three-factor
+product collapses to
+
+    d0 * (deg(-Id, null modes) - T) + n0 * B1r * B1b
+        = n0 * (-B1r + B1r * B1r / 2 + B1r * B1b) - D1 * B1r,
+
+and `build_report` checks phi or phi_i of it at run time, which also shows
+it nonzero.  The full three-factor product is kept as an oracle in the
+test suite.
+
+The classification upgrades a nonzero index to a non-compactness
+guarantee when the critical point is unique: "c1" when n0 != 0, "c2"
+when n0 == 0 and the finite-isotropy coefficients all share one sign, and
+"sum_obstruction", issued by `torbif classify`, when no zero-sum subset
+of the enumerated levels' indices contains the level, which by the
+argument above is every level.  Otherwise the global alternative stands
+unsharpened.  `torbif classify` still runs `any_zero_sum_subset` as a
+runtime check of that argument and fails if it finds a subset.  The
+search walks the subsets depth first in ascending lambda_sq and drops a
+partial sum as soon as one of its terms has no later index holding that
+generator with the opposite sign.  On level indices that cuts each
+"include" branch as soon as it is entered, one addition per level; the
+walk is exponential only on tables that callers pass in.
 """
 
 from __future__ import annotations
@@ -70,7 +76,6 @@ from .spectral import (
     InvalidLevel,
     SpectralDatum,
     negative_space,
-    resonant_pairs,
     resonant_space,
     validate,
 )
@@ -138,8 +143,9 @@ def certify_nontrivial(
 
     Returns (False, None) when the structural assumptions fail (no positive
     eigenvalue or zero degree); the report layer turns that into a
-    NotApplicable classification.  Otherwise the certificate path is
-    evaluated and cross-checked against direct evaluation.
+    NotApplicable classification.  Otherwise the index is formed and its
+    one-signed functional, phi or phi_i, checked against the value the
+    certificate's path predicts.
     """
     if not validate(problem).ok:
         return False, None
@@ -150,17 +156,16 @@ def certify_nontrivial(
 def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> BifurcationReport:
     """Assemble the full per-level report in one pass.
 
-    The resonant factor, the reduced product of the degree with the
-    null-mode factor, and the index are each formed once, and the
-    certificate path is cross-checked against those same values.  The
-    index is reduced - reduced_1 * B1 (see the module docstring), and
-    reduced_1 = n0 * (null-mode part), so the space below the level is
-    formed only when n0 != 0, and then only its B1: its full degree would
-    square a sum whose length grows with k.  The classification is the
-    problem-wide one; the sum-obstruction upgrade needs the indices of all
-    levels and is made by the caller that has them.
+    The index is the closed form of the module docstring, so the space
+    below the level is formed only when n0 != 0, and then only its B1b:
+    its full degree would square a sum whose length grows with k.  Its phi
+    or phi_i must be -n0 or -c_i times the null-mode multiplicity.  The
+    classification is the problem-wide one; the sum-obstruction upgrade
+    needs the indices of all levels and is made by the caller that has
+    them.
     """
-    if not resonant_pairs(problem, level):
+    resonant = resonant_space(problem, level)
+    if not resonant:
         raise InvalidLevel(
             f"lambda_sq = {level.lambda_sq} resonates with no positive eigenvalue"
         )
@@ -173,32 +178,23 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
             certificate=None,
             classification=Classification.NOT_APPLICABLE,
         )
-    d0 = deg_h0(problem)
-    kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
-    reduced = d0.star(kernel_factor)
-    if reduced.project(2):
-        raise RuntimeError("reduced product has a T term; the truncated factor below the level is not exact")
-    reduced_1 = reduced.project(1)
-    index = reduced
-    if reduced_1:
-        index = reduced - reduced_1.star(_one_dimensional_sum(negative_space(problem, level)))
+    index = deg_h0(problem).star(deg_minus_id_t2(resonant) - EulerElementT2.identity())
     n0 = problem.deg_s1.fixed
-    resonant_part = kernel_factor.project(1)
     if n0:
-        certificate = Certificate.FIXED_COEFFICIENT
-        expected = n0 * resonant_part
-        if reduced_1 != expected or not expected:
-            raise RuntimeError("fixed-coefficient path disagrees with the reduced product")
+        certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
+        below = _one_dimensional_sum(negative_space(problem, level))
+        index += (n0 * _one_dimensional_sum(resonant)).star(below)
+        phi = sum(c for h, c in index.terms if h.dim == 1)
     else:
         certificate = Certificate.SAME_SIGN
-        if reduced != d0.project(1).star(resonant_part):
-            raise RuntimeError("same-sign path disagrees with the reduced product")
-    if not index:
+        i, coeff = problem.deg_s1.finite[0]
+        phi = sum(c for h, c in index.terms if h.dim == 0 and h.rows[0] == (i, 0))
+    if phi != -coeff * sum(k for _, k in resonant.characters):
         raise RuntimeError("certificate path disagrees with direct evaluation")
     return BifurcationReport(
         level=level,
         index=index,
-        nontrivial=bool(index),
+        nontrivial=True,
         certificate=certificate,
         classification=_classification(problem, checks),
     )

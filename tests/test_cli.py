@@ -19,7 +19,9 @@ from torbif import (
     S1Representation,
     SpectralDatum,
     TorusSubgroup,
+    deg_minus_id_t2,
     example_problem,
+    lambda_set,
     write_problem,
 )
 from torbif.cli import main
@@ -234,26 +236,32 @@ def test_closed_stdout_exits_quietly(example_path):
     assert err == b""
 
 
-def test_cross_check_failure_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    # with a full-orbit degree the index is the reduced product minus a
-    # dimension-0 correction; a subtraction that drops the whole index there
-    # makes the direct index vanish, so the fixed-coefficient certificate,
-    # read off the reduced product, disagrees with it
-    problem = CriticalPointProblem(
-        spectra=(SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1})),),
-        deg_s1=EulerElementS1(fixed=1),
-    )
-    path = tmp_path / "fixed.json"
+def flipped_line(rep):
+    # the true degree of minus-identity with its first one-dimensional
+    # coefficient negated
+    degree = deg_minus_id_t2(rep)
+    h, c = next(term for term in degree.terms if term[0].dim == 1)
+    return degree - EulerElementT2(((h, 2 * c),))
+
+
+@pytest.mark.parametrize(
+    "deg_s1, fault",
+    [
+        (EulerElementS1(fixed=1), flipped_line),
+        (EulerElementS1.cyclic(1), flipped_line),
+        (EulerElementS1(fixed=1), lambda rep: 2 * EulerElementT2.identity()),
+    ],
+    ids=["fixed-coefficient-flip", "same-sign-flip", "two-t"],
+)
+def test_index_breaking_phi_is_an_internal_error(tmp_path, capsys, monkeypatch, deg_s1, fault):
+    # a wrong degree of minus-identity on the null modes gives an index whose
+    # one-signed functional, phi for n0 != 0 and phi_i for n0 == 0, is not
+    # -n0 or -c_i times the null-mode multiplicity
+    problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=deg_s1)
+    path = tmp_path / "problem.json"
     write_problem(problem, path)
-    sub = EulerElementT2.__sub__
-
-    def dropping_sub(self, other):
-        if other and all(h.dim == 0 for h, _ in other.terms):
-            return EulerElementT2.zero()
-        return sub(self, other)
-
-    monkeypatch.setattr(EulerElementT2, "__sub__", dropping_sub)
-    assert main(["index", "--problem", str(path), "--k", "2", "--alpha", "1"]) == 5
+    monkeypatch.setattr(torbif.bifurcation, "deg_minus_id_t2", fault)
+    assert main(["index", "--problem", str(path), "--k", "1", "--alpha", "2"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: certificate path disagrees with direct evaluation\n"
@@ -272,23 +280,6 @@ def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: certificate path disagrees with direct evaluation\n"
-
-
-def test_reduced_product_with_t_term_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    # with a full-orbit degree, a resonant factor equal to 2*T leaves a T term
-    # in the reduced product, which would then meet the finite classes of
-    # the factor below the level that the index leaves out
-    problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
-    path = tmp_path / "fixed.json"
-    write_problem(problem, path)
-    monkeypatch.setattr(torbif.bifurcation, "deg_minus_id_t2", lambda rep: 2 * EulerElementT2.identity())
-    assert main(["index", "--problem", str(path), "--k", "1", "--alpha", "2"]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: internal: reduced product has a T term; "
-        "the truncated factor below the level is not exact\n"
-    )
 
 
 def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys):
@@ -360,9 +351,33 @@ def test_one_index_evaluation_per_level(example_path, tmp_path, capsys, monkeypa
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "deg_s1, per_level",
+    [(EulerElementS1.cyclic(1), 2), (EulerElementS1(fixed=1), 3)],
+    ids=["worked-example", "full-orbit"],
+)
+def test_star_calls_per_level(tmp_path, capsys, monkeypatch, deg_s1, per_level):
+    # deterministic counts, not timings: the degree on the null modes and
+    # its product with d0, plus B1r * B1b when the degree has an S1 term
+    problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=deg_s1)
+    path = tmp_path / "problem.json"
+    write_problem(problem, path)
+    star = EulerElementT2.star
+    calls = []
+
+    def counting_star(self, other):
+        calls.append(other)
+        return star(self, other)
+
+    monkeypatch.setattr(EulerElementT2, "star", counting_star)
+    assert main(["classify", "--problem", str(path), "--max-k", "3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == per_level * len(lambda_set(problem, 3))
+
+
 def test_index_without_full_orbit_term_ignores_the_space_below(example_path, capsys, monkeypatch):
-    # the worked example's degree has no S1 term, so its index is the
-    # reduced product: the cost does not depend on k
+    # the worked example's degree has no S1 term, so its index needs no
+    # classes below the level: the cost does not depend on k
     below = counting_calls(monkeypatch, "negative_space")
     _generator_product.cache_clear()
     assert main(["index", "--problem", example_path, "--k", "400000", "--alpha", "2"]) == 0
