@@ -41,8 +41,18 @@ product collapses to
         = n0 * (-B1r + B1r * B1r / 2 + B1r * B1b) - D1 * B1r,
 
 and `build_report` checks phi or phi_i of it at run time, which also shows
-it nonzero.  The full three-factor product is kept as an oracle in the
-test suite.
+it nonzero.  The cross term n0 * B1r * B1b is formed from the families
+of characters below the level (`spectral._below_families`), with no
+representation and no subgroup built for that space: a family is the
+characters (m, n), 1 <= n <= N, of one multiplicity, and the families of
+one signed speed m are merged into runs over n, so each character below
+the level meets each null character once.  Against a null character
+(a, b), det = a*n - b*m vanishes for every n when a == m == 0, so that
+run is skipped in O(1), and otherwise for at most one n, where the line
+product returns None.  The cross terms go into the dict of the terms of
+d0 * (deg(-Id, null modes) - T), and the index is built from that dict
+once.  The full three-factor product is kept as an oracle in the test
+suite.
 
 The classification upgrades a nonzero index to a non-compactness
 guarantee when the critical point is unique: "c1" when n0 != 0, "c2"
@@ -66,16 +76,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .euler import EulerElementS1, EulerElementT2, embed_s1_to_t2
+from .euler import EulerElementS1, EulerElementT2, _from_rows, _generator_product, embed_s1_to_t2
 from .rationals import rational_to_json
-from .representations import S1Representation, _one_dimensional_sum, deg_minus_id_t2
+from .representations import S1Representation, deg_minus_id_t2
 from .spectral import (
     AssumptionReport,
     BifurcationLevel,
     CriticalPointProblem,
     InvalidLevel,
     SpectralDatum,
-    negative_space,
+    _below_families,
     resonant_space,
     validate,
 )
@@ -157,9 +167,11 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     """Assemble the full per-level report in one pass.
 
     The index is the closed form of the module docstring, so the space
-    below the level is formed only when n0 != 0, and then only its B1b:
-    its full degree would square a sum whose length grows with k.  Its phi
-    or phi_i must be -n0 or -c_i times the null-mode multiplicity.  The
+    below the level enters only when n0 != 0, and then only through its
+    families of characters in the cross term n0 * B1r * B1b: its full
+    degree would square a sum whose length grows with k, and a run of
+    characters parallel to a null character costs O(1).  Its phi or
+    phi_i must be -n0 or -c_i times the null-mode multiplicity.  The
     classification is the problem-wide one; the sum-obstruction upgrade
     needs the indices of all levels and is made by the caller that has
     them.
@@ -182,8 +194,18 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     n0 = problem.deg_s1.fixed
     if n0:
         certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
-        below = _one_dimensional_sum(negative_space(problem, level))
-        index += (n0 * _one_dimensional_sum(resonant)).star(below)
+        acc = {h.rows: c for h, c in index.terms}
+        runs = _below_runs(problem, level)
+        for null, k in resonant.characters:
+            for m, lo, hi, weight in runs:
+                if null[0] == m == 0:
+                    continue
+                c = n0 * k * weight
+                for n in range(lo, hi):
+                    rows = _generator_product(null, (m, n))
+                    if rows is not None:
+                        acc[rows] = acc.get(rows, 0) + c
+        index = _from_rows(acc)
         phi = sum(c for h, c in index.terms if h.dim == 1)
     else:
         certificate = Certificate.SAME_SIGN
@@ -198,6 +220,27 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
         certificate=certificate,
         classification=_classification(problem, checks),
     )
+
+
+def _below_runs(
+    problem: CriticalPointProblem, level: BifurcationLevel
+) -> list[tuple[int, int, int, int]]:
+    """The characters below the level as runs (m, lo, hi, k): the
+    characters (m, n), lo <= n < hi, each of total multiplicity k.  The
+    families of one signed speed m over different eigenvalues share their
+    first modes, so they are merged and each character lies in one run."""
+    by_speed: dict[int, list[tuple[int, int]]] = {}
+    for _, m, count, k in _below_families(problem, level):
+        by_speed.setdefault(m, []).append((count, k))
+    runs = []
+    for m, families in by_speed.items():
+        lo, weight = 1, sum(k for _, k in families)
+        for count, k in sorted(families):
+            if count >= lo:
+                runs.append((m, lo, count + 1, weight))
+                lo = count + 1
+            weight -= k
+    return runs
 
 
 def classify_noncompact(problem: CriticalPointProblem) -> Classification:

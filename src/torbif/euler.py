@@ -11,13 +11,17 @@ identity.  Grading by subgroup dimension, products of two one-dimensional
 classes land in degree zero and everything below degree one multiplies to
 zero, which makes the non-identity part of any element nilpotent of order
 three.  So `star` splits each operand by dimension once: the full-torus
-term scales the other operand, and only pairs of two lines reach a
-generator product, which has a closed form in the two characters.
+term scales the other operand, and only pairs of two lines reach
+`_generator_product`, the one closed form for the product of two lines,
+which works on their raw characters and returns canonical rows.
 Elements are canonically sorted sparse integer combinations, so equality
-is structural and all arithmetic is exact.  The constructor is the only
-normalizer: it checks every term, merges like terms, drops zeros and
-sorts on the subgroups' stored keys, so sums and products hand it raw
-(subgroup, coefficient) pairs.
+is structural and all arithmetic is exact.  The public constructor
+checks every term, merges like terms, drops zeros and sorts on the
+subgroups' stored keys, so sums hand it raw (subgroup, coefficient)
+pairs.  Products skip it: `star` accumulates every term in one dict keyed
+by canonical rows and `_from_rows` builds the element from that dict in
+one pass, interning each distinct subgroup once, so a product pays per
+output term for what the constructor does per input pair.
 
 The circle's Euler ring enters only through its additive group, generated
 by the full-orbit class and the classes with finite cyclic isotropy, and
@@ -32,9 +36,10 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .subgroups import TorusSubgroup, _interned, _xgcd
+from .subgroups import Character, TorusSubgroup, _interned, _xgcd
 
 _Terms = tuple[tuple[TorusSubgroup, int], ...]
+Rows = tuple[Character, ...]
 
 
 def _check_coeff(value: int) -> int:
@@ -116,21 +121,23 @@ class EulerElementT2:
         Each operand is split by dimension once.  Its full-torus term, the
         identity, scales the other operand; of the remaining pairs only
         line x line has total dimension 2, so every other pair is zero by
-        the grading and only line pairs reach the generator product."""
+        the grading and only line pairs reach the generator product.  All
+        terms go into one dict keyed by rows, and the result is built once
+        from it by `_from_rows`."""
         if not isinstance(other, EulerElementT2):
             raise TypeError(f"cannot multiply EulerElementT2 by {type(other).__name__}")
         t1, below1, lines1 = _split(self.terms)
         t2, _, lines2 = _split(other.terms)
-        terms = [(h, t1 * c) for h, c in other.terms] if t1 else []
+        acc: dict[Rows, int] = {h.rows: t1 * c for h, c in other.terms} if t1 else {}
         if t2:
-            terms += [(h, t2 * c) for h, c in below1]
-        terms += [
-            (h0, c1 * c2)
-            for h1, c1 in lines1
-            for h2, c2 in lines2
-            if (h0 := _generator_product(h1, h2)) is not None
-        ]
-        return EulerElementT2(terms)
+            for h, c in below1:
+                acc[h.rows] = acc.get(h.rows, 0) + t2 * c
+        for ch1, c1 in lines1:
+            for ch2, c2 in lines2:
+                rows = _generator_product(ch1, ch2)
+                if rows is not None:
+                    acc[rows] = acc.get(rows, 0) + c1 * c2
+        return _from_rows(acc)
 
     def project(self, dim: int) -> "EulerElementT2":
         """The part supported on subgroups of the given dimension."""
@@ -142,34 +149,46 @@ class EulerElementT2:
         return format_element(self)
 
 
-def _split(terms: _Terms) -> tuple[int, _Terms, _Terms]:
-    """The coefficient of T, the terms below T and the line terms of an
-    element's sorted terms."""
+def _split(terms: _Terms) -> tuple[int, _Terms, list[tuple[Character, int]]]:
+    """The coefficient of T, the terms below T and the (character,
+    coefficient) pairs of the line terms of an element's sorted terms."""
     t = terms[0][1] if terms and terms[0][0].dim == 2 else 0
     below = terms[1:] if t else terms
-    return t, below, tuple(term for term in below if term[0].dim == 1)
+    return t, below, [(h.rows[0], c) for h, c in below if h.dim == 1]
+
+
+def _from_rows(acc: Mapping[Rows, int]) -> EulerElementT2:
+    """The element with these coefficients, keyed by canonical rows, built
+    without the public constructor: each key is distinct and canonical, so
+    it interns each subgroup once, drops zeros and sorts on the keys."""
+    terms = [(_interned(rows), c) for rows, c in acc.items() if c]
+    terms.sort(key=lambda t: t[0].key)
+    element = object.__new__(EulerElementT2)
+    element.__dict__["terms"] = tuple(terms)
+    return element
 
 
 @lru_cache(maxsize=1 << 14)
-def _generator_product(h1: TorusSubgroup, h2: TorusSubgroup) -> TorusSubgroup | None:
-    """Product of two one-dimensional generators, or None when it vanishes.
+def _generator_product(ch1: Character, ch2: Character) -> Rows | None:
+    """Canonical rows of the product of the kernels of two nonzero
+    characters, or None when the product vanishes.
 
-    For the kernels of (a, b) and (m, n), let det = a*n - b*m.  When det is
-    0 the characters are parallel, the intersection is one-dimensional and
-    the product vanishes by the dimension rule.  Otherwise the intersection
-    is finite and its lattice, spanned by both characters, has index |det|.
-    With (d, x, y) = _xgcd(b, n), the gcd d of the second coordinates is
-    reached by the lattice vector x*(a, b) + y*(m, n), so the lattice meets
-    the first axis in multiples of |det| / d, and its canonical rows are
+    For the characters (a, b) and (m, n), in either sign, let det =
+    a*n - b*m.  When det is 0 the characters are parallel, the
+    intersection is one-dimensional and the product vanishes by the
+    dimension rule.  Otherwise the intersection is finite and its lattice,
+    spanned by both characters, has index |det|.  With (d, x, y) =
+    _xgcd(b, n), the gcd d of the second coordinates is reached by the
+    lattice vector x*(a, b) + y*(m, n), so the lattice meets the first
+    axis in multiples of |det| / d, and its canonical rows are
     (|det| / d, 0) and (x*a + y*m mod |det| / d, d)."""
-    (a, b), = h1.rows
-    (m, n), = h2.rows
+    (a, b), (m, n) = ch1, ch2
     det = a * n - b * m
     if det == 0:
         return None
     d, x, y = _xgcd(b, n)
     axis = abs(det) // d
-    return _interned(((axis, 0), ((x * a + y * m) % axis, d)))
+    return ((axis, 0), ((x * a + y * m) % axis, d))
 
 
 def _format_terms(terms: Iterable[tuple[object, int]]) -> str:

@@ -32,8 +32,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from .euler import EulerElementS1, EulerElementT2
-from .subgroups import TorusSubgroup, normalize_character
+from .euler import EulerElementS1, EulerElementT2, _from_rows
+from .subgroups import normalize_character
 
 CharacterKey = tuple[int, int]
 
@@ -151,22 +151,23 @@ def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
 
 def _one_dimensional_sum(rep: T2Representation) -> EulerElementT2:
     # B1 = the sum of k*H over the characters of `rep`, with H the kernel of
-    # the character and k its multiplicity.
-    return EulerElementT2((TorusSubgroup.kernel(m, n), k) for (m, n), k in rep.characters)
+    # the character and k its multiplicity; a normalized character is the
+    # canonical row of its kernel, so the element is built from rows.
+    return _from_rows({(ch,): k for ch, k in rep.characters})
 
 
 def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     """Equivariant degree of minus-identity on the unit ball of `rep`, as
     sign * (T - B1 + B1 * B1 / 2) (see the module docstring); B1 * B1
     counts each pair of distinct characters twice, so its coefficients
-    are even."""
+    are even.  The three parts have distinct subgroups of dimensions 2, 1
+    and 0, so the result is built from their rows in one pass."""
     sign = -1 if rep.trivial % 2 else 1
     b1 = _one_dimensional_sum(rep)
-    return EulerElementT2(
-        [(TorusSubgroup.full(), sign)]
-        + [(h, -sign * k) for h, k in b1.terms]
-        + [(h, sign * (c // 2)) for h, c in b1.star(b1).terms]
-    )
+    acc = {(): sign}
+    acc.update((h.rows, -sign * k) for h, k in b1.terms)
+    acc.update((h.rows, sign * (c // 2)) for h, c in b1.star(b1).terms)
+    return _from_rows(acc)
 
 
 def deg_minus_id_s1(rep: S1Representation) -> EulerElementS1:

@@ -16,9 +16,12 @@ levels are identified by q, so coincident frequencies arising from
 different eigenvalues are a single level and every comparison is
 decidable.  The negative space is taken just below the level, over the
 modes 1 <= n <= isqrt(ceil(q alpha) - 1), which are exactly those with
-n^2 < q alpha; the null modes n^2 == q alpha form the resonant space.
-Both are handed to the representation constructor as one list of
-characters over all modes.
+n^2 < q alpha; the null modes n^2 == q alpha form the resonant space,
+handed to the representation constructor as one list of characters over
+all its modes.  Below the level the characters come in families: for one
+eigenvalue and one signed speed m (0 for the trivial part) the characters
+(m, n), 1 <= n <= N, share one multiplicity, so `_below_families` names
+each family in O(1) and only `negative_space` lists its characters.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterator
 
 from .euler import EulerElementS1
 from .rationals import as_fraction
@@ -194,26 +197,52 @@ def level_from_lambda_sq(
     return BifurcationLevel(n, alpha)
 
 
-def _mode_sum(modes: Iterable[tuple[S1Representation, int]]) -> T2Representation:
-    # Direct sum of positive Fourier modes (so no trivial part), built by
-    # one constructor call over every mode's raw characters.
-    return T2Representation(0, [item for rep, n in modes for item in _mode_characters(rep, n)])
+def _below_families(
+    problem: CriticalPointProblem, level: BifurcationLevel
+) -> Iterator[tuple[Fraction, int, int, int]]:
+    """The characters below the level as families (alpha, m, N, k): the
+    characters (m, n) for 1 <= n <= N, each of multiplicity k, with N the
+    number of modes n >= 1 over alpha with n^2 < lambda_sq * alpha and m
+    a signed rotation speed, or 0 for the trivial part.  Families of
+    multiplicity 0 or with no mode are left out."""
+    q = level.lambda_sq
+    for datum in problem.spectra:
+        if datum.alpha <= 0:
+            continue
+        count = math.isqrt(math.ceil(q * datum.alpha) - 1)
+        if not count:
+            continue
+        rep = datum.isotypic
+        if rep.trivial:
+            yield datum.alpha, 0, count, rep.trivial
+        for m, k in rep.rotating:
+            yield datum.alpha, m, count, k
+            yield datum.alpha, -m, count, k
 
 
 def negative_space(problem: CriticalPointProblem, level: BifurcationLevel) -> T2Representation:
     """Direct sum of the strictly negative Fourier modes of the second
     variation at the level: the modes n >= 1 with n^2 < lambda_sq * alpha."""
-    q = level.lambda_sq
-    return _mode_sum(
-        (datum.isotypic, n)
-        for datum in problem.spectra
-        if datum.alpha > 0
-        for n in range(1, math.isqrt(math.ceil(q * datum.alpha) - 1) + 1)
+    return T2Representation(
+        0,
+        [
+            ((m, n), k)
+            for _, m, count, k in _below_families(problem, level)
+            for n in range(1, count + 1)
+        ],
     )
 
 
 def resonant_space(
     problem: CriticalPointProblem, level: BifurcationLevel
 ) -> T2Representation:
-    """Direct sum of the null Fourier modes of the second variation at the level."""
-    return _mode_sum((problem.eigenspace(alpha), n) for n, alpha in resonant_pairs(problem, level))
+    """Direct sum of the null Fourier modes of the second variation at the level,
+    built by one constructor call over every mode's raw characters."""
+    return T2Representation(
+        0,
+        [
+            item
+            for n, alpha in resonant_pairs(problem, level)
+            for item in _mode_characters(problem.eigenspace(alpha), n)
+        ],
+    )

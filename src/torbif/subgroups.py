@@ -20,11 +20,20 @@ lattices, which keeps everything downstream purely integral.
 
 A subgroup stores its dimension, its sort key (len(rows), rows), which
 orders subgroups by descending dimension and then by rows, and its hash,
-each computed once from `rows` when it is built; ring elements read them
-on every merge and sort.  Equality stays on `rows` (with an identity fast
-path) rather than on identity: `_interned` shares instances, but it is a
-bounded cache that can evict an entry, so two distinct instances with the
-same rows can exist and must compare equal.
+each computed once from `rows` by `_stored_fields` when it is built; ring
+elements read them on every merge and sort.  Equality stays on `rows`
+(with an identity fast path) rather than on identity: `_interned` shares
+instances, but it is a bounded cache that can evict an entry, so two
+distinct instances with the same rows can exist and must compare equal.
+
+The public constructor `TorusSubgroup(rows)` checks that `rows` is a
+canonical basis of int pairs and says which rule it breaks.  `_interned`
+skips that check: its callers (`kernel`, `full`, `trivial`, the normal
+form `_canonical_rows` and the closed-form line product in `euler`) hand
+it rows that are canonical by construction, and every ring product builds
+its subgroups through it, so a check there would re-prove the construction
+on every new subgroup of every request.  The test suite checks that the
+trusted instances pass the public validator.
 """
 
 from __future__ import annotations
@@ -123,9 +132,7 @@ class TorusSubgroup:
             canonical = not rows
         if not canonical:
             raise ValueError(f"rows {rows!r} are not a canonical lattice basis")
-        object.__setattr__(self, "dim", 2 - len(rows))
-        object.__setattr__(self, "key", (len(rows), rows))
-        object.__setattr__(self, "_hash", hash((rows,)))
+        self.__dict__.update(_stored_fields(rows))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -190,8 +197,17 @@ class TorusSubgroup:
         return f"F({a},{z};{b},{d})"
 
 
+def _stored_fields(rows: tuple[Character, ...]) -> dict:
+    """The fields a subgroup stores, all read off its canonical rows."""
+    return {"rows": rows, "dim": 2 - len(rows), "key": (len(rows), rows), "_hash": hash((rows,))}
+
+
 @lru_cache(maxsize=1 << 14)
 def _interned(rows: tuple[Character, ...]) -> TorusSubgroup:
-    # Canonical rows recur constantly in ring products; share the instances.
-    # The bound keeps a long-lived process from growing the cache without limit.
-    return TorusSubgroup(rows)
+    """The shared subgroup with these rows, which must already be canonical:
+    it is built without the public constructor's check (see the module
+    docstring).  Canonical rows recur constantly in ring products, and the
+    bound keeps a long-lived process from growing the cache without limit."""
+    subgroup = object.__new__(TorusSubgroup)
+    subgroup.__dict__.update(_stored_fields(rows))
+    return subgroup

@@ -377,6 +377,55 @@ def test_index_matches_three_factor_product(seed, full_orbit):
         assert build_report(prob, level).index == bif_index_expanded(prob, level)
 
 
+def shared_speeds_problem(deg_s1):
+    """Rotation planes of shared speeds at three positive eigenvalues, so
+    families below a level overlap, trivial parts at two of them, so null
+    characters (0, b) meet trivial families, and a negative eigenvalue."""
+    return CriticalPointProblem(
+        spectra=(
+            SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1, 2: 2})),
+            SpectralDatum(2, S1Representation(rotating={1: 1, 2: 1, 3: 1})),
+            SpectralDatum(3, S1Representation(trivial=2, rotating={2: 1, 3: 2})),
+            SpectralDatum(-1, S1Representation(rotating={1: 1})),
+        ),
+        deg_s1=deg_s1,
+    )
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        shared_speeds_problem(EulerElementS1(2, {1: -1})),
+        shared_speeds_problem(EulerElementS1(-1)),
+        shared_speeds_problem(EulerElementS1(3, {2: 1, 3: -2})),
+        axis_family_problem({}, fixed=1),
+    ],
+    ids=["shared-speeds-2", "shared-speeds-minus-1", "shared-speeds-3", "worked-example-full-orbit"],
+)
+def test_full_orbit_index_matches_three_factor_product(problem):
+    for level in lambda_set(problem, 5):
+        assert build_report(problem, level).index == bif_index_expanded(problem, level)
+
+
+def test_full_orbit_index_with_one_parallel_mode_below():
+    # at k = 4 over alpha = 1 the null characters are (2, 4) and (-2, 4);
+    # the family of speed 1 over alpha = 2 has the modes n = 1..5, and
+    # det = 2*n - 4*1 vanishes at n = 2 only, as does -2*n + 4 for -1
+    problem = CriticalPointProblem(
+        spectra=(
+            SpectralDatum(1, S1Representation(rotating={2: 1})),
+            SpectralDatum(2, S1Representation(trivial=1, rotating={1: 2})),
+        ),
+        deg_s1=EulerElementS1(-2, {1: 1}),
+    )
+    level = BifurcationLevel(4, 1)
+    assert resonant_space(problem, level).characters == (((-2, 4), 1), ((2, 4), 1))
+    families = list(torbif.bifurcation._below_families(problem, level))
+    assert (Fraction(2), 1, 5, 2) in families
+    assert (Fraction(2), -1, 5, 2) in families
+    assert build_report(problem, level).index == bif_index_expanded(problem, level)
+
+
 @given(st.integers(0, 10**9))
 def test_level_representation_does_not_matter(seed):
     rng = random.Random(seed)

@@ -11,6 +11,7 @@ import torbif
 import torbif.bifurcation
 import torbif.cli
 import torbif.euler
+import torbif.spectral
 import torbif.subgroups
 from torbif import (
     CriticalPointProblem,
@@ -268,12 +269,11 @@ def test_index_breaking_phi_is_an_internal_error(tmp_path, capsys, monkeypatch, 
 
 
 def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys, monkeypatch):
-    # with every product of two one-dimensional classes stubbed to vanish,
-    # the worked example's index is zero although its certificate says not
-    product = torbif.euler._generator_product
-
-    def vanishing_product(h1, h2):
-        return None if h1.dim == h2.dim == 1 else product(h1, h2)
+    # with the product of two lines, which takes their characters, stubbed
+    # to vanish, the worked example's index is zero although its
+    # certificate says not
+    def vanishing_product(ch1, ch2):
+        return None
 
     monkeypatch.setattr(torbif.euler, "_generator_product", vanishing_product)
     assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
@@ -341,11 +341,11 @@ def test_one_index_evaluation_per_level(example_path, tmp_path, capsys, monkeypa
     calls.clear()
     assert main(["index", "--problem", example_path, "--k", "2", "--alpha", "2"]) == 0
     assert len(calls) == 1
-    # a full-orbit degree needs the space below each level, once per level
+    # a full-orbit degree needs the families below each level, once per level
     problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
     path = tmp_path / "fixed.json"
     write_problem(problem, path)
-    below = counting_calls(monkeypatch, "negative_space")
+    below = counting_calls(monkeypatch, "_below_families")
     assert main(["classify", "--problem", str(path), "--max-k", "3"]) == 0
     assert len(below) == 3
     capsys.readouterr()
@@ -353,12 +353,13 @@ def test_one_index_evaluation_per_level(example_path, tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize(
     "deg_s1, per_level",
-    [(EulerElementS1.cyclic(1), 2), (EulerElementS1(fixed=1), 3)],
+    [(EulerElementS1.cyclic(1), 2), (EulerElementS1(fixed=1), 2)],
     ids=["worked-example", "full-orbit"],
 )
 def test_star_calls_per_level(tmp_path, capsys, monkeypatch, deg_s1, per_level):
     # deterministic counts, not timings: the degree on the null modes and
-    # its product with d0, plus B1r * B1b when the degree has an S1 term
+    # its product with d0; the cross term B1r * B1b of a degree with an S1
+    # term goes straight to the line product, without a star
     problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=deg_s1)
     path = tmp_path / "problem.json"
     write_problem(problem, path)
@@ -378,12 +379,44 @@ def test_star_calls_per_level(tmp_path, capsys, monkeypatch, deg_s1, per_level):
 def test_index_without_full_orbit_term_ignores_the_space_below(example_path, capsys, monkeypatch):
     # the worked example's degree has no S1 term, so its index needs no
     # classes below the level: the cost does not depend on k
-    below = counting_calls(monkeypatch, "negative_space")
+    below = counting_calls(monkeypatch, "_below_families")
     _generator_product.cache_clear()
     assert main(["index", "--problem", example_path, "--k", "400000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,400000)\ncertificate: SameSignPath\n"
     assert below == []
     assert _generator_product.cache_info().misses < 10
+
+
+def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatch):
+    # deterministic counts, not timings: with deg_s1 = 1*S1 the only family
+    # below the level is the trivial one, parallel to the null character
+    # (0, k), so it is named once and skipped; the one generator product
+    # is the null character with itself in the degree on the null modes
+    problem = CriticalPointProblem(
+        spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1), unique_critical_point=True
+    )
+    path = tmp_path / "fixed.json"
+    write_problem(problem, path)
+
+    def refuse(problem, level):
+        raise AssertionError("negative_space was called")
+
+    for module in (torbif, torbif.spectral, torbif.bifurcation):
+        monkeypatch.setattr(module, "negative_space", refuse, raising=False)
+    families = torbif.bifurcation._below_families
+    yielded = []
+
+    def recording(problem, level):
+        for family in families(problem, level):
+            yielded.append(family)
+            yield family
+
+    monkeypatch.setattr(torbif.bifurcation, "_below_families", recording)
+    _generator_product.cache_clear()
+    assert main(["index", "--problem", str(path), "--k", "1000000", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
+    assert yielded == [(2, 0, 999999, 1)]
+    assert _generator_product.cache_info().misses <= 1
 
 
 def test_classify_above_zero_sum_limit_stays_alternative(tmp_path, capsys):

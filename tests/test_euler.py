@@ -45,8 +45,24 @@ def test_constructor_checks_keys_and_coefficients():
     for bad in (True, False, 1.0, "1", None):
         with pytest.raises(TypeError, match="coefficients must be ints, got"):
             EulerElementT2([(h, bad)])
-    for rows in (((0, 1), (0, 1)), ((2, 1), (0, 1)), ((1, 0), (0, 1), (0, 1)), ((-1, 0),)):
+    # the public subgroup constructor keeps every check that the trusted
+    # path `_interned` skips
+    for rows in (
+        ((0, 1), (0, 1)),
+        ((2, 1), (0, 1)),
+        ((1, 0), (0, 1), (0, 1)),
+        ((-1, 0),),
+        ((3, -1),),
+        ((0, 0),),
+        ((10**6, 0), (10**6, 5)),
+    ):
         with pytest.raises(ValueError, match="are not a canonical lattice basis"):
+            TorusSubgroup(rows)
+    for rows in ([(1, 2)], ((1, 2, 3),), ((1, 2), 3)):
+        with pytest.raises(ValueError, match="rows must be a tuple of int pairs"):
+            TorusSubgroup(rows)
+    for rows in (((1.0, 2),), ((True, 1),), ((1, 0), (0, "1"))):
+        with pytest.raises(TypeError, match="character entries must be ints"):
             TorusSubgroup(rows)
 
 
@@ -88,8 +104,11 @@ def line_pairs(draw):
 @settings(max_examples=500)
 @given(line_pairs())
 def test_line_product_matches_intersection(pair):
+    # the product takes the raw characters, in either sign, and returns
+    # the canonical rows of the intersection of their kernels, or None
     h1, h2 = (TorusSubgroup.kernel(m, n) for m, n in pair)
-    assert _generator_product.__wrapped__(h1, h2) == generator_product_by_intersection(h1, h2)
+    meet = generator_product_by_intersection(h1, h2)
+    assert _generator_product.__wrapped__(*pair) == (None if meet is None else meet.rows)
 
 
 @settings(max_examples=300)
@@ -102,6 +121,22 @@ def test_star_matches_pairwise_product(seed):
     assert a.star(b) == star_by_pairs(a, b)
     assert b.star(a) == star_by_pairs(b, a)
     assert a.star(a) == star_by_pairs(a, a)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 10**9))
+def test_star_builds_what_the_public_constructor_builds(seed):
+    # star builds its result from rows without the public constructor: the
+    # terms must come out merged, nonzero, sorted and on valid subgroups
+    rng = random.Random(seed)
+    span = rng.choice((9, 10**6))
+    a = random_element(rng, max_terms=6, span=span) + rng.randint(-3, 3) * I
+    b = random_element(rng, max_terms=6, span=span) + rng.randint(-3, 3) * I
+    for result in (a.star(b), b.star(a), a.star(a)):
+        rebuilt = EulerElementT2(list(result.terms))
+        assert result == rebuilt
+        assert result.terms == rebuilt.terms
+        assert all(TorusSubgroup(h.rows) == h for h, _ in result.terms)
 
 
 def test_star_known_products():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import torbif.subgroups
 from torbif import EulerElementT2, TorusSubgroup
+from torbif.euler import _generator_product
 from torbif.subgroups import _canonical_rows, _interned
 
 from oracles import canonical_rows_by_folding, minor_gcd_index, torsion_points
@@ -209,3 +210,33 @@ def test_stored_fields_follow_rows(chars, others):
     assert again == h
     assert hash(again) == hash(h)
     assert EulerElementT2([(h, 1), (again, 2)]).terms == ((h, 3),)
+
+
+@st.composite
+def trusted_rows(draw):
+    """Rows as the callers of `_interned` make them, with entries up to
+    10**6: the row of a kernel, a lattice normal form, or the product of
+    two lines."""
+    source = draw(st.sampled_from(("kernel", "normal form", "line product")))
+    if source == "kernel":
+        return TorusSubgroup.kernel(draw(entries), draw(entries)).rows
+    if source == "normal form":
+        return _canonical_rows(draw(character_lists()))
+    line = st.tuples(entries, entries).filter(lambda v: v != (0, 0))
+    rows = _generator_product.__wrapped__(draw(line), draw(line))
+    assume(rows is not None)
+    return rows
+
+
+@settings(max_examples=500)
+@given(trusted_rows())
+def test_interned_subgroups_pass_the_public_validator(rows):
+    # `_interned` builds without the public check; what it builds must be
+    # what the checked constructor builds from the same rows
+    _interned.cache_clear()
+    trusted = _interned(rows)
+    checked = TorusSubgroup(rows)
+    assert trusted is not checked
+    assert trusted == checked
+    assert trusted.rows is rows
+    assert (trusted.dim, trusted.key, hash(trusted)) == (checked.dim, checked.key, hash(checked))
