@@ -36,6 +36,12 @@ from .rationals import as_fraction
 from .representations import S1Representation, T2Representation, _mode_characters
 
 
+# The most candidate levels `lambda_set` will enumerate (max_k times the
+# positive eigenvalues), so that a huge --max-k ends in an error, not in
+# memory exhaustion.
+_MAX_LEVELS = 100_000
+
+
 class InvalidLevel(ValueError):
     """The requested frequency is not a candidate bifurcation level."""
 
@@ -152,12 +158,20 @@ class BifurcationLevel:
 def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLevel]:
     """Candidate levels k / sqrt(alpha) for k = 1..max_k over the positive
     eigenvalues, merged by frequency and sorted ascending.  Each merged
-    level keeps the representative with the smallest k."""
+    level keeps the representative with the smallest k.  Raises ValueError
+    when max_k times the number of positive eigenvalues is over
+    `_MAX_LEVELS`, before any level is built."""
     if not isinstance(max_k, int) or isinstance(max_k, bool) or max_k < 1:
         raise ValueError(f"max_k must be a positive int, got {max_k!r}")
+    alphas = problem.positive_alphas()
+    if max_k * len(alphas) > _MAX_LEVELS:
+        raise ValueError(
+            f"max_k {max_k} over {len(alphas)} positive eigenvalue(s) asks for"
+            f" {max_k * len(alphas)} levels, more than the limit of {_MAX_LEVELS}"
+        )
     found: dict[Fraction, BifurcationLevel] = {}
     for k in range(1, max_k + 1):
-        for alpha in problem.positive_alphas():
+        for alpha in alphas:
             level = BifurcationLevel(k, alpha)
             found.setdefault(level.lambda_sq, level)
     return sorted(found.values(), key=lambda lvl: lvl.lambda_sq)

@@ -9,12 +9,14 @@ the dimension rule, the bilinear product over every pair of terms, a
 unit's geometric-series inverse, the plane-by-plane degree product, the
 untruncated three-factor index, the mode-by-mode negative space, the
 two-sided degree jump across a level, the unpruned walk over every subset
-of a zero-sum pool), so each identity they satisfy is a differential check
-on the package.
+of a zero-sum pool, the argparse parser the command line once built on
+every call), so each identity they satisfy is a differential check on the
+package.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 from fractions import Fraction
@@ -34,6 +36,7 @@ from torbif import (
     negative_space,
     resonant_space,
 )
+from torbif.cli import _cmd_classify, _cmd_example, _cmd_index, _cmd_levels, _cmd_star
 from torbif.rationals import as_fraction
 
 ALPHA_POOL = (
@@ -335,3 +338,83 @@ def one_signed_functional(problem, index):
         return sum(c for h, c in index.terms if h.dim == 1)
     i = problem.deg_s1.finite[0][0]
     return sum(c for h, c in index.terms if h.rows[:1] == ((i, 0),))
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def argparse_reference_parser() -> argparse.ArgumentParser:
+    """The argparse tree `torbif.cli` once built on every call, kept as the
+    reference its option table is parsed against."""
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    problem_flag = argparse.ArgumentParser(add_help=False)
+    problem_flag.add_argument(
+        "--problem", required=True, metavar="PATH", help="problem file to read"
+    )
+    maxk_flag = argparse.ArgumentParser(add_help=False)
+    maxk_flag.add_argument(
+        "--max-k",
+        type=_positive_int,
+        default=5,
+        metavar="N",
+        help="enumerate levels k/sqrt(alpha) for k = 1..N (default 5)",
+    )
+
+    parser = argparse.ArgumentParser(
+        prog="torbif",
+        description="Exact bifurcation invariants in the Euler ring of the 2-torus.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser(
+        "levels",
+        parents=[json_flag, problem_flag, maxk_flag],
+        help="enumerate candidate bifurcation levels",
+    )
+    p.set_defaults(handler=_cmd_levels)
+
+    p = sub.add_parser(
+        "index",
+        parents=[json_flag, problem_flag],
+        help="compute the index at one level",
+    )
+    p.add_argument("--k", type=int, metavar="K", help="frequency numerator")
+    p.add_argument("--alpha", metavar="RAT", help="eigenvalue, as 'p' or 'p/q'")
+    p.add_argument(
+        "--lambda-sq", dest="lambda_sq", metavar="RAT", help="squared frequency, as 'p' or 'p/q'"
+    )
+    p.set_defaults(handler=_cmd_index)
+
+    p = sub.add_parser(
+        "classify",
+        parents=[json_flag, problem_flag, maxk_flag],
+        help="classify the bifurcating continua level by level",
+    )
+    p.set_defaults(handler=_cmd_classify)
+
+    p = sub.add_parser(
+        "star",
+        parents=[json_flag],
+        help="multiply two Euler-ring elements",
+    )
+    p.add_argument("lhs", help="left factor, in the element grammar")
+    p.add_argument("rhs", help="right factor, in the element grammar")
+    p.set_defaults(handler=_cmd_star)
+
+    p = sub.add_parser(
+        "example",
+        parents=[json_flag],
+        help="write the built-in worked example as a problem file",
+    )
+    p.add_argument("out", metavar="PATH", help="where to write the problem file")
+    p.set_defaults(handler=_cmd_example)
+
+    return parser

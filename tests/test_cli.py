@@ -1,11 +1,15 @@
+import io
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import torbif
 import torbif.bifurcation
@@ -28,6 +32,8 @@ from torbif import (
 from torbif.cli import main
 from torbif.euler import _generator_product
 from torbif.subgroups import _interned
+
+from oracles import argparse_reference_parser
 
 
 def module_env():
@@ -187,10 +193,71 @@ def test_star_parse_error_shows_caret(capsys):
     assert "^" in err
 
 
+def test_star_factor_may_start_with_minus(capsys):
+    assert main(["star", "-1*T", "1*T"]) == 0
+    assert capsys.readouterr().out == "-1*T\n"
+    assert main(["star", "1*H(1,0)", "-2*H(0,1)"]) == 0
+    assert capsys.readouterr().out == "-2*F(1,0;0,1)\n"
+    # an unknown --flag is still a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["star", "--negate", "1*T", "1*T"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[1] == "torbif star: error: unrecognized arguments: --negate"
+
+
 def test_max_k_must_be_positive(example_path, capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["levels", "--problem", example_path, "--max-k", "0"])
-    capsys.readouterr()
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: torbif levels ")
+    assert error == "torbif levels: error: argument --max-k: expected a positive integer, got 0"
+
+
+def test_level_count_is_bounded(example_path, capsys, monkeypatch):
+    # the worked example has one positive eigenvalue, so --max-k N asks for
+    # N levels; the bound is read from the module, never reached by a huge run
+    monkeypatch.setattr(torbif.spectral, "_MAX_LEVELS", 4)
+    assert main(["levels", "--problem", example_path, "--max-k", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    for command in ("levels", "classify"):
+        assert main([command, "--problem", example_path, "--max-k", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: max_k 5 over 1 positive eigenvalue(s) asks for 5 levels, more than the limit of 4\n"
+        )
+    with pytest.raises(ValueError):
+        lambda_set(example_problem(), 5)
+
+
+@pytest.mark.parametrize("command", [None, *torbif.cli._COMMANDS])
+def test_help_lists_the_table(command):
+    argv = [sys.executable, "-m", "torbif", *filter(None, [command]), "--help"]
+    result = subprocess.run(argv, capture_output=True, text=True, env=module_env())
+    assert result.returncode == 0
+    assert result.stderr == ""
+    if command is None:
+        lines = [f"{name} {spec.help}" for name, spec in torbif.cli._COMMANDS.items()]
+    else:
+        spec = torbif.cli._COMMANDS[command]
+        lines = [f"{metavar} {text}" for _, metavar, text in spec.positionals]
+        lines += [" ".join(filter(None, (option.flag, option.metavar, option.help))) for option in spec.options]
+    listed = {" ".join(line.split()) for line in result.stdout.splitlines()}
+    for line in lines:
+        assert any(line in entry for entry in listed), line
+
+
+def test_cli_import_leaves_argparse_out(example_path):
+    # a request pays for no argparse, gettext or locale import
+    script = (
+        "import sys, torbif.cli\n"
+        f"code = torbif.cli.main(['index', '--problem', {example_path!r}, '--k', '1', '--alpha', '2'])\n"
+        "print(code, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=module_env())
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 []"
 
 
 def test_outputs_are_deterministic(example_path, capsys):
@@ -507,3 +574,87 @@ def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
     # in every subtraction, built 336 elements here (and ran 1,912
     # intersections and normal forms); the split product builds 294
     assert counts["build"] < 336
+
+
+COMMANDS = ("levels", "index", "classify", "star", "example")
+FLAGS = ("--json", "--problem", "--max-k", "--k", "--alpha", "--lambda-sq", "--help")
+PARSED_FIELDS = ("handler", "json", "problem", "max_k", "k", "alpha", "lambda_sq", "lhs", "rhs", "out")
+VALUES = (
+    "-3", "0", "7", "+2", "99999999999999999999", "9" * 5000, "1e3", "abc", "-1e3",
+    "3/2", "-3/2", "1/0", "p.json", "1*T", "-1*T", "-", "", "a b", "--", "extra",
+)
+
+
+def spellings(flag):
+    """`flag` and its prefixes that name it alone among all flags."""
+    others = [other for other in FLAGS if other != flag]
+    return [flag[:n] for n in range(3, len(flag) + 1) if not any(other.startswith(flag[:n]) for other in others)]
+
+
+def parse_outcome(parse, argv):
+    """("ok", the parsed fields) or ("exit", code, stderr) for one argv."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(list(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code, err.getvalue())
+    return ("ok", {name: getattr(args, name, None) for name in PARSED_FIELDS})
+
+
+@st.composite
+def argvs(draw):
+    """A command (or a stray word in its place), then option-value pairs,
+    `--flag=value` tokens, lone flags and lone words, in half the argvs
+    `--problem p.json`, and now and then `-h` or a prefix of `--help`."""
+    flag = st.sampled_from(FLAGS[:-1]).flatmap(lambda flag: st.sampled_from(spellings(flag)))
+    value = st.sampled_from(VALUES) | st.integers(-(10**30), 10**30).map(str)
+    pair = st.tuples(flag, value)
+    group = st.one_of(
+        pair.map(list),
+        pair.map(list),
+        pair.map(list),
+        pair.map(lambda pair: ["=".join(pair)]),
+        flag.map(lambda token: [token]),
+        value.map(lambda token: [token]),
+    )
+    groups = draw(st.lists(group, max_size=5))
+    if draw(st.booleans()):
+        # the one required option, so that more argvs parse
+        groups.insert(draw(st.integers(0, len(groups))), ["--problem", "p.json"])
+    argv = [draw(st.sampled_from(COMMANDS * 4 + ("lev", "bogus", "--", "-x", "--json")))]
+    argv += [token for tokens in groups for token in tokens]
+    if draw(st.sampled_from(range(10))) == 9:
+        help_flag = draw(st.sampled_from(["-h", *spellings("--help")]))
+        argv.insert(draw(st.integers(0, len(argv))), help_flag)
+    return argv
+
+
+def deliberate_difference(argv, reference, outcome):
+    """The two ways this parser parts from argparse on purpose.  A word
+    that starts with a single `-`, such as the factor `-1*T`, is a
+    positional here, where argparse took it for an unknown option and
+    exited 2.  A lone `--` given as a value (`--problem=--`) or after the
+    first `--` is that string here, where argparse dropped it and stored an
+    empty list, unconverted, on which a handler raised a TypeError."""
+    if argv.count("--") > 1 or any(token.endswith("=--") for token in argv):
+        return True
+    return (
+        outcome[0] == "ok"
+        and reference[:2] == ("exit", 2)
+        and any(str(outcome[1][name]).startswith("-") for name in ("lhs", "rhs", "out"))
+    )
+
+
+@settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_parser_matches_argparse_reference(argv):
+    reference = parse_outcome(lambda tokens: argparse_reference_parser().parse_args(tokens), argv)
+    outcome = parse_outcome(torbif.cli._parse, argv)
+    if outcome[0] == "exit" and outcome[1] == 2:
+        usage, error = outcome[2].splitlines()
+        assert usage.startswith("usage: torbif ")
+        assert error.startswith(("torbif: error: ", f"torbif {argv[0]}: error: "))
+    if deliberate_difference(argv, reference, outcome):
+        return
+    assert outcome[:2] == reference[:2], argv
