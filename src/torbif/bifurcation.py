@@ -41,18 +41,17 @@ product collapses to
         = n0 * (-B1r + B1r * B1r / 2 + B1r * B1b) - D1 * B1r,
 
 and `build_report` checks phi or phi_i of it at run time, which also shows
-it nonzero.  The cross term n0 * B1r * B1b is formed from the families
-of characters below the level (`spectral._below_families`), with no
-representation and no subgroup built for that space: a family is the
-characters (m, n), 1 <= n <= N, of one multiplicity, and the families of
-one signed speed m are merged into runs over n, so each character below
-the level meets each null character once.  Against a null character
-(a, b), det = a*n - b*m vanishes for every n when a == m == 0, so that
-run is skipped in O(1), and otherwise for at most one n, where the line
-product returns None.  The cross terms go into the dict of the terms of
-d0 * (deg(-Id, null modes) - T), and the index is built from that dict
-once.  The full three-factor product is kept as an oracle in the test
-suite.
+it nonzero.  The cross term n0 * B1r * B1b is formed from the runs of
+characters below the level that `spectral._below_runs` names, the
+characters (s, n), lo <= n < hi, of one multiplicity, with no
+representation and no subgroup built for that space; each character
+below the level lies in one run, so it meets each null character once.
+Against a null character (a, b), det = a*n - b*s vanishes for every n
+when a == s == 0, so that run is skipped in O(1), and otherwise for at
+most one n, where the line product returns None.  The cross terms go
+into the dict of the terms of d0 * (deg(-Id, null modes) - T), and the
+index is built from that dict once.  The full three-factor product is
+kept as an oracle in the test suite.
 
 The classification upgrades a nonzero index to a non-compactness
 guarantee when the critical point is unique: "c1" when n0 != 0, "c2"
@@ -85,11 +84,17 @@ from .spectral import (
     CriticalPointProblem,
     InvalidLevel,
     SpectralDatum,
-    _below_families,
+    _below_runs,
     resonant_space,
     validate,
 )
 from .subgroups import TorusSubgroup
+
+
+# The most line products `build_report` makes for the cross term at one
+# level, so that a huge --k on a degree with a full-orbit term ends in an
+# error, not in minutes of work and an output that grows with k.
+_MAX_LINE_PRODUCTS = 1_000_000
 
 
 class Certificate(enum.Enum):
@@ -168,13 +173,14 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
 
     The index is the closed form of the module docstring, so the space
     below the level enters only when n0 != 0, and then only through its
-    families of characters in the cross term n0 * B1r * B1b: its full
-    degree would square a sum whose length grows with k, and a run of
-    characters parallel to a null character costs O(1).  Its phi or
-    phi_i must be -n0 or -c_i times the null-mode multiplicity.  The
-    classification is the problem-wide one; the sum-obstruction upgrade
-    needs the indices of all levels and is made by the caller that has
-    them.
+    runs of characters in the cross term n0 * B1r * B1b: its full degree
+    would square a sum whose length grows with k, and a run parallel to a
+    null character costs O(1).  A cross term that needs more than
+    `_MAX_LINE_PRODUCTS` line products raises ValueError before it makes
+    any.  Its phi or phi_i must be -n0 or -c_i times the null-mode
+    multiplicity.  The classification is the problem-wide one; the
+    sum-obstruction upgrade needs the indices of all levels and is made by
+    the caller that has them.
     """
     resonant = resonant_space(problem, level)
     if not resonant:
@@ -196,6 +202,16 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
         certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
         acc = {h.rows: c for h, c in index.terms}
         runs = _below_runs(problem, level)
+        # a null character (a, b) meets every run but, when a == 0, the
+        # runs of speed 0, which are parallel to it and skipped
+        span = sum(hi - lo for _, lo, hi, _ in runs)
+        parallel = sum(hi - lo for m, lo, hi, _ in runs if m == 0)
+        products = sum(span - parallel * (null[0] == 0) for null, _ in resonant.characters)
+        if products > _MAX_LINE_PRODUCTS:
+            raise ValueError(
+                f"the index at lambda_sq = {level.lambda_sq} needs {products} line"
+                f" products, more than the limit of {_MAX_LINE_PRODUCTS}"
+            )
         for null, k in resonant.characters:
             for m, lo, hi, weight in runs:
                 if null[0] == m == 0:
@@ -220,27 +236,6 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
         certificate=certificate,
         classification=_classification(problem, checks),
     )
-
-
-def _below_runs(
-    problem: CriticalPointProblem, level: BifurcationLevel
-) -> list[tuple[int, int, int, int]]:
-    """The characters below the level as runs (m, lo, hi, k): the
-    characters (m, n), lo <= n < hi, each of total multiplicity k.  The
-    families of one signed speed m over different eigenvalues share their
-    first modes, so they are merged and each character lies in one run."""
-    by_speed: dict[int, list[tuple[int, int]]] = {}
-    for _, m, count, k in _below_families(problem, level):
-        by_speed.setdefault(m, []).append((count, k))
-    runs = []
-    for m, families in by_speed.items():
-        lo, weight = 1, sum(k for _, k in families)
-        for count, k in sorted(families):
-            if count >= lo:
-                runs.append((m, lo, count + 1, weight))
-                lo = count + 1
-            weight -= k
-    return runs
 
 
 def classify_noncompact(problem: CriticalPointProblem) -> Classification:

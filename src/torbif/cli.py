@@ -24,11 +24,13 @@ prints a `usage: torbif CMD ...` line and a `torbif CMD: error: ...` line
 on stderr and exits 2.
 
 Exit codes: 0 success, 2 malformed input (problem files, expressions,
-usage), 3 a frequency that is not a candidate level, 4 output-file
-failure, 5 an internal cross-check failed (a bug in torbif), 141 stdout
-was closed before all output was written (the status a shell reports for
-a process ended by SIGPIPE).  Output is deterministic: identical inputs
-produce byte-identical text, and --json swaps in machine-readable JSON.
+usage) or input over a bound (an integer of more than 1000 digits, more
+than 100,000 levels, an index needing more than 10^6 line products), 3 a
+frequency that is not a candidate level, 4 output-file failure, 5 an
+internal cross-check failed (a bug in torbif), 141 stdout was closed
+before all output was written (the status a shell reports for a process
+ended by SIGPIPE).  Output is deterministic: identical inputs produce
+byte-identical text, and --json swaps in machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .bifurcation import (
 from .euler import format_element
 from .grammar import ElementParseError, parse_element
 from .problem_io import load_problem, write_problem
-from .rationals import parse_rational, rational_to_json
+from .rationals import _check_digits, parse_rational, rational_to_json
 from .spectral import (
     BifurcationLevel,
     CriticalPointProblem,
@@ -67,6 +69,7 @@ _ZERO_SUM_LIMIT = 20
 
 
 def _integer(text: str) -> int:
+    _check_digits(text)
     try:
         return int(text)
     except ValueError:
@@ -116,7 +119,7 @@ def _resolve_level(args: SimpleNamespace, problem: CriticalPointProblem) -> Bifu
     by_pair = args.k is not None or args.alpha is not None
     by_square = args.lambda_sq is not None
     if by_pair == by_square or (by_pair and (args.k is None or args.alpha is None)):
-        raise _UsageError("address the level with both --k and --alpha, or with --lambda-sq")
+        raise ValueError("address the level with both --k and --alpha, or with --lambda-sq")
     if by_square:
         return level_from_lambda_sq(problem, parse_rational(args.lambda_sq))
     alpha = parse_rational(args.alpha)
@@ -125,10 +128,6 @@ def _resolve_level(args: SimpleNamespace, problem: CriticalPointProblem) -> Bifu
     except ValueError as exc:
         raise InvalidLevel(str(exc)) from exc
     return level
-
-
-class _UsageError(ValueError):
-    pass
 
 
 def _cmd_index(args: SimpleNamespace) -> int:

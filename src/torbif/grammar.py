@@ -14,12 +14,15 @@ whose rows span a smaller-rank lattice) produce equal elements.
 `format_element` emits the canonical spelling: every term appears as
 'coeff*gen', terms are ordered by descending subgroup dimension and then
 by lattice rows, and the zero element prints as '0'.  The parser accepts a
-bare '0' back so printing and parsing round-trip.
+bare '0' back so printing and parsing round-trip.  An integer of more
+than `rationals._MAX_DIGITS` digits raises a plain ValueError instead of
+an ElementParseError, whose message would echo the whole text.
 """
 
 from __future__ import annotations
 
 from .euler import EulerElementT2, format_element
+from .rationals import _check_digits
 from .subgroups import TorusSubgroup
 
 __all__ = ["ElementParseError", "parse_element", "format_element"]
@@ -66,7 +69,7 @@ class _Scanner:
             self.fail("expected an integer")
         while self.peek().isdigit():
             self.pos += 1
-        return int(self.text[start:self.pos])
+        return int(_check_digits(self.text[start:self.pos]))
 
     def generator(self) -> TorusSubgroup:
         self.skip_ws()

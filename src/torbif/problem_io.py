@@ -15,9 +15,9 @@ The on-disk format is JSON with exactly three top-level fields:
 (0 for the trivial summand) and `k` its multiplicity; `subgroup` is "S1"
 for the full-orbit class or "Zk" for cyclic isotropy of order k, and an
 empty `deg_s1` list is the zero degree.  Floats, unknown or missing
-fields, duplicate eigenvalues, duplicate speeds, duplicate subgroups, and
-malformed rationals are all rejected outright so fixtures cannot drift
-silently.
+fields, duplicate eigenvalues, duplicate speeds, duplicate subgroups,
+malformed rationals and integers of more than `rationals._MAX_DIGITS`
+digits are all rejected outright so fixtures cannot drift silently.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any
 
 from .euler import EulerElementS1
-from .rationals import parse_rational, rational_to_json
+from .rationals import _check_digits, parse_rational, rational_to_json
 from .representations import S1Representation
 from .spectral import CriticalPointProblem, SpectralDatum
 
@@ -54,6 +54,13 @@ def _no_float(text: str) -> None:
 
 def _no_constant(text: str) -> None:
     raise ProblemFormatError(f"non-finite numbers are not accepted, got {text!r}")
+
+
+def _int(text: str) -> int:
+    try:
+        return int(_check_digits(text))
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from None
 
 
 def _require_object(value: Any, keys: tuple[str, ...], where: str) -> dict:
@@ -138,14 +145,16 @@ def _parse_degree(value: Any, where: str) -> EulerElementS1:
             raise ProblemFormatError(
                 f"{ctx}.subgroup must be 'S1' or 'Zk' with k >= 1, got {label!r}"
             )
-        finite[int(match.group(1))] = coeff
+        finite[_int(match.group(1))] = coeff
     return EulerElementS1(fixed, finite)
 
 
 def parse_problem(text: str) -> CriticalPointProblem:
     """Parse a problem file's contents."""
     try:
-        payload = json.loads(text, parse_float=_no_float, parse_constant=_no_constant)
+        payload = json.loads(
+            text, parse_int=_int, parse_float=_no_float, parse_constant=_no_constant
+        )
     except ProblemFormatError:
         raise
     except json.JSONDecodeError as exc:

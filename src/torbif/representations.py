@@ -126,10 +126,10 @@ class T2Representation:
         return " + ".join(parts) if parts else "0"
 
 
-def _mode_characters(rep: S1Representation, mode: int) -> list[tuple[CharacterKey, int]]:
-    # Raw characters of the positive mode `mode`: (0, mode) for the trivial
-    # part, (m, mode) and (-m, mode) for each rotation plane of speed m.
-    return [((0, mode), rep.trivial)] + [((s * m, mode), k) for m, k in rep.rotating for s in (1, -1)]
+def _signed_speeds(rep: S1Representation) -> list[tuple[int, int]]:
+    # The signed speeds of `rep` on a positive mode, with multiplicities: 0
+    # for the trivial part, m and -m for each rotation plane of speed m.
+    return [(0, rep.trivial)] + [(s * m, k) for m, k in rep.rotating for s in (1, -1)]
 
 
 def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
@@ -146,7 +146,7 @@ def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
         raise ValueError(f"mode must be a nonnegative int, got {mode!r}")
     if mode == 0:
         return T2Representation(rep.trivial, [((m, 0), k) for m, k in rep.rotating])
-    return T2Representation(0, _mode_characters(rep, mode))
+    return T2Representation(0, [((s, mode), k) for s, k in _signed_speeds(rep)])
 
 
 def _one_dimensional_sum(rep: T2Representation) -> EulerElementT2:

@@ -18,10 +18,12 @@ decidable.  The negative space is taken just below the level, over the
 modes 1 <= n <= isqrt(ceil(q alpha) - 1), which are exactly those with
 n^2 < q alpha; the null modes n^2 == q alpha form the resonant space,
 handed to the representation constructor as one list of characters over
-all its modes.  Below the level the characters come in families: for one
-eigenvalue and one signed speed m (0 for the trivial part) the characters
-(m, n), 1 <= n <= N, share one multiplicity, so `_below_families` names
-each family in O(1) and only `negative_space` lists its characters.
+all its modes.  Below the level the characters come in runs: for one
+signed speed s (0 for the trivial part) the characters (s, n) over every
+eigenvalue merge into runs lo <= n < hi of one multiplicity, so
+`_below_runs` names each run in O(1) and only `negative_space` lists
+its characters.  This module alone decides which characters lie below a
+level.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from .euler import EulerElementS1
 from .rationals import as_fraction
-from .representations import S1Representation, T2Representation, _mode_characters
+from .representations import S1Representation, T2Representation, _signed_speeds
 
 
 # The most candidate levels `lambda_set` will enumerate (max_k times the
@@ -211,27 +212,32 @@ def level_from_lambda_sq(
     return BifurcationLevel(n, alpha)
 
 
-def _below_families(
+def _below_runs(
     problem: CriticalPointProblem, level: BifurcationLevel
-) -> Iterator[tuple[Fraction, int, int, int]]:
-    """The characters below the level as families (alpha, m, N, k): the
-    characters (m, n) for 1 <= n <= N, each of multiplicity k, with N the
-    number of modes n >= 1 over alpha with n^2 < lambda_sq * alpha and m
-    a signed rotation speed, or 0 for the trivial part.  Families of
-    multiplicity 0 or with no mode are left out."""
+) -> list[tuple[int, int, int, int]]:
+    """The characters below the level as runs (s, lo, hi, k): the
+    characters (s, n), lo <= n < hi, each of total multiplicity k, with s
+    a signed rotation speed, or 0 for the trivial part.  Over alpha the
+    modes below the level are 1 <= n <= isqrt(ceil(lambda_sq * alpha) - 1);
+    the eigenspaces with a speed s share their first modes, so they are
+    merged and each character lies in exactly one run."""
     q = level.lambda_sq
+    by_speed: dict[int, list[tuple[int, int]]] = {}
     for datum in problem.spectra:
-        if datum.alpha <= 0:
-            continue
-        count = math.isqrt(math.ceil(q * datum.alpha) - 1)
-        if not count:
-            continue
-        rep = datum.isotypic
-        if rep.trivial:
-            yield datum.alpha, 0, count, rep.trivial
-        for m, k in rep.rotating:
-            yield datum.alpha, m, count, k
-            yield datum.alpha, -m, count, k
+        if datum.alpha > 0:
+            count = math.isqrt(math.ceil(q * datum.alpha) - 1)
+            for s, k in _signed_speeds(datum.isotypic):
+                if k:
+                    by_speed.setdefault(s, []).append((count, k))
+    runs = []
+    for s, modes in by_speed.items():
+        lo, weight = 1, sum(k for _, k in modes)
+        for count, k in sorted(modes):
+            if count >= lo:
+                runs.append((s, lo, count + 1, weight))
+                lo = count + 1
+            weight -= k
+    return runs
 
 
 def negative_space(problem: CriticalPointProblem, level: BifurcationLevel) -> T2Representation:
@@ -239,11 +245,7 @@ def negative_space(problem: CriticalPointProblem, level: BifurcationLevel) -> T2
     variation at the level: the modes n >= 1 with n^2 < lambda_sq * alpha."""
     return T2Representation(
         0,
-        [
-            ((m, n), k)
-            for _, m, count, k in _below_families(problem, level)
-            for n in range(1, count + 1)
-        ],
+        [((s, n), k) for s, lo, hi, k in _below_runs(problem, level) for n in range(lo, hi)],
     )
 
 
@@ -255,8 +257,8 @@ def resonant_space(
     return T2Representation(
         0,
         [
-            item
+            ((s, n), k)
             for n, alpha in resonant_pairs(problem, level)
-            for item in _mode_characters(problem.eigenspace(alpha), n)
+            for s, k in _signed_speeds(problem.eigenspace(alpha))
         ],
     )

@@ -379,8 +379,9 @@ def test_index_matches_three_factor_product(seed, full_orbit):
 
 def shared_speeds_problem(deg_s1):
     """Rotation planes of shared speeds at three positive eigenvalues, so
-    families below a level overlap, trivial parts at two of them, so null
-    characters (0, b) meet trivial families, and a negative eigenvalue."""
+    their modes below a level merge into runs, trivial parts at two of
+    them, so null characters (0, b) meet trivial runs, and a negative
+    eigenvalue."""
     return CriticalPointProblem(
         spectra=(
             SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1, 2: 2})),
@@ -409,7 +410,7 @@ def test_full_orbit_index_matches_three_factor_product(problem):
 
 def test_full_orbit_index_with_one_parallel_mode_below():
     # at k = 4 over alpha = 1 the null characters are (2, 4) and (-2, 4);
-    # the family of speed 1 over alpha = 2 has the modes n = 1..5, and
+    # the run of speed 1, from alpha = 2, has the modes n = 1..5, and
     # det = 2*n - 4*1 vanishes at n = 2 only, as does -2*n + 4 for -1
     problem = CriticalPointProblem(
         spectra=(
@@ -420,9 +421,9 @@ def test_full_orbit_index_with_one_parallel_mode_below():
     )
     level = BifurcationLevel(4, 1)
     assert resonant_space(problem, level).characters == (((-2, 4), 1), ((2, 4), 1))
-    families = list(torbif.bifurcation._below_families(problem, level))
-    assert (Fraction(2), 1, 5, 2) in families
-    assert (Fraction(2), -1, 5, 2) in families
+    runs = torbif.spectral._below_runs(problem, level)
+    assert (1, 1, 6, 2) in runs
+    assert (-1, 1, 6, 2) in runs
     assert build_report(problem, level).index == bif_index_expanded(problem, level)
 
 

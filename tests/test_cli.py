@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -15,18 +16,23 @@ import torbif
 import torbif.bifurcation
 import torbif.cli
 import torbif.euler
+import torbif.rationals
 import torbif.spectral
 import torbif.subgroups
 from torbif import (
+    BifurcationLevel,
     CriticalPointProblem,
     EulerElementS1,
     EulerElementT2,
     S1Representation,
     SpectralDatum,
     TorusSubgroup,
+    build_report,
     deg_minus_id_t2,
     example_problem,
+    format_element,
     lambda_set,
+    parse_problem,
     write_problem,
 )
 from torbif.cli import main
@@ -105,16 +111,14 @@ def test_index_json_matches_report(example_path, capsys):
 
 
 def test_index_level_addressing_errors(example_path, capsys):
-    # both addressing styles at once, or neither, is a usage error
-    assert main(["index", "--problem", example_path, "--k", "1"]) == 2
-    capsys.readouterr()
-    assert (
-        main(["index", "--problem", example_path, "--k", "1", "--alpha", "2", "--lambda-sq", "2"])
-        == 2
-    )
-    capsys.readouterr()
-    assert main(["index", "--problem", example_path]) == 2
-    capsys.readouterr()
+    # both addressing styles at once, or neither, exits 2 with one error
+    # line and no usage line
+    for extra in (["--k", "1"], ["--k", "1", "--alpha", "2", "--lambda-sq", "2"], []):
+        assert main(["index", "--problem", example_path, *extra]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: address the level with both --k and --alpha, or with --lambda-sq\n",
+        )
     assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "abc"]) == 2
     capsys.readouterr()
     assert main(["index", "--problem", example_path, "--k", "0", "--alpha", "2"]) == 3
@@ -229,6 +233,121 @@ def test_level_count_is_bounded(example_path, capsys, monkeypatch):
         )
     with pytest.raises(ValueError):
         lambda_set(example_problem(), 5)
+
+
+def test_line_products_are_bounded(tmp_path, capsys, monkeypatch):
+    # alpha 1 with a trivial part and speed 1, deg_s1 = 1*S1: the index at
+    # --k K --alpha 1 needs 8K - 8 line products; the bound is read from the
+    # module, never reached by a huge run
+    problem = CriticalPointProblem(
+        spectra=(SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1})),),
+        deg_s1=EulerElementS1(fixed=1),
+    )
+    path = tmp_path / "rotating.json"
+    write_problem(problem, path)
+    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 80)
+    assert main(["index", "--problem", str(path), "--k", "11", "--alpha", "1"]) == 0
+    capsys.readouterr()
+    assert main(["index", "--problem", str(path), "--k", "12", "--alpha", "1"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the index at lambda_sq = 144 needs 88 line products,"
+        " more than the limit of 80\n",
+    )
+    # a run parallel to its null character makes no product at any k
+    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 0)
+    fixed = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
+    write_problem(fixed, path)
+    assert main(["index", "--problem", str(path), "--k", "1000000", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
+
+
+DIGITS = torbif.rationals._MAX_DIGITS
+LONG, OVER = str(10 ** (DIGITS - 1)), str(10**DIGITS)
+OVER_MESSAGE = f"an integer of {DIGITS + 1} digits is over the limit of {DIGITS}"
+
+
+def test_output_integers_stay_printable():
+    # an output integer is at most a product of three input integers plus
+    # small sums, under Python's limit on int-to-str conversion
+    assert 3 * DIGITS + 100 < sys.int_info.default_max_str_digits
+
+
+def long_int_problem(over=None):
+    """A problem whose every integer that may be long has the most digits
+    accepted, or one digit more for the one named `over`; its index
+    multiplies the full-orbit coefficient by two null-mode multiplicities."""
+    def num(name):
+        return int(OVER if name == over else LONG)
+
+    return {
+        "spectra": [
+            {"alpha": 0, "isotypic": [{"m": 0, "k": 1}, {"m": 1, "k": 1}]},
+            {
+                "alpha": f"{2 * num('p')}/{num('q')}",
+                "isotypic": [{"m": 0, "k": num("k")}, {"m": num("m"), "k": num("k")}],
+            },
+        ],
+        "deg_s1": [{"subgroup": "S1", "coeff": num("coeff")}, {"subgroup": f"Z{num('order')}", "coeff": -1}],
+        "unique_critical_point": True,
+    }
+
+
+@pytest.mark.parametrize("command", ["index", "classify"])
+def test_problem_integers_at_the_digit_limit_print(tmp_path, capsys, command):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(long_int_problem()))
+    level = ["--k", "2", "--alpha", "2"] if command == "index" else ["--max-k", "1"]
+    assert main([command, "--problem", str(path), *level]) == 0
+    out = capsys.readouterr().out
+    k = 2 if command == "index" else 1
+    index = build_report(parse_problem(path.read_text()), BifurcationLevel(k, 2)).index
+    assert format_element(index) in out
+    assert max(map(len, re.findall(r"\d+", out))) > 2 * DIGITS
+
+
+@pytest.mark.parametrize("over", ["k", "m", "p", "q", "coeff", "order"])
+@pytest.mark.parametrize("command", ["index", "classify"])
+def test_problem_integers_over_the_digit_limit_are_refused(tmp_path, capsys, command, over):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(long_int_problem(over)))
+    level = ["--k", "2", "--alpha", "2"] if command == "index" else []
+    assert main([command, "--problem", str(path), *level]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.endswith(f"{OVER_MESSAGE}\n")
+    assert err.count("\n") == 1
+
+
+def test_argument_integers_at_the_digit_limit_print(example_path, capsys):
+    two = ("2" + LONG[1:], LONG)
+    for level in (["--k", "2", "--alpha", "/".join(two)], ["--lambda-sq", "/".join(two)]):
+        assert main(["index", "--problem", example_path, *level]) == 0
+        assert capsys.readouterr().out == "-1*F(1,0;0,2)\ncertificate: SameSignPath\n"
+    assert main(["index", "--problem", example_path, "--k", LONG, "--alpha", "2"]) == 0
+    assert capsys.readouterr().out == f"-1*F(1,0;0,{LONG})\ncertificate: SameSignPath\n"
+    assert main(["star", f"{LONG}*T", f"-{LONG}*T"]) == 0
+    assert capsys.readouterr().out == f"-{LONG}{LONG[1:]}*T\n"
+
+
+def test_argument_integers_over_the_digit_limit_are_refused(example_path, capsys):
+    for argv in (
+        ["index", "--problem", example_path, "--k", "2", "--alpha", f"2/{OVER}"],
+        ["index", "--problem", example_path, "--lambda-sq", f"{OVER}/3"],
+        ["star", "T", f"H(1,{OVER})"],
+        ["star", f"-{OVER}*T", "T"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {OVER_MESSAGE}\n")
+    # an integer option reads its value as it parses the command line
+    for command, option in (("index", "--k"), ("levels", "--max-k")):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", example_path, option, OVER])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[1] == f"torbif {command}: error: argument {option}: {OVER_MESSAGE}"
 
 
 @pytest.mark.parametrize("command", [None, *torbif.cli._COMMANDS])
@@ -408,11 +527,11 @@ def test_one_index_evaluation_per_level(example_path, tmp_path, capsys, monkeypa
     calls.clear()
     assert main(["index", "--problem", example_path, "--k", "2", "--alpha", "2"]) == 0
     assert len(calls) == 1
-    # a full-orbit degree needs the families below each level, once per level
+    # a full-orbit degree needs the runs below each level, once per level
     problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
     path = tmp_path / "fixed.json"
     write_problem(problem, path)
-    below = counting_calls(monkeypatch, "_below_families")
+    below = counting_calls(monkeypatch, "_below_runs")
     assert main(["classify", "--problem", str(path), "--max-k", "3"]) == 0
     assert len(below) == 3
     capsys.readouterr()
@@ -446,7 +565,7 @@ def test_star_calls_per_level(tmp_path, capsys, monkeypatch, deg_s1, per_level):
 def test_index_without_full_orbit_term_ignores_the_space_below(example_path, capsys, monkeypatch):
     # the worked example's degree has no S1 term, so its index needs no
     # classes below the level: the cost does not depend on k
-    below = counting_calls(monkeypatch, "_below_families")
+    below = counting_calls(monkeypatch, "_below_runs")
     _generator_product.cache_clear()
     assert main(["index", "--problem", example_path, "--k", "400000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,400000)\ncertificate: SameSignPath\n"
@@ -455,7 +574,7 @@ def test_index_without_full_orbit_term_ignores_the_space_below(example_path, cap
 
 
 def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatch):
-    # deterministic counts, not timings: with deg_s1 = 1*S1 the only family
+    # deterministic counts, not timings: with deg_s1 = 1*S1 the only run
     # below the level is the trivial one, parallel to the null character
     # (0, k), so it is named once and skipped; the one generator product
     # is the null character with itself in the degree on the null modes
@@ -470,19 +589,18 @@ def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatc
 
     for module in (torbif, torbif.spectral, torbif.bifurcation):
         monkeypatch.setattr(module, "negative_space", refuse, raising=False)
-    families = torbif.bifurcation._below_families
-    yielded = []
+    below_runs = torbif.bifurcation._below_runs
+    named = []
 
     def recording(problem, level):
-        for family in families(problem, level):
-            yielded.append(family)
-            yield family
+        named.extend(below_runs(problem, level))
+        return named
 
-    monkeypatch.setattr(torbif.bifurcation, "_below_families", recording)
+    monkeypatch.setattr(torbif.bifurcation, "_below_runs", recording)
     _generator_product.cache_clear()
     assert main(["index", "--problem", str(path), "--k", "1000000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
-    assert yielded == [(2, 0, 999999, 1)]
+    assert named == [(0, 1, 1000000, 1)]
     assert _generator_product.cache_info().misses <= 1
 
 

@@ -11,6 +11,7 @@ from torbif import (
     format_element,
     parse_element,
 )
+from torbif.rationals import _MAX_DIGITS
 
 from oracles import random_element
 
@@ -79,6 +80,16 @@ def test_parse_error_positions():
         parse_element("1.5*T")
     with pytest.raises(TypeError):
         parse_element(7)
+
+
+def test_integers_over_the_digit_limit_are_refused():
+    # a plain ValueError, whose one-line message does not echo the text
+    over = str(10**_MAX_DIGITS)
+    for text in (f"{over}*T", f"H(1,-{over})", f"1*F(1,0;{over},1)"):
+        with pytest.raises(ValueError, match=f"{_MAX_DIGITS + 1} digits") as info:
+            parse_element(text)
+        assert not isinstance(info.value, ElementParseError)
+    assert parse_element(f"-{over[:-1]}*T") == -int(over[:-1]) * I
 
 
 @given(st.integers(0, 10**9))

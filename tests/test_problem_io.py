@@ -18,6 +18,7 @@ from torbif import (
     problem_to_text,
     write_problem,
 )
+from torbif.rationals import _MAX_DIGITS
 
 from oracles import random_problem
 
@@ -134,6 +135,26 @@ def test_rejects_malformed_rationals_and_degrees():
     payload["deg_s1"] = [{"subgroup": "Z1", "coeff": 1}, {"subgroup": "Z1", "coeff": 2}]
     with pytest.raises(ProblemFormatError):
         parse_problem(dumps(payload))
+
+
+def test_rejects_integers_over_the_digit_limit():
+    over = 10**_MAX_DIGITS
+    edits = (
+        lambda payload: payload["spectra"][0]["isotypic"][1].update(k=over),
+        lambda payload: payload["spectra"][0]["isotypic"][1].update(m=over),
+        lambda payload: payload["spectra"][1].update(alpha=over),
+        lambda payload: payload["spectra"][1].update(alpha=f"1/{over}"),
+        lambda payload: payload.update(deg_s1=[{"subgroup": f"Z{over}", "coeff": 1}]),
+        lambda payload: payload.update(deg_s1=[{"subgroup": "S1", "coeff": -over}]),
+    )
+    for edit in edits:
+        payload = base_payload()
+        edit(payload)
+        with pytest.raises(ProblemFormatError, match=f"{_MAX_DIGITS + 1} digits"):
+            parse_problem(dumps(payload))
+    payload = base_payload()
+    payload["spectra"][0]["isotypic"][1]["k"] = over // 10
+    assert parse_problem(dumps(payload)).spectra[0].isotypic.rotating == ((1, over // 10),)
 
 
 def test_rejects_non_json_and_wrong_shapes():

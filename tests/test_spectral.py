@@ -24,6 +24,8 @@ from torbif import (
     validate,
 )
 
+from torbif.spectral import _below_runs
+
 from oracles import hessian_eigenvalue, negative_space_by_mode, random_problem
 
 
@@ -172,6 +174,29 @@ def test_negative_space_matches_per_mode_sum(seed):
         below = negative_space(prob, level)
         assert below == negative_space_by_mode(prob, level, "minus")
         assert below + resonant_space(prob, level) == negative_space_by_mode(prob, level, "plus")
+
+
+@given(st.integers(0, 10**9))
+def test_below_runs_cover_each_character_once(seed):
+    # per signed speed the runs are disjoint and contiguous from n = 1, and
+    # each character below the level lies in exactly one run, of its
+    # multiplicity; eigenvalues sharing a speed left unmerged would give
+    # overlapping runs, a cost the index values alone would not show
+    prob = random_problem(random.Random(seed))
+    for level in lambda_set(prob, 6):
+        runs = _below_runs(prob, level)
+        spans = {}
+        for s, lo, hi, k in runs:
+            assert lo < hi and k > 0
+            spans.setdefault(s, []).append((lo, hi))
+        for found in spans.values():
+            found.sort()
+            assert found[0][0] == 1
+            assert all(left[1] == right[0] for left, right in zip(found, found[1:]))
+        below = negative_space_by_mode(prob, level, "minus").characters
+        for (m, n), k in below:
+            assert [w for s, lo, hi, w in runs if s == m and lo <= n < hi] == [k]
+        assert sum(hi - lo for _, lo, hi, _ in runs) == len(below)
 
 
 @given(st.integers(0, 10**9))
