@@ -33,25 +33,28 @@ degree of minus-identity on a representation is sign * (T - B1 + B1 *
 B1 / 2), with B1 the sum of k*H over its characters of multiplicity k, by
 the grading (see `representations`); on the null modes the sign is +1.
 Write d0 = n0 * T + D1 for the embedded circle degree, D1 the sum of
-c_i H(i,0), and B1b for the B1 of the space below the level.  The grading
+c_i H(i,0), B1b for the B1 of the space below the level, deg for the
+degree on the null modes and deg_1 = -B1r for its line part.  The grading
 kills every product of three one-dimensional classes, so the three-factor
 product collapses to
 
-    d0 * (deg(-Id, null modes) - T) + n0 * B1r * B1b
+    n0 * (deg - T) + deg_1 * (D1 - n0 * B1b)
         = n0 * (-B1r + B1r * B1r / 2 + B1r * B1b) - D1 * B1r,
 
 and `build_report` checks phi or phi_i of it at run time, which also shows
-it nonzero.  The cross term n0 * B1r * B1b is formed from the runs of
-characters below the level that `spectral._below_runs` names, the
-characters (s, n), lo <= n < hi, of one multiplicity, with no
-representation and no subgroup built for that space; each character
-below the level lies in one run, so it meets each null character once.
-Against a null character (a, b), det = a*n - b*s vanishes for every n
-when a == s == 0, so that run is skipped in O(1), and otherwise for at
-most one n, where the line product returns None.  The cross terms go
-into the dict of the terms of d0 * (deg(-Id, null modes) - T), and the
-index is built from that dict once.  The full three-factor product is
-kept as an oracle in the test suite.
+it nonzero.  The product deg_1 * (D1 - n0 * B1b) is one loop of line
+products over runs of characters of one weight: each H(i,0) of D1 is the
+run of (i, 0) at n = 0, and below the level `spectral._below_runs` names
+the runs of characters (s, n), lo <= n < hi, with no representation and
+no subgroup built for that space; each character below the level lies in
+one run, so it meets each null character once.  Against a null character
+(a, b), det = a*n - b*s vanishes for every n when a == s == 0, so that
+run is skipped in O(1), and otherwise for at most one n, where the line
+product returns None.  A null character's b is its mode, so the loop
+takes the extended gcd of (b, n) once per mode and n, in a table built
+only as far as the runs a null character meets.  Every term goes into
+one dict keyed by rows, and the index is built from it once.  The full
+three-factor product is kept as an oracle in the test suite.
 
 The classification upgrades a nonzero index to a non-compactness
 guarantee when the critical point is unique: "c1" when n0 != 0, "c2"
@@ -75,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .euler import EulerElementS1, EulerElementT2, _from_rows, _generator_product, embed_s1_to_t2
+from .euler import EulerElementS1, EulerElementT2, _from_rows, _line_product, embed_s1_to_t2
 from .rationals import rational_to_json
 from .representations import S1Representation, deg_minus_id_t2
 from .spectral import (
@@ -88,12 +91,13 @@ from .spectral import (
     resonant_space,
     validate,
 )
-from .subgroups import TorusSubgroup
+from .subgroups import TorusSubgroup, _xgcd
 
 
-# The most line products `build_report` makes for the cross term at one
-# level, so that a huge --k on a degree with a full-orbit term ends in an
-# error, not in minutes of work and an output that grows with k.
+# The most line products `build_report` makes at one level, for the pairs
+# of null characters in their degree and again for the loop over runs, so
+# that a huge --k on a degree with a full-orbit term or a problem file with
+# many speeds ends in an error, not in minutes of work.
 _MAX_LINE_PRODUCTS = 1_000_000
 
 
@@ -171,16 +175,18 @@ def certify_nontrivial(
 def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> BifurcationReport:
     """Assemble the full per-level report in one pass.
 
-    The index is the closed form of the module docstring, so the space
-    below the level enters only when n0 != 0, and then only through its
-    runs of characters in the cross term n0 * B1r * B1b: its full degree
-    would square a sum whose length grows with k, and a run parallel to a
-    null character costs O(1).  A cross term that needs more than
-    `_MAX_LINE_PRODUCTS` line products raises ValueError before it makes
-    any.  Its phi or phi_i must be -n0 or -c_i times the null-mode
-    multiplicity.  The classification is the problem-wide one; the
-    sum-obstruction upgrade needs the indices of all levels and is made by
-    the caller that has them.
+    The index is n0 * (deg - T) + deg_1 * (D1 - n0 * B1b), the closed form
+    of the module docstring, with deg_1 times the runs of D1 - n0 * B1b in
+    one loop, mode by mode.  The space below the level enters only when
+    n0 != 0, and then only through its runs: its full degree would square
+    a sum whose length grows with k, and a run parallel to a null
+    character costs O(1).  When the c null characters need more than
+    `_MAX_LINE_PRODUCTS` line products, c * (c - 1) in their degree or
+    the sum over the runs they meet in the loop, ValueError is raised
+    before any is made.  Its phi or phi_i must be -n0 or -c_i times the
+    null-mode multiplicity.  The classification is the problem-wide one;
+    the sum-obstruction upgrade needs the indices of all levels and is
+    made by the caller that has them.
     """
     resonant = resonant_space(problem, level)
     if not resonant:
@@ -196,42 +202,57 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
             certificate=None,
             classification=Classification.NOT_APPLICABLE,
         )
-    index = deg_h0(problem).star(deg_minus_id_t2(resonant) - EulerElementT2.identity())
+    chars = len(resonant.characters)
+    if chars * (chars - 1) > _MAX_LINE_PRODUCTS:
+        raise ValueError(
+            f"the degree on the null modes at lambda_sq = {level.lambda_sq} needs"
+            f" {chars * (chars - 1)} line products for {chars} characters, more than"
+            f" the limit of {_MAX_LINE_PRODUCTS}"
+        )
     n0 = problem.deg_s1.fixed
+    # D1 as runs at n = 0, then the runs below the level, weighted by -n0
+    runs = [(i, 0, 1, c) for i, c in problem.deg_s1.finite]
+    if n0:
+        runs += [(s, lo, hi, -n0 * k) for s, lo, hi, k in _below_runs(problem, level)]
+    # a null character (a, b) meets every run but, when a == 0, the runs of
+    # speed 0 below the level, which are parallel to it and skipped
+    span = sum(hi - lo for _, lo, hi, _ in runs)
+    parallel = sum(hi - lo for s, lo, hi, _ in runs if s == 0)
+    products = sum(span - parallel * (null[0] == 0) for null, _ in resonant.characters)
+    if products > _MAX_LINE_PRODUCTS:
+        raise ValueError(
+            f"the index at lambda_sq = {level.lambda_sq} needs {products} line"
+            f" products, more than the limit of {_MAX_LINE_PRODUCTS}"
+        )
+    deg = deg_minus_id_t2(resonant)
+    acc = {h.rows: n0 * c for h, c in deg.terms}
+    acc[()] = acc.get((), 0) - n0
+    # _xgcd(b, n) once per null mode b and n, as far as the runs met reach
+    gcds: dict[int, list[tuple[int, int, int]]] = {}
+    for h, c in deg.terms:
+        if h.dim != 1:
+            continue
+        null = h.rows[0]
+        met = [run for run in runs if null[0] or run[0]]
+        g = gcds.setdefault(null[1], [])
+        g.extend(_xgcd(null[1], n) for n in range(len(g), max((run[2] for run in met), default=0)))
+        for s, lo, hi, weight in met:
+            for n in range(lo, hi):
+                rows = _line_product(null, (s, n), g[n])
+                if rows is not None:
+                    acc[rows] = acc.get(rows, 0) + c * weight
     if n0:
         certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
-        acc = {h.rows: c for h, c in index.terms}
-        runs = _below_runs(problem, level)
-        # a null character (a, b) meets every run but, when a == 0, the
-        # runs of speed 0, which are parallel to it and skipped
-        span = sum(hi - lo for _, lo, hi, _ in runs)
-        parallel = sum(hi - lo for m, lo, hi, _ in runs if m == 0)
-        products = sum(span - parallel * (null[0] == 0) for null, _ in resonant.characters)
-        if products > _MAX_LINE_PRODUCTS:
-            raise ValueError(
-                f"the index at lambda_sq = {level.lambda_sq} needs {products} line"
-                f" products, more than the limit of {_MAX_LINE_PRODUCTS}"
-            )
-        for null, k in resonant.characters:
-            for m, lo, hi, weight in runs:
-                if null[0] == m == 0:
-                    continue
-                c = n0 * k * weight
-                for n in range(lo, hi):
-                    rows = _generator_product(null, (m, n))
-                    if rows is not None:
-                        acc[rows] = acc.get(rows, 0) + c
-        index = _from_rows(acc)
-        phi = sum(c for h, c in index.terms if h.dim == 1)
+        phi = sum(c for rows, c in acc.items() if len(rows) == 1)
     else:
         certificate = Certificate.SAME_SIGN
         i, coeff = problem.deg_s1.finite[0]
-        phi = sum(c for h, c in index.terms if h.dim == 0 and h.rows[0] == (i, 0))
+        phi = sum(c for rows, c in acc.items() if len(rows) == 2 and rows[0] == (i, 0))
     if phi != -coeff * sum(k for _, k in resonant.characters):
         raise RuntimeError("certificate path disagrees with direct evaluation")
     return BifurcationReport(
         level=level,
-        index=index,
+        index=_from_rows(acc),
         nontrivial=True,
         certificate=certificate,
         classification=_classification(problem, checks),

@@ -25,11 +25,11 @@ on stderr and exits 2.
 
 Exit codes: 0 success, 2 malformed input (problem files, expressions,
 usage) or input over a bound (an integer of more than 1000 digits, more
-than 100,000 levels, an index needing more than 10^6 line products), 3 a
-frequency that is not a candidate level, 4 output-file failure, 5 an
-internal cross-check failed (a bug in torbif), 141 stdout was closed
-before all output was written (the status a shell reports for a process
-ended by SIGPIPE).  Output is deterministic: identical inputs produce
+than 100,000 levels, an index or its null modes' degree needing more
+than 10^6 line products), 3 a frequency that is not a candidate level, 4
+output-file failure, 5 an internal cross-check failed (a bug in torbif),
+141 stdout was closed before all output was written (the status a shell
+reports for a process ended by SIGPIPE).  Output is deterministic: identical inputs produce
 byte-identical text, and --json swaps in machine-readable JSON.
 """
 

@@ -12,8 +12,11 @@ classes land in degree zero and everything below degree one multiplies to
 zero, which makes the non-identity part of any element nilpotent of order
 three.  So `star` splits each operand by dimension once: the full-torus
 term scales the other operand, and only pairs of two lines reach
-`_generator_product`, the one closed form for the product of two lines,
-which works on their raw characters and returns canonical rows.
+`_line_product`, the one closed form for the product of two lines, which
+works on their raw characters and the extended gcd of their second
+coordinates and returns canonical rows; `star` reaches it through the
+cached `_generator_product`, and the bifurcation index calls it directly
+with one gcd per pair of second coordinates.
 Elements are canonically sorted sparse integer combinations, so equality
 is structural and all arithmetic is exact.  The public constructor
 checks every term, merges like terms, drops zeros and sorts on the
@@ -168,27 +171,33 @@ def _from_rows(acc: Mapping[Rows, int]) -> EulerElementT2:
     return element
 
 
-@lru_cache(maxsize=1 << 14)
-def _generator_product(ch1: Character, ch2: Character) -> Rows | None:
+def _line_product(ch1: Character, ch2: Character, g: tuple[int, int, int]) -> Rows | None:
     """Canonical rows of the product of the kernels of two nonzero
-    characters, or None when the product vanishes.
+    characters, or None when the product vanishes, given g = _xgcd(b, n)
+    for their second coordinates.
 
     For the characters (a, b) and (m, n), in either sign, let det =
     a*n - b*m.  When det is 0 the characters are parallel, the
     intersection is one-dimensional and the product vanishes by the
     dimension rule.  Otherwise the intersection is finite and its lattice,
-    spanned by both characters, has index |det|.  With (d, x, y) =
-    _xgcd(b, n), the gcd d of the second coordinates is reached by the
-    lattice vector x*(a, b) + y*(m, n), so the lattice meets the first
-    axis in multiples of |det| / d, and its canonical rows are
-    (|det| / d, 0) and (x*a + y*m mod |det| / d, d)."""
+    spanned by both characters, has index |det|.  With (d, x, y) = g, the
+    gcd d of the second coordinates is reached by the lattice vector
+    x*(a, b) + y*(m, n), so the lattice meets the first axis in multiples
+    of |det| / d, and its canonical rows are (|det| / d, 0) and
+    (x*a + y*m mod |det| / d, d)."""
     (a, b), (m, n) = ch1, ch2
     det = a * n - b * m
     if det == 0:
         return None
-    d, x, y = _xgcd(b, n)
+    d, x, y = g
     axis = abs(det) // d
     return ((axis, 0), ((x * a + y * m) % axis, d))
+
+
+@lru_cache(maxsize=1 << 14)
+def _generator_product(ch1: Character, ch2: Character) -> Rows | None:
+    """`_line_product` of two characters, with their extended gcd, cached."""
+    return _line_product(ch1, ch2, _xgcd(ch1[1], ch2[1]))
 
 
 def _format_terms(terms: Iterable[tuple[object, int]]) -> str:

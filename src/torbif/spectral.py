@@ -29,7 +29,7 @@ level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .euler import EulerElementS1
@@ -125,13 +125,14 @@ def validate(problem: CriticalPointProblem) -> AssumptionReport:
 class BifurcationLevel:
     """A candidate level, addressed as the frequency k / sqrt(alpha).
 
-    Identity is the square of the frequency: two levels are equal exactly
-    when their `lambda_sq` values are equal, so coincident levels coming
-    from different eigenvalues compare equal.
+    Identity is the square of the frequency, stored once as `lambda_sq`:
+    two levels are equal exactly when their `lambda_sq` values are equal,
+    so coincident levels coming from different eigenvalues compare equal.
     """
 
     k: int
     alpha: Fraction
+    lambda_sq: Fraction = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
@@ -139,10 +140,7 @@ class BifurcationLevel:
         object.__setattr__(self, "alpha", as_fraction(self.alpha))
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-
-    @property
-    def lambda_sq(self) -> Fraction:
-        return Fraction(self.k * self.k) / self.alpha
+        object.__setattr__(self, "lambda_sq", Fraction(self.k * self.k) / self.alpha)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BifurcationLevel):

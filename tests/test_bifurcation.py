@@ -427,6 +427,35 @@ def test_full_orbit_index_with_one_parallel_mode_below():
     assert build_report(problem, level).index == bif_index_expanded(problem, level)
 
 
+def test_index_with_null_modes_on_two_modes(monkeypatch):
+    # at lambda_sq = 1, alpha 1 resonates on mode 1 and alpha 4 on mode 2,
+    # so the null characters have two second coordinates and the index
+    # takes one gcd table for each; the finite terms of deg_s1 enter as
+    # runs at n = 0 and its S1 term brings the characters of mode 1 of
+    # alpha 4 below the level
+    problem = CriticalPointProblem(
+        spectra=(
+            SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1})),
+            SpectralDatum(4, S1Representation(rotating={1: 1, 3: 2})),
+        ),
+        deg_s1=EulerElementS1(2, {1: -1, 3: 2}),
+    )
+    level = BifurcationLevel(1, 1)
+    assert sorted({n for (_, n), _ in resonant_space(problem, level).characters}) == [1, 2]
+    gcds = []
+    xgcd = torbif.bifurcation._xgcd
+
+    def recording(b, n):
+        gcds.append((b, n))
+        return xgcd(b, n)
+
+    monkeypatch.setattr(torbif.bifurcation, "_xgcd", recording)
+    assert build_report(problem, level).index == bif_index_expanded(problem, level)
+    assert sorted(gcds) == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    for level in lambda_set(problem, 4):
+        assert build_report(problem, level).index == bif_index_expanded(problem, level)
+
+
 @given(st.integers(0, 10**9))
 def test_level_representation_does_not_matter(seed):
     rng = random.Random(seed)

@@ -262,6 +262,35 @@ def test_line_products_are_bounded(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
 
 
+def test_null_mode_pairs_are_bounded(tmp_path, capsys, monkeypatch):
+    # alpha 1 with speeds 1 and 2, deg_s1 = 1*Z1: at --k 1 the null modes
+    # have the 4 characters (+-1, 1) and (+-2, 1), whose degree multiplies
+    # 4 * 3 ordered pairs; over the bound, read from the module, the degree
+    # is never formed
+    problem = CriticalPointProblem(
+        spectra=(SpectralDatum(1, S1Representation(rotating={1: 1, 2: 1})),),
+        deg_s1=EulerElementS1.cyclic(1),
+    )
+    path = tmp_path / "speeds.json"
+    write_problem(problem, path)
+    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 12)
+    assert main(["index", "--problem", str(path), "--k", "1", "--alpha", "1"]) == 0
+    capsys.readouterr()
+
+    def refuse(rep):
+        raise AssertionError("deg_minus_id_t2 was called")
+
+    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 11)
+    monkeypatch.setattr(torbif.bifurcation, "deg_minus_id_t2", refuse)
+    for command in (["index", "--k", "1", "--alpha", "1"], ["classify", "--max-k", "1"]):
+        assert main([command[0], "--problem", str(path)] + command[1:]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: the degree on the null modes at lambda_sq = 1 needs 12 line"
+            " products for 4 characters, more than the limit of 11\n",
+        )
+
+
 DIGITS = torbif.rationals._MAX_DIGITS
 LONG, OVER = str(10 ** (DIGITS - 1)), str(10**DIGITS)
 OVER_MESSAGE = f"an integer of {DIGITS + 1} digits is over the limit of {DIGITS}"
@@ -455,27 +484,52 @@ def test_index_breaking_phi_is_an_internal_error(tmp_path, capsys, monkeypatch, 
 
 
 def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys, monkeypatch):
-    # with the product of two lines, which takes their characters, stubbed
-    # to vanish, the worked example's index is zero although its
-    # certificate says not
-    def vanishing_product(ch1, ch2):
+    # with the one closed form for the product of two lines stubbed to
+    # vanish, the worked example's index is zero although its certificate
+    # says not
+    def vanishing_product(ch1, ch2, g):
         return None
 
-    monkeypatch.setattr(torbif.euler, "_generator_product", vanishing_product)
+    for module in (torbif.euler, torbif.bifurcation):
+        monkeypatch.setattr(module, "_line_product", vanishing_product)
     assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal: certificate path disagrees with direct evaluation\n"
 
 
-def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys):
-    # deterministic counters, not timings: at most one generator product per
-    # character below the level, not one per pair of characters; neither
-    # degree here has a full-orbit term, so neither index needs any of them
+def counting_line_products(monkeypatch):
+    """Count every line product, made through the cache of `star` or
+    directly by `build_report`, and every entry of the index's gcd table."""
+    counts = Counter()
+    line_product = torbif.euler._line_product
+    xgcd = torbif.bifurcation._xgcd
+
+    def counted_product(ch1, ch2, g):
+        counts["line_product"] += 1
+        return line_product(ch1, ch2, g)
+
+    def counted_xgcd(b, n):
+        counts["gcd_table"] += 1
+        return xgcd(b, n)
+
+    for module in (torbif.euler, torbif.bifurcation):
+        monkeypatch.setattr(module, "_line_product", counted_product)
+    monkeypatch.setattr(torbif.bifurcation, "_xgcd", counted_xgcd)
     _generator_product.cache_clear()
+    return counts
+
+
+def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monkeypatch):
+    # deterministic counters, not timings: neither degree here has a
+    # full-orbit term, so neither index meets a character below the level;
+    # the line products are the pairs of null characters in the degree on
+    # the null modes and one per null character and class of D1, and the
+    # gcd table holds the one null mode at n = 0
+    counts = counting_line_products(monkeypatch)
     assert main(["index", "--problem", example_path, "--k", "6400", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,6400)\ncertificate: SameSignPath\n"
-    assert _generator_product.cache_info().misses < 2 * 6400
+    assert counts == {"line_product": 1 + 1, "gcd_table": 1}
     problem = CriticalPointProblem(
         spectra=(SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1, 2: 1})),),
         deg_s1=EulerElementS1.cyclic(1),
@@ -483,11 +537,13 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys):
     )
     path = tmp_path / "rotating.json"
     write_problem(problem, path)
+    counts.clear()
     _generator_product.cache_clear()
     assert main(["index", "--problem", str(path), "--k", "250", "--alpha", "1"]) == 0
     assert capsys.readouterr().out == "-5*F(1,0;0,250)\ncertificate: SameSignPath\n"
-    # 249 modes below the level, 5 characters each
-    assert _generator_product.cache_info().misses < 2 * 5 * 250
+    # 5 null characters: 5 * 5 ordered pairs and 5 products with H(1,0), not
+    # one per character of the 249 modes below the level
+    assert counts == {"line_product": 5 * 5 + 5, "gcd_table": 1}
 
 
 def test_caches_stay_bounded(example_path, capsys):
@@ -539,13 +595,13 @@ def test_one_index_evaluation_per_level(example_path, tmp_path, capsys, monkeypa
 
 @pytest.mark.parametrize(
     "deg_s1, per_level",
-    [(EulerElementS1.cyclic(1), 2), (EulerElementS1(fixed=1), 2)],
+    [(EulerElementS1.cyclic(1), 1), (EulerElementS1(fixed=1), 1)],
     ids=["worked-example", "full-orbit"],
 )
 def test_star_calls_per_level(tmp_path, capsys, monkeypatch, deg_s1, per_level):
-    # deterministic counts, not timings: the degree on the null modes and
-    # its product with d0; the cross term B1r * B1b of a degree with an S1
-    # term goes straight to the line product, without a star
+    # deterministic counts, not timings: the one star is B1r * B1r in the
+    # degree on the null modes; the products of its lines with D1 and with
+    # the runs below the level go straight to the line product
     problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=deg_s1)
     path = tmp_path / "problem.json"
     write_problem(problem, path)
@@ -566,18 +622,20 @@ def test_index_without_full_orbit_term_ignores_the_space_below(example_path, cap
     # the worked example's degree has no S1 term, so its index needs no
     # classes below the level: the cost does not depend on k
     below = counting_calls(monkeypatch, "_below_runs")
-    _generator_product.cache_clear()
+    counts = counting_line_products(monkeypatch)
     assert main(["index", "--problem", example_path, "--k", "400000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,400000)\ncertificate: SameSignPath\n"
     assert below == []
-    assert _generator_product.cache_info().misses < 10
+    assert counts["line_product"] < 10
+    assert counts["gcd_table"] == 1
 
 
 def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatch):
     # deterministic counts, not timings: with deg_s1 = 1*S1 the only run
     # below the level is the trivial one, parallel to the null character
-    # (0, k), so it is named once and skipped; the one generator product
-    # is the null character with itself in the degree on the null modes
+    # (0, k), so it is named once and skipped without a gcd; the one line
+    # product is the null character with itself in the degree on the null
+    # modes
     problem = CriticalPointProblem(
         spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1), unique_critical_point=True
     )
@@ -597,11 +655,12 @@ def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatc
         return named
 
     monkeypatch.setattr(torbif.bifurcation, "_below_runs", recording)
-    _generator_product.cache_clear()
+    counts = counting_line_products(monkeypatch)
     assert main(["index", "--problem", str(path), "--k", "1000000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
     assert named == [(0, 1, 1000000, 1)]
-    assert _generator_product.cache_info().misses <= 1
+    assert counts["line_product"] <= 1
+    assert counts["gcd_table"] == 0
 
 
 def test_classify_above_zero_sum_limit_stays_alternative(tmp_path, capsys):

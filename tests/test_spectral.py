@@ -124,6 +124,19 @@ def test_resonant_pairs_collects_all_modes():
     assert resonant_pairs(prob, off) == ()
 
 
+def test_level_stores_lambda_sq():
+    level = BifurcationLevel(3, Fraction(4, 5))
+    assert vars(level)["lambda_sq"] == Fraction(9) / Fraction(4, 5) == Fraction(45, 4)
+    assert level.lambda_sq is level.lambda_sq
+    # from different eigenvalues, equal squared frequencies: one level
+    other = BifurcationLevel(6, Fraction(16, 5))
+    assert other.lambda_sq == level.lambda_sq
+    assert other == level and hash(other) == hash(level)
+    assert len({level, other}) == 1
+    assert repr(level) == "BifurcationLevel(k=3, alpha=4/5)"
+    assert repr(other) == "BifurcationLevel(k=6, alpha=16/5)"
+
+
 def test_level_from_lambda_sq():
     prob = example_problem()
     level = level_from_lambda_sq(prob, "1/2")
