@@ -78,7 +78,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .euler import EulerElementS1, EulerElementT2, _from_rows, _line_product, embed_s1_to_t2
+from .euler import (
+    EulerElementS1,
+    EulerElementT2,
+    Rows,
+    _from_rows,
+    _line_product,
+    element_to_json,
+    embed_s1_to_t2,
+)
 from .rationals import rational_to_json
 from .representations import S1Representation, deg_minus_id_t2
 from .spectral import (
@@ -91,13 +99,13 @@ from .spectral import (
     resonant_space,
     validate,
 )
-from .subgroups import TorusSubgroup, _xgcd
+from .subgroups import _xgcd
 
 
-# The most line products `build_report` makes at one level, for the pairs
-# of null characters in their degree and again for the loop over runs, so
-# that a huge --k on a degree with a full-orbit term or a problem file with
-# many speeds ends in an error, not in minutes of work.
+# The most line products made at one level by `build_report`, for the
+# pairs of null characters in their degree and again for the loop over
+# runs, or for one product by `torbif star`, so that a huge --k, many
+# speeds or long factors end in an error, not in minutes of work.
 _MAX_LINE_PRODUCTS = 1_000_000
 
 
@@ -135,10 +143,7 @@ class BifurcationReport:
                 "alpha": rational_to_json(self.level.alpha),
                 "lambda_sq": rational_to_json(self.level.lambda_sq),
             },
-            "index": [
-                {"generator": str(subgroup), "coeff": coeff}
-                for subgroup, coeff in self.index.terms
-            ],
+            "index": element_to_json(self.index),
             "nontrivial": self.nontrivial,
             "certificate": self.certificate.value if self.certificate else None,
             "classification": self.classification.value,
@@ -225,14 +230,14 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
             f" products, more than the limit of {_MAX_LINE_PRODUCTS}"
         )
     deg = deg_minus_id_t2(resonant)
-    acc = {h.rows: n0 * c for h, c in deg.terms}
+    acc = {rows: n0 * c for rows, c in deg._terms}
     acc[()] = acc.get((), 0) - n0
     # _xgcd(b, n) once per null mode b and n, as far as the runs met reach
     gcds: dict[int, list[tuple[int, int, int]]] = {}
-    for h, c in deg.terms:
-        if h.dim != 1:
+    for rows, c in deg._terms:
+        if len(rows) != 1:
             continue
-        null = h.rows[0]
+        null = rows[0]
         met = [run for run in runs if null[0] or run[0]]
         g = gcds.setdefault(null[1], [])
         g.extend(_xgcd(null[1], n) for n in range(len(g), max((run[2] for run in met), default=0)))
@@ -316,14 +321,14 @@ def _zero_sum_dfs(
     # all-exclude leaf comes last and is live only for a zero `base`.  The
     # walk keeps its own stack, so a long pool cannot exhaust recursion.
     indices = [table[lvl] for lvl in pool]
-    last: dict[tuple[TorusSubgroup, bool], int] = {}
+    last: dict[tuple[Rows, bool], int] = {}
     for pos, index in enumerate(indices):
-        for h, c in index.terms:
-            last[(h, c > 0)] = pos
+        for rows, c in index._terms:
+            last[(rows, c > 0)] = pos
     stack: list[tuple[int, EulerElementT2, tuple[int, ...]]] = [(0, base, ())]
     while stack:
         pos, acc, picked = stack.pop()
-        if any(last.get((h, c < 0), -1) < pos for h, c in acc.terms):
+        if any(last.get((rows, c < 0), -1) < pos for rows, c in acc._terms):
             continue
         if pos == len(indices):
             return tuple(pool[i] for i in picked)

@@ -25,12 +25,13 @@ on stderr and exits 2.
 
 Exit codes: 0 success, 2 malformed input (problem files, expressions,
 usage) or input over a bound (an integer of more than 1000 digits, more
-than 100,000 levels, an index or its null modes' degree needing more
-than 10^6 line products), 3 a frequency that is not a candidate level, 4
-output-file failure, 5 an internal cross-check failed (a bug in torbif),
-141 stdout was closed before all output was written (the status a shell
-reports for a process ended by SIGPIPE).  Output is deterministic: identical inputs produce
-byte-identical text, and --json swaps in machine-readable JSON.
+than 100,000 levels, an index, its null modes' degree or a star product
+needing more than 10^6 line products), 3 a frequency that is not a
+candidate level, 4 output-file failure, 5 an internal cross-check failed
+(a bug in torbif), 141 stdout was closed before all output was written
+(the status a shell reports for a process ended by SIGPIPE).  Output is
+deterministic: identical inputs produce byte-identical text, and --json
+swaps in machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
 from .bifurcation import (
+    _MAX_LINE_PRODUCTS,
     BifurcationReport,
     Classification,
     any_zero_sum_subset,
@@ -51,7 +53,7 @@ from .bifurcation import (
     classify_noncompact,
     example_problem,
 )
-from .euler import format_element
+from .euler import element_to_json, format_element
 from .grammar import ElementParseError, parse_element
 from .problem_io import load_problem, write_problem
 from .rationals import _check_digits, parse_rational, rational_to_json
@@ -218,17 +220,15 @@ def _cmd_star(args: SimpleNamespace) -> int:
         except ElementParseError as exc:
             _print_parse_error(source, exc)
             return 2
+    lines = [sum(len(rows) == 1 for rows, _ in factor._terms) for factor in factors]
+    if lines[0] * lines[1] > _MAX_LINE_PRODUCTS:
+        raise ValueError(
+            f"the product of {lines[0]} and {lines[1]} line terms needs {lines[0] * lines[1]}"
+            f" line products, more than the limit of {_MAX_LINE_PRODUCTS}"
+        )
     product = factors[0].star(factors[1])
     if args.json:
-        _emit_json(
-            {
-                "product": [
-                    {"generator": str(subgroup), "coeff": coeff}
-                    for subgroup, coeff in product.terms
-                ],
-                "text": format_element(product),
-            }
-        )
+        _emit_json({"product": element_to_json(product), "text": format_element(product)})
     else:
         print(format_element(product))
     return 0

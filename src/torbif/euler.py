@@ -18,13 +18,12 @@ coordinates and returns canonical rows; `star` reaches it through the
 cached `_generator_product`, and the bifurcation index calls it directly
 with one gcd per pair of second coordinates.
 Elements are canonically sorted sparse integer combinations, so equality
-is structural and all arithmetic is exact.  The public constructor
-checks every term, merges like terms, drops zeros and sorts on the
-subgroups' stored keys, so sums hand it raw (subgroup, coefficient)
-pairs.  Products skip it: `star` accumulates every term in one dict keyed
-by canonical rows and `_from_rows` builds the element from that dict in
-one pass, interning each distinct subgroup once, so a product pays per
-output term for what the constructor does per input pair.
+is structural and all arithmetic is exact.  `euler` alone owns their
+format: nonzero (rows, coefficient) pairs, with the canonical lattice rows
+of `subgroups`, sorted by (len(rows), rows), that is by descending
+dimension and then by rows.  `_from_rows` builds every element, each sum
+or product from one dict keyed by rows; no ring operation builds a
+subgroup, and only the `terms` view, for callers, builds them.
 
 The circle's Euler ring enters only through its additive group, generated
 by the full-orbit class and the classes with finite cyclic isotropy, and
@@ -35,14 +34,14 @@ isotropy of order k goes to the kernel of the character (k, 0).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .subgroups import Character, TorusSubgroup, _interned, _xgcd
+from .subgroups import Character, TorusSubgroup, _interned, _label, _xgcd
 
-_Terms = tuple[tuple[TorusSubgroup, int], ...]
 Rows = tuple[Character, ...]
+_Terms = tuple[tuple[Rows, int], ...]
 
 
 def _check_coeff(value: int) -> int:
@@ -51,70 +50,70 @@ def _check_coeff(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EulerElementT2:
     """A finitely supported integer combination of torus orbit classes.
 
-    Accepts a mapping or an iterable of (subgroup, coefficient) pairs;
-    like terms merge, zero coefficients drop, and terms are stored sorted
-    by descending subgroup dimension and then by lattice rows.
+    `EulerElementT2(terms)` accepts a mapping or an iterable of (subgroup,
+    coefficient) pairs; like terms merge and zero coefficients drop.
     """
 
-    terms: _Terms = ()
+    _terms: _Terms
 
-    def __post_init__(self) -> None:
-        raw = self.terms
-        items = raw.items() if isinstance(raw, Mapping) else raw
-        merged: dict[TorusSubgroup, int] = {}
+    def __new__(cls, terms: Iterable | Mapping = ()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        merged: dict[Rows, int] = {}
         for subgroup, coeff in items:
             if not isinstance(subgroup, TorusSubgroup):
                 raise TypeError(f"expected TorusSubgroup keys, got {subgroup!r}")
-            if coeff.__class__ is not int:
-                _check_coeff(coeff)
-            merged[subgroup] = merged.get(subgroup, 0) + coeff
-        cleaned = [(h, c) for h, c in merged.items() if c]
-        cleaned.sort(key=lambda t: t[0].key)
-        object.__setattr__(self, "terms", tuple(cleaned))
+            merged[subgroup.rows] = merged.get(subgroup.rows, 0) + _check_coeff(coeff)
+        return _from_rows(merged)
+
+    @property
+    def terms(self) -> "_TermsView":
+        """The (subgroup, coefficient) pairs, by descending dimension and
+        then by rows."""
+        return _TermsView(self._terms)
 
     @classmethod
     def zero(cls) -> "EulerElementT2":
-        return cls(())
+        return _from_rows({})
 
     @classmethod
     def identity(cls) -> "EulerElementT2":
         """The class of the full torus, the ring identity."""
-        return cls(((TorusSubgroup.full(), 1),))
+        return _from_rows({(): 1})
 
     @classmethod
     def generator(cls, subgroup: TorusSubgroup) -> "EulerElementT2":
         return cls(((subgroup, 1),))
 
     def coefficient(self, subgroup: TorusSubgroup) -> int:
-        for h, c in self.terms:
-            if h == subgroup:
-                return c
-        return 0
+        return dict(self._terms).get(subgroup.rows, 0)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._terms)
 
     def __add__(self, other: "EulerElementT2") -> "EulerElementT2":
         if not isinstance(other, EulerElementT2):
             return NotImplemented
-        return EulerElementT2(self.terms + other.terms)
+        acc = dict(self._terms)
+        for rows, c in other._terms:
+            acc[rows] = acc.get(rows, 0) + c
+        return _from_rows(acc)
 
     def __sub__(self, other: "EulerElementT2") -> "EulerElementT2":
         if not isinstance(other, EulerElementT2):
             return NotImplemented
-        return EulerElementT2(self.terms + tuple((h, -c) for h, c in other.terms))
+        return self + (-other)
 
     def __neg__(self) -> "EulerElementT2":
-        return EulerElementT2(tuple((h, -c) for h, c in self.terms))
+        return _from_rows({rows: -c for rows, c in self._terms})
 
     def __mul__(self, scale: int) -> "EulerElementT2":
         if not isinstance(scale, int) or isinstance(scale, bool):
             return NotImplemented
-        return EulerElementT2(tuple((h, scale * c) for h, c in self.terms))
+        return _from_rows({rows: scale * c for rows, c in self._terms})
 
     __rmul__ = __mul__
 
@@ -129,12 +128,12 @@ class EulerElementT2:
         from it by `_from_rows`."""
         if not isinstance(other, EulerElementT2):
             raise TypeError(f"cannot multiply EulerElementT2 by {type(other).__name__}")
-        t1, below1, lines1 = _split(self.terms)
-        t2, _, lines2 = _split(other.terms)
-        acc: dict[Rows, int] = {h.rows: t1 * c for h, c in other.terms} if t1 else {}
+        t1, below1, lines1 = _split(self._terms)
+        t2, _, lines2 = _split(other._terms)
+        acc: dict[Rows, int] = {rows: t1 * c for rows, c in other._terms} if t1 else {}
         if t2:
-            for h, c in below1:
-                acc[h.rows] = acc.get(h.rows, 0) + t2 * c
+            for rows, c in below1:
+                acc[rows] = acc.get(rows, 0) + t2 * c
         for ch1, c1 in lines1:
             for ch2, c2 in lines2:
                 rows = _generator_product(ch1, ch2)
@@ -146,28 +145,52 @@ class EulerElementT2:
         """The part supported on subgroups of the given dimension."""
         if dim not in (0, 1, 2):
             raise ValueError(f"dimension must be 0, 1, or 2, got {dim!r}")
-        return EulerElementT2(tuple((h, c) for h, c in self.terms if h.dim == dim))
+        return _from_rows({rows: c for rows, c in self._terms if len(rows) == 2 - dim})
 
     def __str__(self) -> str:
         return format_element(self)
 
 
+class _TermsView(Sequence):
+    """An element's terms as (subgroup, coefficient) pairs, equal to the
+    tuple of those pairs.  Subgroups are built through `_interned` only as
+    pairs are read, so taking the length builds none."""
+
+    def __init__(self, terms: _Terms) -> None:
+        self._terms = terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __iter__(self) -> Iterator[tuple[TorusSubgroup, int]]:
+        return ((_interned(rows), c) for rows, c in self._terms)
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _TermsView)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 def _split(terms: _Terms) -> tuple[int, _Terms, list[tuple[Character, int]]]:
     """The coefficient of T, the terms below T and the (character,
     coefficient) pairs of the line terms of an element's sorted terms."""
-    t = terms[0][1] if terms and terms[0][0].dim == 2 else 0
+    t = terms[0][1] if terms and not terms[0][0] else 0
     below = terms[1:] if t else terms
-    return t, below, [(h.rows[0], c) for h, c in below if h.dim == 1]
+    return t, below, [(rows[0], c) for rows, c in below if len(rows) == 1]
 
 
 def _from_rows(acc: Mapping[Rows, int]) -> EulerElementT2:
-    """The element with these coefficients, keyed by canonical rows, built
-    without the public constructor: each key is distinct and canonical, so
-    it interns each subgroup once, drops zeros and sorts on the keys."""
-    terms = [(_interned(rows), c) for rows, c in acc.items() if c]
-    terms.sort(key=lambda t: t[0].key)
+    """The element with these coefficients, keyed by canonical rows: zeros
+    drop and the terms are sorted by (len(rows), rows)."""
+    terms = sorted((t for t in acc.items() if t[1]), key=lambda t: (len(t[0]), t[0]))
     element = object.__new__(EulerElementT2)
-    element.__dict__["terms"] = tuple(terms)
+    object.__setattr__(element, "_terms", tuple(terms))
     return element
 
 
@@ -215,7 +238,12 @@ def _format_terms(terms: Iterable[tuple[object, int]]) -> str:
 
 def format_element(element: EulerElementT2) -> str:
     """Render an element in the textual grammar; the zero element is '0'."""
-    return _format_terms(element.terms)
+    return _format_terms((_label(rows), c) for rows, c in element._terms)
+
+
+def element_to_json(element: EulerElementT2) -> list[dict]:
+    """The terms of an element as JSON objects {"generator": ..., "coeff": ...}."""
+    return [{"generator": _label(rows), "coeff": c} for rows, c in element._terms]
 
 
 @dataclass(frozen=True)
@@ -289,7 +317,6 @@ def embed_s1_to_t2(element: EulerElementS1) -> EulerElementT2:
     The full-orbit class maps to the identity and the class with isotropy
     of order k maps to the kernel of the character (k, 0).
     """
-    return EulerElementT2(
-        [(TorusSubgroup.full(), element.fixed)]
-        + [(TorusSubgroup.kernel(order, 0), coeff) for order, coeff in element.finite]
-    )
+    acc = {((order, 0),): coeff for order, coeff in element.finite}
+    acc[()] = element.fixed
+    return _from_rows(acc)

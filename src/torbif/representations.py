@@ -165,8 +165,8 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     sign = -1 if rep.trivial % 2 else 1
     b1 = _one_dimensional_sum(rep)
     acc = {(): sign}
-    acc.update((h.rows, -sign * k) for h, k in b1.terms)
-    acc.update((h.rows, sign * (c // 2)) for h, c in b1.star(b1).terms)
+    acc.update((rows, -sign * k) for rows, k in b1._terms)
+    acc.update((rows, sign * (c // 2)) for rows, c in b1.star(b1)._terms)
     return _from_rows(acc)
 
 

@@ -18,28 +18,27 @@ lattice than the one spanned by (1, 0), so (2, 0) and (1, 0) name
 different subgroups.  Intersecting subgroups corresponds to summing their
 lattices, which keeps everything downstream purely integral.
 
-A subgroup stores its dimension, its sort key (len(rows), rows), which
-orders subgroups by descending dimension and then by rows, and its hash,
-each computed once from `rows` by `_stored_fields` when it is built; ring
-elements read them on every merge and sort.  Equality stays on `rows`
-(with an identity fast path) rather than on identity: `_interned` shares
-instances, but it is a bounded cache that can evict an entry, so two
-distinct instances with the same rows can exist and must compare equal.
+Equality and hashing are the dataclass's own, on `rows`, not on identity:
+`_interned` shares instances, but it is a bounded cache that can evict an
+entry, so two distinct instances with the same rows can exist and must
+compare equal.  `_label` spells rows in the text grammar, for `str` of a
+subgroup and for the element formatter in `euler` alike.
 
-The public constructor `TorusSubgroup(rows)` checks that `rows` is a
-canonical basis of int pairs and says which rule it breaks.  `_interned`
-skips that check: its callers (`kernel`, `full`, `trivial`, the normal
-form `_canonical_rows` and the closed-form line product in `euler`) hand
-it rows that are canonical by construction, and every ring product builds
-its subgroups through it, so a check there would re-prove the construction
-on every new subgroup of every request.  The test suite checks that the
-trusted instances pass the public validator.
+Ring elements do not hold subgroups: they keep canonical rows, and
+`euler` alone owns that format and the order of its terms.  Subgroup
+objects exist only at the API edge, where a caller builds one or reads an
+element's `terms` view.  The public constructor `TorusSubgroup(rows)`
+checks that `rows` is a canonical basis of int pairs and says which rule
+it breaks.  `_interned` skips that check: its callers (`kernel`, `full`,
+`trivial`, the normal form `_canonical_rows` and the `terms` view) hand
+it rows that are canonical by construction.  The test suite checks that
+the trusted instances pass the public validator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -99,7 +98,7 @@ def _check_int(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TorusSubgroup:
     """A closed subgroup of T^2, identified by its annihilator lattice.
 
@@ -109,9 +108,6 @@ class TorusSubgroup:
     """
 
     rows: tuple[Character, ...] = ()
-    dim: int = field(init=False, repr=False, compare=False)
-    key: tuple[int, tuple[Character, ...]] = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = self.rows
@@ -132,17 +128,6 @@ class TorusSubgroup:
             canonical = not rows
         if not canonical:
             raise ValueError(f"rows {rows!r} are not a canonical lattice basis")
-        self.__dict__.update(_stored_fields(rows))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not TorusSubgroup:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def from_characters(cls, chars: Iterable[Character]) -> "TorusSubgroup":
@@ -173,6 +158,10 @@ class TorusSubgroup:
         return _interned(((1, 0), (0, 1)))
 
     @property
+    def dim(self) -> int:
+        return 2 - len(self.rows)
+
+    @property
     def order(self) -> int:
         """Number of elements; defined only for finite subgroups."""
         if len(self.rows) != 2:
@@ -188,26 +177,27 @@ class TorusSubgroup:
         return _interned(_canonical_rows(self.rows + other.rows))
 
     def __str__(self) -> str:
-        if len(self.rows) == 0:
-            return "T"
-        if len(self.rows) == 1:
-            m, n = self.rows[0]
-            return f"H({m},{n})"
-        (a, z), (b, d) = self.rows
-        return f"F({a},{z};{b},{d})"
+        return _label(self.rows)
 
 
-def _stored_fields(rows: tuple[Character, ...]) -> dict:
-    """The fields a subgroup stores, all read off its canonical rows."""
-    return {"rows": rows, "dim": 2 - len(rows), "key": (len(rows), rows), "_hash": hash((rows,))}
+def _label(rows: tuple[Character, ...]) -> str:
+    """The subgroup with these canonical rows in the text grammar: 'T',
+    'H(m,n)' or 'F(a,0;b,d)'."""
+    if not rows:
+        return "T"
+    if len(rows) == 1:
+        m, n = rows[0]
+        return f"H({m},{n})"
+    (a, z), (b, d) = rows
+    return f"F({a},{z};{b},{d})"
 
 
 @lru_cache(maxsize=1 << 14)
 def _interned(rows: tuple[Character, ...]) -> TorusSubgroup:
     """The shared subgroup with these rows, which must already be canonical:
     it is built without the public constructor's check (see the module
-    docstring).  Canonical rows recur constantly in ring products, and the
-    bound keeps a long-lived process from growing the cache without limit."""
+    docstring).  The bound keeps a long-lived process that reads many
+    elements' terms from growing the cache without limit."""
     subgroup = object.__new__(TorusSubgroup)
-    subgroup.__dict__.update(_stored_fields(rows))
+    object.__setattr__(subgroup, "rows", rows)
     return subgroup

@@ -10,8 +10,8 @@ unit's geometric-series inverse, the plane-by-plane degree product, the
 untruncated three-factor index, the mode-by-mode negative space, the
 two-sided degree jump across a level, the unpruned walk over every subset
 of a zero-sum pool, the argparse parser the command line once built on
-every call), so each identity they satisfy is a differential check on the
-package.
+every call, an element spelled through the subgroups of its `terms` view),
+so each identity they satisfy is a differential check on the package.
 """
 
 from __future__ import annotations
@@ -338,6 +338,15 @@ def one_signed_functional(problem, index):
         return sum(c for h, c in index.terms if h.dim == 1)
     i = problem.deg_s1.finite[0][0]
     return sum(c for h, c in index.terms if h.rows[:1] == ((i, 0),))
+
+
+def element_text_and_json(element):
+    """An element in the text grammar and as its JSON terms, spelled by
+    `str` of each subgroup of its `terms` view."""
+    terms = [(str(h), c) for h, c in element.terms]
+    signed = [f"{'-' if c < 0 else '+'} {abs(c)}*{g}" for g, c in terms]
+    text = " ".join([f"{terms[0][1]}*{terms[0][0]}"] + signed[1:]) if terms else "0"
+    return text, [{"generator": g, "coeff": c} for g, c in terms]
 
 
 def _positive_int(text: str) -> int:

@@ -262,6 +262,29 @@ def test_line_products_are_bounded(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
 
 
+def test_star_line_products_are_bounded(capsys, monkeypatch):
+    # 3 lines times 2 lines make 6 line products, counted before any is
+    # made; the T term adds none, and the bound is read from the module,
+    # never reached by a huge run
+    lhs, rhs = "1*T + 1*H(1,0) + 1*H(1,1) + 1*H(1,2)", "1*H(0,1) - 1*H(2,1)"
+    monkeypatch.setattr(torbif.cli, "_MAX_LINE_PRODUCTS", 6)
+    assert main(["star", lhs, rhs]) == 0
+    assert capsys.readouterr().out.startswith("1*H(0,1) - 1*H(2,1) + ")
+    monkeypatch.setattr(torbif.cli, "_MAX_LINE_PRODUCTS", 5)
+
+    def refuse(self, other):
+        raise AssertionError("star was called")
+
+    monkeypatch.setattr(EulerElementT2, "star", refuse)
+    for json_flag in ([], ["--json"]):
+        assert main(["star", *json_flag, lhs, rhs]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: the product of 3 and 2 line terms needs 6 line products,"
+            " more than the limit of 5\n",
+        )
+
+
 def test_null_mode_pairs_are_bounded(tmp_path, capsys, monkeypatch):
     # alpha 1 with speeds 1 and 2, deg_s1 = 1*Z1: at --k 1 the null modes
     # have the 4 characters (+-1, 1) and (+-2, 1), whose degree multiplies
@@ -546,6 +569,30 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monk
     assert counts == {"line_product": 5 * 5 + 5, "gcd_table": 1}
 
 
+def test_requests_build_no_subgroup(example_path, tmp_path, capsys):
+    # ring elements keep rows, and subgroups are built only for callers that
+    # read an element's terms, so no request touches the intern cache; both
+    # certificate paths, the zero-sum check and --json are covered
+    rich = CriticalPointProblem(
+        spectra=(
+            SpectralDatum(2, S1Representation(trivial=1, rotating={1: 2})),
+            SpectralDatum(3, S1Representation(rotating={2: 1})),
+        ),
+        deg_s1=EulerElementS1(1, {2: -1}),
+        unique_critical_point=True,
+    )
+    rich_path = tmp_path / "rich.json"
+    write_problem(rich, rich_path)
+    _interned.cache_clear()
+    for path in (example_path, str(rich_path)):
+        for json_flag in ([], ["--json"]):
+            assert main(["classify", *json_flag, "--problem", path, "--max-k", "6"]) == 0
+            assert main(["index", *json_flag, "--problem", path, "--k", "5", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out
+    info = _interned.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
 def test_caches_stay_bounded(example_path, capsys):
     _generator_product.cache_clear()
     _interned.cache_clear()
@@ -553,10 +600,11 @@ def test_caches_stay_bounded(example_path, capsys):
     assert capsys.readouterr().out == "-1*F(1,0;0,25600)\ncertificate: SameSignPath\n"
     # the index makes few generator products, so fill that cache with a
     # product of two sums of 200 lines each, no line of one parallel to a
-    # line of the other: 40,000 distinct pairs, each of dimension 1 + 1
+    # line of the other: 40,000 distinct pairs, each of dimension 1 + 1;
+    # reading the product's terms builds each of their subgroups once
     left = EulerElementT2((TorusSubgroup.kernel(1, n), 1) for n in range(1, 201))
     right = EulerElementT2((TorusSubgroup.kernel(-n, 1), 1) for n in range(1, 201))
-    assert len(left.star(right).terms) > 0
+    assert len(tuple(left.star(right).terms)) > 0
     for cache in (_generator_product, _interned):
         info = cache.cache_info()
         assert info.misses > info.maxsize
@@ -727,7 +775,7 @@ def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
     counts = Counter()
     canonical_rows = torbif.subgroups._canonical_rows
     intersect = TorusSubgroup.intersect
-    post_init = EulerElementT2.__post_init__
+    from_rows = torbif.euler._from_rows
 
     def counting(name, fn):
         def counted(*args):
@@ -738,7 +786,11 @@ def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(torbif.subgroups, "_canonical_rows", counting("canonical_rows", canonical_rows))
     monkeypatch.setattr(TorusSubgroup, "intersect", counting("intersect", intersect))
-    monkeypatch.setattr(EulerElementT2, "__post_init__", counting("build", post_init))
+    # every element, the public constructor's too, is built by `_from_rows`
+    counted_build = counting("build", from_rows)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("torbif") and getattr(module, "_from_rows", None) is from_rows:
+            monkeypatch.setattr(module, "_from_rows", counted_build)
     _interned.cache_clear()
     _generator_product.cache_clear()
     assert main(["classify", "--problem", str(path), "--max-k", "7"]) == 0
@@ -749,8 +801,9 @@ def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
     assert counts["intersect"] == 0
     # the pairwise product through intersections, with a separate negation
     # in every subtraction, built 336 elements here (and ran 1,912
-    # intersections and normal forms); the split product builds 294
-    assert counts["build"] < 336
+    # intersections and normal forms); now each of the 21 levels builds
+    # four: B1, B1 * B1, the degree on the null modes and the index
+    assert counts["build"] == 4 * 21
 
 
 COMMANDS = ("levels", "index", "classify", "star", "example")

@@ -1,23 +1,30 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torbif
 from torbif import (
     EulerElementS1,
     EulerElementT2,
     TorusSubgroup,
+    build_report,
     embed_s1_to_t2,
     format_element,
+    lambda_set,
 )
-from torbif.euler import _generator_product
+from torbif.euler import _generator_product, element_to_json
 
 from oracles import (
     NotInvertible,
+    element_text_and_json,
     generator_product_by_intersection,
     invert,
     random_element,
+    random_problem,
     random_unit,
     star_by_pairs,
 )
@@ -137,6 +144,44 @@ def test_star_builds_what_the_public_constructor_builds(seed):
         assert result == rebuilt
         assert result.terms == rebuilt.terms
         assert all(TorusSubgroup(h.rows) == h for h, _ in result.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**9))
+def test_terms_view_rebuilds_and_spells_the_element(seed):
+    # elements keep rows; their (subgroup, coefficient) view must give back
+    # the same element through the public constructor, and the formatter
+    # and the JSON, which spell rows, must match `str` over that view
+    rng = random.Random(seed)
+    span = rng.choice((9, 10**6))
+    a = random_element(rng, max_terms=6, span=span) + rng.randint(-3, 3) * I
+    b = random_element(rng, max_terms=6, span=span)
+    results = [a + b, a - b, -a, rng.randint(-3, 3) * a, a.star(b), a.star(a)]
+    results += [a.project(dim) for dim in (0, 1, 2)]
+    problem = random_problem(rng)
+    reports = [build_report(problem, level) for level in lambda_set(problem, 3)]
+    results += [report.index for report in reports]
+    for result in results:
+        assert EulerElementT2(list(result.terms)) == result
+        text, terms_json = element_text_and_json(result)
+        assert format_element(result) == text
+        assert element_to_json(result) == terms_json
+    for report in reports:
+        assert report.to_dict()["index"] == element_text_and_json(report.index)[1]
+
+
+PACKAGE = sorted(Path(torbif.__file__).resolve().parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_package_reads_rows_not_the_terms_view(path):
+    # the (subgroup, coefficient) view builds subgroup objects for callers
+    # outside the package; its own modules read an element's rows
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "terms"
+    ]
+    assert reads == []
 
 
 def test_star_known_products():

@@ -196,14 +196,13 @@ def test_canonical_rows_of_parallel_characters():
 @settings(max_examples=200)
 @given(character_lists(), character_lists())
 def test_stored_fields_follow_rows(chars, others):
-    # dim, the sort key and the hash are stored once per instance; equality
-    # must stay on rows, since the bounded intern cache can evict an entry
-    # and a later build then makes a second instance with the same rows
+    # equality and hash must stay on rows, since the bounded intern cache
+    # can evict an entry and a later build then makes a second instance
+    # with the same rows
     h = TorusSubgroup.from_characters(chars)
     g = TorusSubgroup.from_characters(others)
     assert h.dim == 2 - len(h.rows)
-    assert (h.key < g.key) == ((-h.dim, h.rows) < (-g.dim, g.rows))
-    assert (h.key == g.key) == (h == g)
+    assert (h == g) == (h.rows == g.rows)
     _interned.cache_clear()
     again = TorusSubgroup.from_characters(chars)
     assert again is not h
@@ -239,4 +238,4 @@ def test_interned_subgroups_pass_the_public_validator(rows):
     assert trusted is not checked
     assert trusted == checked
     assert trusted.rows is rows
-    assert (trusted.dim, trusted.key, hash(trusted)) == (checked.dim, checked.key, hash(checked))
+    assert (trusted.dim, hash(trusted)) == (checked.dim, hash(checked))
