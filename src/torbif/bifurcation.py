@@ -49,11 +49,16 @@ the runs of characters (s, n), lo <= n < hi, with no representation and
 no subgroup built for that space; each character below the level lies in
 one run, so it meets each null character once.  Against a null character
 (a, b), det = a*n - b*s vanishes for every n when a == s == 0, so that
-run is skipped in O(1), and otherwise for at most one n, where the line
-product returns None.  A null character's b is its mode, so the loop
-takes the extended gcd of (b, n) once per mode and n, in a table built
-only as far as the runs a null character meets.  Every term goes into
-one dict keyed by rows, and the index is built from it once.  The full
+run is skipped in O(1), and otherwise for at most one n, where no term
+is made.  So the runs are split once per level into all runs and the
+runs of speed s != 0, each group with its span and its top hi: a null
+character with a != 0 meets the first group, one with a == 0 the
+second.  A null character's b is its mode, so the loop takes the
+extended gcd of (b, n) once per mode and n, in a table built only as far
+as the top of the group a null character meets.  Then
+`euler._line_products` makes that character's products with the whole
+group, run by run, with no call per product.  Every term goes into one
+dict keyed by rows, and the index is built from it once.  The full
 three-factor product is kept as an oracle in the test suite.
 
 The classification upgrades a nonzero index to a non-compactness
@@ -83,7 +88,7 @@ from .euler import (
     EulerElementT2,
     Rows,
     _from_rows,
-    _line_product,
+    _line_products,
     element_to_json,
     embed_s1_to_t2,
 )
@@ -182,7 +187,7 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
 
     The index is n0 * (deg - T) + deg_1 * (D1 - n0 * B1b), the closed form
     of the module docstring, with deg_1 times the runs of D1 - n0 * B1b in
-    one loop, mode by mode.  The space below the level enters only when
+    one loop, run by run.  The space below the level enters only when
     n0 != 0, and then only through its runs: its full degree would square
     a sum whose length grows with k, and a run parallel to a null
     character costs O(1).  When the c null characters need more than
@@ -220,10 +225,13 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     if n0:
         runs += [(s, lo, hi, -n0 * k) for s, lo, hi, k in _below_runs(problem, level)]
     # a null character (a, b) meets every run but, when a == 0, the runs of
-    # speed 0 below the level, which are parallel to it and skipped
-    span = sum(hi - lo for _, lo, hi, _ in runs)
-    parallel = sum(hi - lo for s, lo, hi, _ in runs if s == 0)
-    products = sum(span - parallel * (null[0] == 0) for null, _ in resonant.characters)
+    # speed 0 below the level, which are parallel to it and skipped; so the
+    # runs it meets, their span and their top hi are keyed by a == 0
+    groups = {
+        a_zero: (met, sum(hi - lo for _, lo, hi, _ in met), max((hi for _, _, hi, _ in met), default=0))
+        for a_zero, met in ((False, runs), (True, [run for run in runs if run[0]]))
+    }
+    products = sum(groups[null[0] == 0][1] for null, _ in resonant.characters)
     if products > _MAX_LINE_PRODUCTS:
         raise ValueError(
             f"the index at lambda_sq = {level.lambda_sq} needs {products} line"
@@ -237,15 +245,11 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     for rows, c in deg._terms:
         if len(rows) != 1:
             continue
-        null = rows[0]
-        met = [run for run in runs if null[0] or run[0]]
-        g = gcds.setdefault(null[1], [])
-        g.extend(_xgcd(null[1], n) for n in range(len(g), max((run[2] for run in met), default=0)))
-        for s, lo, hi, weight in met:
-            for n in range(lo, hi):
-                rows = _line_product(null, (s, n), g[n])
-                if rows is not None:
-                    acc[rows] = acc.get(rows, 0) + c * weight
+        (a, b), = rows
+        met, _, top = groups[a == 0]
+        g = gcds.setdefault(b, [])
+        g.extend(_xgcd(b, n) for n in range(len(g), top))
+        _line_products(acc, a, b, c, met, g)
     if n0:
         certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
         phi = sum(c for rows, c in acc.items() if len(rows) == 1)

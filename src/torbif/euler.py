@@ -11,12 +11,18 @@ identity.  Grading by subgroup dimension, products of two one-dimensional
 classes land in degree zero and everything below degree one multiplies to
 zero, which makes the non-identity part of any element nilpotent of order
 three.  So `star` splits each operand by dimension once: the full-torus
-term scales the other operand, and only pairs of two lines reach
-`_line_product`, the one closed form for the product of two lines, which
-works on their raw characters and the extended gcd of their second
-coordinates and returns canonical rows; `star` reaches it through the
-cached `_generator_product`, and the bifurcation index calls it directly
-with one gcd per pair of second coordinates.
+term scales the other operand, and only pairs of two lines reach the
+closed form for the product of two lines, which works on their raw
+characters and the extended gcd of their second coordinates and returns
+canonical rows.  It has two forms.  The pair form `_line_product` serves
+`star`, through the cached `_generator_product`.  The run form
+`_line_products` serves the bifurcation index: it multiplies one line
+against whole runs of characters (s, n), lo <= n < hi, with the products
+written inline, and takes the run's weight and b*s once per run, so no
+call is made per product.  There are two because `star` still forms
+B1r * B1r on the index's path (see ROADMAP item 4(b)); once that product
+joins the index's loop, `star` leaves that path and the pair form serves
+only API callers.  A property test ties the run form to the pair form.
 Elements are canonically sorted sparse integer combinations, so equality
 is structural and all arithmetic is exact.  `euler` alone owns their
 format: nonzero (rows, coefficient) pairs, with the canonical lattice rows
@@ -217,6 +223,32 @@ def _line_product(ch1: Character, ch2: Character, g: tuple[int, int, int]) -> Ro
     return ((axis, 0), ((x * a + y * m) % axis, d))
 
 
+def _line_products(
+    acc: dict[Rows, int],
+    a: int,
+    b: int,
+    c: int,
+    runs: Iterable[tuple[int, int, int, int]],
+    g: Sequence[tuple[int, int, int]],
+) -> None:
+    """Add c * w times the product of the kernels of (a, b) and (s, n) into
+    `acc`, keyed by canonical rows, for each run (s, lo, hi, w) and each n
+    with lo <= n < hi, given g[n] = _xgcd(b, n).
+
+    This is `_line_product` over every pair of the runs, written out:
+    det = a*n - b*s, no term where det is 0, and otherwise the rows
+    (|det| / d, 0) and (x*a + y*s mod |det| / d, d) with (d, x, y) = g[n]."""
+    for s, lo, hi, w in runs:
+        cw, bs = c * w, b * s
+        for n in range(lo, hi):
+            det = a * n - bs
+            if det:
+                d, x, y = g[n]
+                axis = abs(det) // d
+                rows = ((axis, 0), ((x * a + y * s) % axis, d))
+                acc[rows] = acc.get(rows, 0) + cw
+
+
 @lru_cache(maxsize=1 << 14)
 def _generator_product(ch1: Character, ch2: Character) -> Rows | None:
     """`_line_product` of two characters, with their extended gcd, cached."""
@@ -224,7 +256,8 @@ def _generator_product(ch1: Character, ch2: Character) -> Rows | None:
 
 
 def _format_terms(terms: Iterable[tuple[object, int]]) -> str:
-    # 'c1*g1 + c2*g2 - c3*g3', with no terms printing as '0'.
+    # 'c1*g1 + c2*g2 - c3*g3', with no terms printing as '0'; used for
+    # EulerElementS1, whose few terms are not on the index's path.
     parts: list[str] = []
     for label, coeff in terms:
         if not parts:
@@ -237,8 +270,13 @@ def _format_terms(terms: Iterable[tuple[object, int]]) -> str:
 
 
 def format_element(element: EulerElementT2) -> str:
-    """Render an element in the textual grammar; the zero element is '0'."""
-    return _format_terms((_label(rows), c) for rows, c in element._terms)
+    """Render an element in the textual grammar; the zero element is '0'.
+
+    Each term is written once as 'c*g' and the terms are joined by ' + ';
+    then ' + -' becomes ' - ', which touches only the separators before
+    negative coefficients, since a label never holds ' + '."""
+    text = " + ".join([f"{c}*{_label(rows)}" for rows, c in element._terms])
+    return text.replace(" + -", " - ") or "0"
 
 
 def element_to_json(element: EulerElementT2) -> list[dict]:

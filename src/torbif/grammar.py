@@ -21,9 +21,9 @@ an ElementParseError, whose message would echo the whole text.
 
 from __future__ import annotations
 
-from .euler import EulerElementT2, format_element
+from .euler import EulerElementT2, Rows, _from_rows, format_element
 from .rationals import _check_digits
-from .subgroups import TorusSubgroup
+from .subgroups import _canonical_rows, normalize_character
 
 __all__ = ["ElementParseError", "parse_element", "format_element"]
 
@@ -71,12 +71,13 @@ class _Scanner:
             self.pos += 1
         return int(_check_digits(self.text[start:self.pos]))
 
-    def generator(self) -> TorusSubgroup:
+    def generator(self) -> Rows:
+        # the canonical rows of the generator, as `_from_rows` takes them
         self.skip_ws()
         head = self.peek()
         if head == "T":
             self.pos += 1
-            return TorusSubgroup.full()
+            return ()
         if head == "H":
             self.pos += 1
             self.expect("(")
@@ -84,7 +85,7 @@ class _Scanner:
             self.expect(",")
             n = self.integer()
             self.expect(")")
-            return TorusSubgroup.from_characters([(m, n)])
+            return (normalize_character(m, n),) if m or n else ()
         if head == "F":
             self.pos += 1
             self.expect("(")
@@ -96,11 +97,11 @@ class _Scanner:
             self.expect(",")
             d = self.integer()
             self.expect(")")
-            return TorusSubgroup.from_characters([(a, b), (c, d)])
+            return _canonical_rows([(a, b), (c, d)])
         self.fail("expected a generator 'T', 'H(m,n)', or 'F(a,b;c,d)'")
         raise AssertionError("unreachable")
 
-    def term(self) -> tuple[int, TorusSubgroup]:
+    def term(self) -> tuple[int, Rows]:
         self.skip_ws()
         head = self.peek()
         if head.isdigit() or head in ("+", "-"):
@@ -112,11 +113,11 @@ class _Scanner:
     def element(self) -> EulerElementT2:
         if self.text.strip() == "0":
             return EulerElementT2.zero()
-        terms: list[tuple[TorusSubgroup, int]] = []
+        acc: dict[Rows, int] = {}
 
         def add(sign: int) -> None:
-            coeff, subgroup = self.term()
-            terms.append((subgroup, sign * coeff))
+            coeff, rows = self.term()
+            acc[rows] = acc.get(rows, 0) + sign * coeff
 
         add(1)
         while True:
@@ -128,7 +129,7 @@ class _Scanner:
                 self.fail("expected '+' or '-'")
             self.pos += 1
             add(1 if op == "+" else -1)
-        return EulerElementT2(terms)
+        return _from_rows(acc)
 
 
 def parse_element(text: str) -> EulerElementT2:

@@ -23,7 +23,9 @@ signed speed s (0 for the trivial part) the characters (s, n) over every
 eigenvalue merge into runs lo <= n < hi of one multiplicity, so
 `_below_runs` names each run in O(1) and only `negative_space` lists
 its characters.  This module alone decides which characters lie below a
-level.
+level.  Per level those comparisons are made in integers: with q = qn/qd
+and alpha = an/ad, ceil(q alpha) is -(-qn*an // (qd*ad)), and q alpha is
+an integer exactly when qd*ad divides qn*an, so no rational is formed.
 """
 
 from __future__ import annotations
@@ -177,16 +179,19 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
 
 
 def _resonances(problem: CriticalPointProblem, q: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    # All (mode, alpha) with mode^2 == q * alpha, mode >= 1, for q > 0.
+    # All (mode, alpha) with mode^2 == q * alpha, mode >= 1, for q > 0,
+    # decided in integers (see the module docstring).
+    qn, qd = q.numerator, q.denominator
     pairs = []
     for datum in problem.spectra:
-        if datum.alpha <= 0:
+        an, ad = datum.alpha.numerator, datum.alpha.denominator
+        if an <= 0:
             continue
-        target = q * datum.alpha
-        if target.denominator != 1:
+        target, rest = divmod(qn * an, qd * ad)
+        if rest:
             continue
-        n = math.isqrt(target.numerator)
-        if n >= 1 and n * n == target.numerator:
+        n = math.isqrt(target)
+        if n >= 1 and n * n == target:
             pairs.append((n, datum.alpha))
     return tuple(sorted(pairs))
 
@@ -218,12 +223,14 @@ def _below_runs(
     a signed rotation speed, or 0 for the trivial part.  Over alpha the
     modes below the level are 1 <= n <= isqrt(ceil(lambda_sq * alpha) - 1);
     the eigenspaces with a speed s share their first modes, so they are
-    merged and each character lies in exactly one run."""
-    q = level.lambda_sq
+    merged and each character lies in exactly one run.  The count of modes
+    is taken in integers (see the module docstring)."""
+    qn, qd = level.lambda_sq.numerator, level.lambda_sq.denominator
     by_speed: dict[int, list[tuple[int, int]]] = {}
     for datum in problem.spectra:
-        if datum.alpha > 0:
-            count = math.isqrt(math.ceil(q * datum.alpha) - 1)
+        an, ad = datum.alpha.numerator, datum.alpha.denominator
+        if an > 0:
+            count = math.isqrt(-(-qn * an // (qd * ad)) - 1)
             for s, k in _signed_speeds(datum.isotypic):
                 if k:
                     by_speed.setdefault(s, []).append((count, k))

@@ -314,6 +314,46 @@ def negative_space_by_mode(problem: CriticalPointProblem, level: BifurcationLeve
     return total
 
 
+def resonances_by_fractions(problem: CriticalPointProblem, q: Fraction):
+    """All (mode, alpha) with mode^2 == q * alpha, mode >= 1, for q > 0,
+    by forming q * alpha as a Fraction."""
+    pairs = []
+    for datum in problem.spectra:
+        if datum.alpha <= 0:
+            continue
+        target = q * datum.alpha
+        if target.denominator == 1:
+            n = math.isqrt(target.numerator)
+            if n >= 1 and n * n == target.numerator:
+                pairs.append((n, datum.alpha))
+    return tuple(sorted(pairs))
+
+
+def below_runs_by_fractions(problem: CriticalPointProblem, level: BifurcationLevel):
+    """The runs (s, lo, hi, k) below the level, with the mode count
+    isqrt(ceil(lambda_sq * alpha) - 1) taken on Fractions: per signed
+    speed, the eigenvalues' mode counts in ascending order cut the modes
+    into runs, each of the multiplicity of the eigenvalues that reach it."""
+    by_speed = {}
+    for datum in problem.spectra:
+        if datum.alpha > 0:
+            count = math.isqrt(math.ceil(level.lambda_sq * datum.alpha) - 1)
+            for s, k in [(0, datum.isotypic.trivial)] + [
+                (sign * m, k) for m, k in datum.isotypic.rotating for sign in (1, -1)
+            ]:
+                if k:
+                    by_speed.setdefault(s, []).append((count, k))
+    runs = []
+    for s, modes in by_speed.items():
+        lo, weight = 1, sum(k for _, k in modes)
+        for count, k in sorted(modes):
+            if count >= lo:
+                runs.append((s, lo, count + 1, weight))
+                lo = count + 1
+            weight -= k
+    return runs
+
+
 def zero_sum_first_witness(base, pool, table, need_pick):
     """The levels of `pool` that the zero-sum search picks first, by brute
     force: the indicator vectors over `pool` in descending lexicographic

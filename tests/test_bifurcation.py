@@ -467,3 +467,30 @@ def test_level_representation_does_not_matter(seed):
     rescaled = BifurcationLevel(2 * level.k, 4 * level.alpha)
     assert rescaled == level
     assert bif_index(prob, rescaled) == bif_index(prob, level)
+
+
+def test_level_arithmetic_makes_no_fraction_arithmetic(monkeypatch):
+    # at lambda_sq = 1 the eigenvalues 1, 4 and 9 resonate on the modes 1, 2
+    # and 3, and the full-orbit degree brings in the runs below the level;
+    # the resonances and the mode counts below are decided in integers, so
+    # no Fraction is multiplied, divided or rounded
+    problem = CriticalPointProblem(
+        spectra=tuple(SpectralDatum(a, S1Representation(trivial=1, rotating={1: 1})) for a in (1, 4, 9)),
+        deg_s1=EulerElementS1(fixed=1),
+    )
+    level = BifurcationLevel(1, 1)
+    expected = bif_index_expanded(problem, level)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__truediv__", "__ceil__"):
+        original = getattr(Fraction, name)
+
+        def counting(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    report = build_report(problem, level)
+    monkeypatch.undo()
+    assert calls == []
+    assert report.index == expected
+    assert len(resonant_space(problem, level).characters) == 3 * 3

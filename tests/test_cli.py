@@ -2,8 +2,10 @@ import io
 import json
 import os
 import re
+import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -39,7 +41,7 @@ from torbif.cli import main
 from torbif.euler import _generator_product
 from torbif.subgroups import _interned
 
-from oracles import argparse_reference_parser
+from oracles import argparse_reference_parser, random_problem
 
 
 def module_env():
@@ -507,14 +509,17 @@ def test_index_breaking_phi_is_an_internal_error(tmp_path, capsys, monkeypatch, 
 
 
 def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys, monkeypatch):
-    # with the one closed form for the product of two lines stubbed to
-    # vanish, the worked example's index is zero although its certificate
-    # says not
+    # with the closed form for the product of two lines stubbed to vanish,
+    # in its pair form for star and its run form for the index, the worked
+    # example's index is zero although its certificate says not
     def vanishing_product(ch1, ch2, g):
         return None
 
-    for module in (torbif.euler, torbif.bifurcation):
-        monkeypatch.setattr(module, "_line_product", vanishing_product)
+    def vanishing_products(acc, a, b, c, runs, g):
+        return None
+
+    monkeypatch.setattr(torbif.euler, "_line_product", vanishing_product)
+    monkeypatch.setattr(torbif.bifurcation, "_line_products", vanishing_products)
     assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -522,25 +527,71 @@ def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys
 
 
 def counting_line_products(monkeypatch):
-    """Count every line product, made through the cache of `star` or
-    directly by `build_report`, and every entry of the index's gcd table."""
+    """Count every line product, made one pair at a time through the cache
+    of `star` or run by run by `build_report`, where each (null character,
+    n) pair of a run counts as one, and every entry of the index's gcd
+    table."""
     counts = Counter()
     line_product = torbif.euler._line_product
+    line_products = torbif.bifurcation._line_products
     xgcd = torbif.bifurcation._xgcd
 
     def counted_product(ch1, ch2, g):
         counts["line_product"] += 1
         return line_product(ch1, ch2, g)
 
+    def counted_products(acc, a, b, c, runs, g):
+        counts["line_product"] += sum(hi - lo for _, lo, hi, _ in runs)
+        return line_products(acc, a, b, c, runs, g)
+
     def counted_xgcd(b, n):
         counts["gcd_table"] += 1
         return xgcd(b, n)
 
-    for module in (torbif.euler, torbif.bifurcation):
-        monkeypatch.setattr(module, "_line_product", counted_product)
+    monkeypatch.setattr(torbif.euler, "_line_product", counted_product)
+    monkeypatch.setattr(torbif.bifurcation, "_line_products", counted_products)
     monkeypatch.setattr(torbif.bifurcation, "_xgcd", counted_xgcd)
     _generator_product.cache_clear()
     return counts
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9))
+def test_line_product_bound_is_exact(seed):
+    # the bound counts exactly the (null character, n) pairs that the loop
+    # visits: with the limit at that count the level is formed, and one
+    # below it the request exits 2 naming the count, unless the pairs of
+    # null characters in their degree are over the limit first
+    rng = random.Random(seed)
+    problem = random_problem(rng)
+    level = rng.choice(lambda_set(problem, 4))
+    chars = len(torbif.resonant_space(problem, level).characters)
+    line_products = torbif.bifurcation._line_products
+    visited = []
+
+    def counted(acc, a, b, c, runs, g):
+        visited.append(sum(hi - lo for _, lo, hi, _ in runs))
+        return line_products(acc, a, b, c, runs, g)
+
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "problem.json")
+        write_problem(problem, path)
+        argv = ["index", "--problem", path, "--k", str(level.k), "--alpha", str(level.alpha)]
+        patch.setattr(torbif.bifurcation, "_line_products", counted)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv) == 0
+            count = sum(visited)
+            patch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", max(count, chars * (chars - 1)))
+            assert main(argv) == 0
+            patch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", count - 1)
+            assert main(argv) == 2
+    assert out.getvalue().count("certificate: ") == 2
+    if chars * (chars - 1) <= count - 1:
+        assert err.getvalue().endswith(
+            f"error: the index at lambda_sq = {level.lambda_sq} needs {count} line"
+            f" products, more than the limit of {count - 1}\n"
+        )
 
 
 def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monkeypatch):
@@ -589,6 +640,19 @@ def test_requests_build_no_subgroup(example_path, tmp_path, capsys):
             assert main(["classify", *json_flag, "--problem", path, "--max-k", "6"]) == 0
             assert main(["index", *json_flag, "--problem", path, "--k", "5", "--alpha", "2"]) == 0
     assert capsys.readouterr().out
+    info = _interned.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
+def test_star_builds_no_subgroup(capsys):
+    # the parser canonicalizes each generator to rows, so multiplying two
+    # factors of 300 lines each, none parallel to a line of the other,
+    # builds no subgroup either
+    lhs = " + ".join(f"1*H(1,{n})" for n in range(1, 301))
+    rhs = " + ".join(f"1*H({-n},1)" for n in range(1, 301))
+    _interned.cache_clear()
+    assert main(["star", lhs, rhs]) == 0
+    assert capsys.readouterr().out.count("*F(") == 300 * 300
     info = _interned.cache_info()
     assert (info.hits, info.misses) == (0, 0)
 

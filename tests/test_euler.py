@@ -16,7 +16,8 @@ from torbif import (
     format_element,
     lambda_set,
 )
-from torbif.euler import _generator_product, element_to_json
+from torbif.euler import _generator_product, _line_product, _line_products, element_to_json
+from torbif.subgroups import _xgcd
 
 from oracles import (
     NotInvertible,
@@ -116,6 +117,39 @@ def test_line_product_matches_intersection(pair):
     h1, h2 = (TorusSubgroup.kernel(m, n) for m, n in pair)
     meet = generator_product_by_intersection(h1, h2)
     assert _generator_product.__wrapped__(*pair) == (None if meet is None else meet.rows)
+
+
+@st.composite
+def runs_against_a_line(draw):
+    """A nonzero character (a, b), a coefficient c, runs (s, lo, hi, w) of
+    characters (s, n) with negative speeds, speed 0 and speeds s = a*t that
+    make det vanish at n = b*t, and the gcd table g[n] = _xgcd(b, n)."""
+    a, b = draw(characters)
+    speeds = st.one_of(entries, st.integers(-3, 3).map(lambda t: a * t))
+    runs = []
+    for _ in range(draw(st.integers(0, 5))):
+        lo = draw(st.integers(0, 12))
+        hi = draw(st.integers(lo, lo + 12))
+        runs.append((draw(speeds), lo, hi, draw(st.integers(-3, 3))))
+    top = max((hi for _, _, hi, _ in runs), default=0)
+    return a, b, draw(st.integers(-4, 4)), runs, [_xgcd(b, n) for n in range(top)]
+
+
+@settings(max_examples=500)
+@given(runs_against_a_line(), st.dictionaries(st.sampled_from([((1, 0), (0, 1)), ((2, 0), (1, 1))]), entries))
+def test_line_products_match_the_pair_form(case, start):
+    # the run form adds to the dict what the pair form gives on every pair
+    # of the runs, weighted by c * w, with no term where det is 0
+    a, b, c, runs, g = case
+    expected = dict(start)
+    for s, lo, hi, w in runs:
+        for n in range(lo, hi):
+            rows = _line_product((a, b), (s, n), g[n])
+            if rows is not None:
+                expected[rows] = expected.get(rows, 0) + c * w
+    acc = dict(start)
+    _line_products(acc, a, b, c, runs, g)
+    assert acc == expected
 
 
 @settings(max_examples=300)

@@ -96,3 +96,23 @@ def test_integers_over_the_digit_limit_are_refused():
 def test_print_parse_round_trip(seed):
     element = random_element(random.Random(seed))
     assert parse_element(format_element(element)) == element
+
+
+small = st.integers(-4, 4)
+generator_texts = st.one_of(
+    st.just(("T", [])),
+    st.tuples(small, small).map(lambda v: (f"H({v[0]},{v[1]})", [v])),
+    st.tuples(small, small, small, small).map(
+        lambda v: (f"F({v[0]},{v[1]};{v[2]},{v[3]})", [v[:2], v[2:]])
+    ),
+)
+
+
+@given(st.lists(st.tuples(small, generator_texts), min_size=1, max_size=6))
+def test_parsed_rows_match_the_subgroup_constructor(terms):
+    # the parser canonicalizes each generator to rows itself, H(0,0) and
+    # rank-deficient F rows included; the element equals the one built
+    # from subgroups through the public constructor
+    text = " + ".join(f"{c}*{g}" for c, (g, _) in terms)
+    expected = EulerElementT2((TorusSubgroup.from_characters(chars), c) for c, (_, chars) in terms)
+    assert parse_element(text) == expected

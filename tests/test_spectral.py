@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torbif import (
@@ -24,9 +24,15 @@ from torbif import (
     validate,
 )
 
-from torbif.spectral import _below_runs
+from torbif.spectral import _below_runs, _resonances
 
-from oracles import hessian_eigenvalue, negative_space_by_mode, random_problem
+from oracles import (
+    below_runs_by_fractions,
+    hessian_eigenvalue,
+    negative_space_by_mode,
+    random_problem,
+    resonances_by_fractions,
+)
 
 
 def test_spectral_datum_coerces_alpha():
@@ -257,3 +263,73 @@ def test_levels_are_exactly_the_resonant_frequencies(seed):
                 root = math.isqrt(target.numerator)
                 hit = hit or (root >= 1 and root * root == target.numerator)
         assert (resonant_space(prob, probe).dim > 0) == hit
+
+
+# eigenspaces that share the speeds 1 and 3, so that runs merge
+SHARED_SPEED_REPS = (
+    S1Representation(trivial=1, rotating={1: 1}),
+    S1Representation(rotating={1: 2, 3: 1}),
+    S1Representation(trivial=2, rotating={3: 1}),
+)
+huge = st.one_of(st.integers(1, 50), st.integers(1, 10**300))
+positive_rationals = st.builds(Fraction, huge, huge)
+
+
+@st.composite
+def levels_against_eigenvalues(draw):
+    """A problem with up to three distinct eigenvalues, the first positive
+    and the others also zero or negative, of up to hundreds of digits, and
+    a positive q; q * alpha for the first alpha is often a perfect square,
+    one next to it, or a square plus or minus a small fraction."""
+    first = draw(positive_rationals)
+    nonpositive = st.one_of(positive_rationals.map(lambda a: -a), st.just(Fraction(0)))
+    others = draw(st.lists(st.one_of(positive_rationals, nonpositive), max_size=2))
+    alphas = list(dict.fromkeys([first] + others))
+    spectra = tuple(SpectralDatum(a, rep) for a, rep in zip(alphas, SHARED_SPEED_REPS))
+    problem = CriticalPointProblem(spectra=spectra, deg_s1=EulerElementS1.identity())
+    root = draw(st.one_of(st.integers(1, 30), st.integers(1, 10**150)))
+    target = draw(
+        st.sampled_from(
+            (
+                root * root,
+                root * root + 1,
+                max(root * root - 1, 1),
+                root * root + Fraction(1, draw(st.integers(2, 10**50))),
+                root * root - Fraction(1, draw(st.integers(2, 10**50))),
+            )
+        )
+    )
+    q = draw(st.one_of(st.just(target / first), positive_rationals))
+    return problem, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels_against_eigenvalues())
+def test_level_arithmetic_matches_fraction_oracles(case):
+    # the integer comparisons decide the same resonances and the same runs
+    # below the level as Fraction arithmetic, at any size of p/q
+    problem, q = case
+    level = BifurcationLevel(1, 1 / q)
+    assert level.lambda_sq == q
+    assert _resonances(problem, q) == resonances_by_fractions(problem, q)
+    assert _below_runs(problem, level) == below_runs_by_fractions(problem, level)
+
+
+def test_level_arithmetic_at_and_next_to_a_square():
+    # q * alpha at r^2 resonates on mode r and has r - 1 modes below; just
+    # under r^2 it has the same modes below and no resonance, just over it r
+    alpha = Fraction(10**200 + 1, 7)
+    problem = CriticalPointProblem(
+        spectra=(SpectralDatum(alpha, S1Representation(trivial=1)),), deg_s1=EulerElementS1.identity()
+    )
+    r = 10**120 + 3
+    for target, modes, resonant in (
+        (r * r, r - 1, ((r, alpha),)),
+        (r * r - Fraction(1, 10**40), r - 1, ()),
+        (r * r - 1, r - 1, ()),
+        (r * r + Fraction(1, 10**40), r, ()),
+        (r * r + 1, r, ()),
+    ):
+        q = target / alpha
+        assert _resonances(problem, q) == resonant
+        assert _below_runs(problem, BifurcationLevel(1, 1 / q)) == [(0, 1, modes + 1, 1)]
