@@ -95,7 +95,6 @@ from .euler import (
 from .rationals import rational_to_json
 from .representations import S1Representation, deg_minus_id_t2
 from .spectral import (
-    AssumptionReport,
     BifurcationLevel,
     CriticalPointProblem,
     InvalidLevel,
@@ -196,15 +195,16 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     before any is made.  Its phi or phi_i must be -n0 or -c_i times the
     null-mode multiplicity.  The classification is the problem-wide one;
     the sum-obstruction upgrade needs the indices of all levels and is
-    made by the caller that has them.
+    made by the caller that has them.  A resonant level shows a positive
+    eigenvalue, so only the degree is read here: `validate` runs only at
+    the API edge, in `classify_noncompact`, `certify_nontrivial` and `cli`.
     """
     resonant = resonant_space(problem, level)
     if not resonant:
         raise InvalidLevel(
             f"lambda_sq = {level.lambda_sq} resonates with no positive eigenvalue"
         )
-    checks = validate(problem)
-    if not checks.nonzero_degree:
+    if not problem.deg_s1:
         return BifurcationReport(
             level=level,
             index=EulerElementT2.zero(),
@@ -264,7 +264,7 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
         index=_from_rows(acc),
         nontrivial=True,
         certificate=certificate,
-        classification=_classification(problem, checks),
+        classification=_classification(problem),
     )
 
 
@@ -281,11 +281,14 @@ def classify_noncompact(problem: CriticalPointProblem) -> Classification:
     themselves use the identity H * H = 0 for one-dimensional classes H,
     which the test suite checks.
     """
-    return _classification(problem, validate(problem))
+    if not validate(problem).ok:
+        return Classification.ALTERNATIVE
+    return _classification(problem)
 
 
-def _classification(problem: CriticalPointProblem, checks: AssumptionReport) -> Classification:
-    if not (problem.unique_critical_point and checks.ok):
+def _classification(problem: CriticalPointProblem) -> Classification:
+    # The classification of a problem whose assumptions hold.
+    if not problem.unique_critical_point:
         return Classification.ALTERNATIVE
     if problem.deg_s1.fixed:
         return Classification.NONCOMPACT_FIXED_COEFFICIENT

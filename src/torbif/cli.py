@@ -164,8 +164,6 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     reports = [build_report(problem, lvl) for lvl in levels]
     if not validate(problem).ok:
         zero_sum_state = "skipped (assumptions not satisfied)"
-    elif not levels:
-        zero_sum_state = "skipped (no levels)"
     elif len(levels) > _ZERO_SUM_LIMIT:
         zero_sum_state = f"skipped (more than {_ZERO_SUM_LIMIT} levels)"
     else:

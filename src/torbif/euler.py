@@ -24,12 +24,13 @@ B1r * B1r on the index's path (see ROADMAP item 4(b)); once that product
 joins the index's loop, `star` leaves that path and the pair form serves
 only API callers.  A property test ties the run form to the pair form.
 Elements are canonically sorted sparse integer combinations, so equality
-is structural and all arithmetic is exact.  `euler` alone owns their
-format: nonzero (rows, coefficient) pairs, with the canonical lattice rows
-of `subgroups`, sorted by (len(rows), rows), that is by descending
-dimension and then by rows.  `_from_rows` builds every element, each sum
-or product from one dict keyed by rows; no ring operation builds a
-subgroup, and only the `terms` view, for callers, builds them.
+is structural and all arithmetic is exact.  An element keeps nonzero
+(rows, coefficient) pairs, with the canonical lattice rows of `subgroups`,
+sorted by (len(rows), rows), that is by descending dimension and then by
+rows; `bifurcation`, `representations`, `grammar` and `cli` also read or
+build rows.  `_from_rows` builds every element, each sum or product from
+one dict keyed by rows; no ring operation builds a subgroup, and only
+`terms`, for API callers, builds them.
 
 The circle's Euler ring enters only through its additive group, generated
 by the full-orbit class and the classes with finite cyclic isotropy, and
@@ -40,7 +41,7 @@ isotropy of order k goes to the kernel of the character (k, 0).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,10 +77,10 @@ class EulerElementT2:
         return _from_rows(merged)
 
     @property
-    def terms(self) -> "_TermsView":
+    def terms(self) -> tuple[tuple[TorusSubgroup, int], ...]:
         """The (subgroup, coefficient) pairs, by descending dimension and
         then by rows."""
-        return _TermsView(self._terms)
+        return tuple((_interned(rows), c) for rows, c in self._terms)
 
     @classmethod
     def zero(cls) -> "EulerElementT2":
@@ -157,32 +158,6 @@ class EulerElementT2:
         return format_element(self)
 
 
-class _TermsView(Sequence):
-    """An element's terms as (subgroup, coefficient) pairs, equal to the
-    tuple of those pairs.  Subgroups are built through `_interned` only as
-    pairs are read, so taking the length builds none."""
-
-    def __init__(self, terms: _Terms) -> None:
-        self._terms = terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[TorusSubgroup, int]]:
-        return ((_interned(rows), c) for rows, c in self._terms)
-
-    def __getitem__(self, index):
-        return tuple(self)[index]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (tuple, _TermsView)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 def _split(terms: _Terms) -> tuple[int, _Terms, list[tuple[Character, int]]]:
     """The coefficient of T, the terms below T and the (character,
     coefficient) pairs of the line terms of an element's sorted terms."""
@@ -255,28 +230,16 @@ def _generator_product(ch1: Character, ch2: Character) -> Rows | None:
     return _line_product(ch1, ch2, _xgcd(ch1[1], ch2[1]))
 
 
-def _format_terms(terms: Iterable[tuple[object, int]]) -> str:
-    # 'c1*g1 + c2*g2 - c3*g3', with no terms printing as '0'; used for
-    # EulerElementS1, whose few terms are not on the index's path.
-    parts: list[str] = []
-    for label, coeff in terms:
-        if not parts:
-            parts.append(f"{coeff}*{label}")
-        elif coeff < 0:
-            parts.append(f" - {-coeff}*{label}")
-        else:
-            parts.append(f" + {coeff}*{label}")
-    return "".join(parts) or "0"
+def _join(parts: list[str]) -> str:
+    # 'c1*g1 + c2*g2 - c3*g3' from the terms 'c*g', with no terms printing
+    # as '0': ' + -' becomes ' - ', which touches only the separators
+    # before negative coefficients, since a label never holds ' + '.
+    return " + ".join(parts).replace(" + -", " - ") or "0"
 
 
 def format_element(element: EulerElementT2) -> str:
-    """Render an element in the textual grammar; the zero element is '0'.
-
-    Each term is written once as 'c*g' and the terms are joined by ' + ';
-    then ' + -' becomes ' - ', which touches only the separators before
-    negative coefficients, since a label never holds ' + '."""
-    text = " + ".join([f"{c}*{_label(rows)}" for rows, c in element._terms])
-    return text.replace(" + -", " - ") or "0"
+    """Render an element in the textual grammar; the zero element is '0'."""
+    return _join([f"{c}*{_label(rows)}" for rows, c in element._terms])
 
 
 def element_to_json(element: EulerElementT2) -> list[dict]:
@@ -345,8 +308,8 @@ class EulerElementS1:
     __rmul__ = __mul__
 
     def __str__(self) -> str:
-        fixed = [("S1", self.fixed)] if self.fixed else []
-        return _format_terms(fixed + [(f"Z{k}", c) for k, c in self.finite])
+        fixed = [f"{self.fixed}*S1"] if self.fixed else []
+        return _join(fixed + [f"{c}*Z{k}" for k, c in self.finite])
 
 
 def embed_s1_to_t2(element: EulerElementS1) -> EulerElementT2:

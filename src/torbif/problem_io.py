@@ -97,9 +97,7 @@ def _parse_alpha(value: Any, where: str) -> Fraction:
 def _parse_isotypic(value: Any, where: str) -> S1Representation:
     if not isinstance(value, list) or not value:
         raise ProblemFormatError(f"{where} must be a non-empty list")
-    trivial = 0
-    rotating: dict[int, int] = {}
-    seen: set[int] = set()
+    speeds: dict[int, int] = {}
     for pos, entry in enumerate(value):
         ctx = f"{where}[{pos}]"
         record = _require_object(entry, ("m", "k"), ctx)
@@ -109,22 +107,17 @@ def _parse_isotypic(value: Any, where: str) -> S1Representation:
             raise ProblemFormatError(f"{ctx}.m must be >= 0")
         if k < 1:
             raise ProblemFormatError(f"{ctx}.k must be >= 1")
-        if m in seen:
+        if m in speeds:
             raise ProblemFormatError(f"{ctx}: duplicate speed m={m}")
-        seen.add(m)
-        if m == 0:
-            trivial = k
-        else:
-            rotating[m] = k
-    return S1Representation(trivial, rotating)
+        speeds[m] = k
+    return S1Representation(speeds.pop(0, 0), speeds)
 
 
 def _parse_degree(value: Any, where: str) -> EulerElementS1:
     if not isinstance(value, list):
         raise ProblemFormatError(f"{where} must be a list")
-    fixed = 0
-    finite: dict[int, int] = {}
-    seen: set[str] = set()
+    # coefficients keyed by isotropy order, with 0 for S1
+    terms: dict[int, int] = {}
     for pos, entry in enumerate(value):
         ctx = f"{where}[{pos}]"
         record = _require_object(entry, ("subgroup", "coeff"), ctx)
@@ -134,19 +127,16 @@ def _parse_degree(value: Any, where: str) -> EulerElementS1:
             raise ProblemFormatError(f"{ctx}.coeff must be nonzero; omit the entry instead")
         if not isinstance(label, str):
             raise ProblemFormatError(f"{ctx}.subgroup must be a string")
-        if label in seen:
-            raise ProblemFormatError(f"{ctx}: duplicate subgroup {label!r}")
-        seen.add(label)
-        if label == "S1":
-            fixed = coeff
-            continue
         match = _SUBGROUP_RE.match(label)
-        if not match:
+        if label != "S1" and not match:
             raise ProblemFormatError(
                 f"{ctx}.subgroup must be 'S1' or 'Zk' with k >= 1, got {label!r}"
             )
-        finite[_int(match.group(1))] = coeff
-    return EulerElementS1(fixed, finite)
+        order = _int(match.group(1)) if match else 0
+        if order in terms:
+            raise ProblemFormatError(f"{ctx}: duplicate subgroup {label!r}")
+        terms[order] = coeff
+    return EulerElementS1(terms.pop(0, 0), terms)
 
 
 def parse_problem(text: str) -> CriticalPointProblem:

@@ -149,13 +149,6 @@ def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
     return T2Representation(0, [((s, mode), k) for s, k in _signed_speeds(rep)])
 
 
-def _one_dimensional_sum(rep: T2Representation) -> EulerElementT2:
-    # B1 = the sum of k*H over the characters of `rep`, with H the kernel of
-    # the character and k its multiplicity; a normalized character is the
-    # canonical row of its kernel, so the element is built from rows.
-    return _from_rows({(ch,): k for ch, k in rep.characters})
-
-
 def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     """Equivariant degree of minus-identity on the unit ball of `rep`, as
     sign * (T - B1 + B1 * B1 / 2) (see the module docstring); B1 * B1
@@ -163,7 +156,8 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     are even.  The three parts have distinct subgroups of dimensions 2, 1
     and 0, so the result is built from their rows in one pass."""
     sign = -1 if rep.trivial % 2 else 1
-    b1 = _one_dimensional_sum(rep)
+    # a normalized character is the canonical row of its kernel
+    b1 = _from_rows({(ch,): k for ch, k in rep.characters})
     acc = {(): sign}
     acc.update((rows, -sign * k) for rows, k in b1._terms)
     acc.update((rows, sign * (c // 2)) for rows, c in b1.star(b1)._terms)

@@ -24,15 +24,15 @@ entry, so two distinct instances with the same rows can exist and must
 compare equal.  `_label` spells rows in the text grammar, for `str` of a
 subgroup and for the element formatter in `euler` alike.
 
-Ring elements do not hold subgroups: they keep canonical rows, and
-`euler` alone owns that format and the order of its terms.  Subgroup
-objects exist only at the API edge, where a caller builds one or reads an
-element's `terms` view.  The public constructor `TorusSubgroup(rows)`
-checks that `rows` is a canonical basis of int pairs and says which rule
-it breaks.  `_interned` skips that check: its callers (`kernel`, `full`,
-`trivial`, the normal form `_canonical_rows` and the `terms` view) hand
-it rows that are canonical by construction.  The test suite checks that
-the trusted instances pass the public validator.
+Ring elements do not hold subgroups: they keep canonical rows, in the
+order that `euler` sorts them.  Subgroup objects exist only at the API
+edge, where a caller builds one or reads an element's `terms`.  The
+public constructor `TorusSubgroup(rows)` checks that `rows` is a
+canonical basis of int pairs and says which rule it breaks.  `_interned`
+skips that check: its callers (`kernel`, `full`, `trivial`, the normal
+form `_canonical_rows` and `EulerElementT2.terms`) hand it rows that are
+canonical by construction.  The test suite checks that the trusted
+instances pass the public validator.
 """
 
 from __future__ import annotations

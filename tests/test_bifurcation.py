@@ -191,16 +191,16 @@ def test_classify_searches_once_without_witness(tmp_path, capsys, monkeypatch):
 
 
 def test_validate_runs_once_per_level(tmp_path, capsys, monkeypatch):
-    # the assumption check is problem-wide: a report runs it once, and
-    # classify adds one run for its headline and one for its zero-sum gate
+    # the assumption check is problem-wide and runs only at the API edge:
+    # a report reads the degree and runs none, and classify runs one for
+    # its headline and one for its zero-sum gate, whatever the level count
     prob = axis_family_problem(finite={1: 1, 2: -1})
     levels = lambda_set(prob, 4)
     calls = count_calls(monkeypatch, "validate", [torbif.bifurcation, torbif.cli])
     build_report(prob, levels[0])
-    assert len(calls) == 1
-    calls.clear()
+    assert len(calls) == 0
     classify_reports(prob, tmp_path, capsys)
-    assert len(calls) == len(levels) + 2
+    assert len(calls) == 2
 
 
 def test_classify_witness_branch(tmp_path, capsys, monkeypatch):

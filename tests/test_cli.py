@@ -68,6 +68,13 @@ def test_example_writes_problem(tmp_path, capsys):
     assert set(payload) == {"spectra", "deg_s1", "unique_critical_point"}
 
 
+def test_example_json(tmp_path, capsys):
+    path = tmp_path / "out.json"
+    assert main(["example", "--json", str(path)]) == 0
+    assert capsys.readouterr() == (json.dumps({"written": str(path)}, indent=2) + "\n", "")
+    assert parse_problem(path.read_text()) == example_problem()
+
+
 def test_example_write_failure_exit_code(tmp_path, capsys):
     target = tmp_path / "missing-dir" / "out.json"
     assert main(["example", str(target)]) == 4
@@ -172,6 +179,85 @@ def test_classify_json_output(example_path, capsys):
     assert len(payload["reports"]) == 2
     assert payload["zero_sum_subset"] == {"exists": False, "witness": None}
     assert payload["reports"][0]["index"] == [{"generator": "F(1,0;0,1)", "coeff": -1}]
+
+
+def write_spectra_problem(tmp_path, spectra, deg_s1):
+    path = tmp_path / "problem.json"
+    payload = {"spectra": spectra, "deg_s1": deg_s1, "unique_critical_point": True}
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_problem_without_positive_eigenvalue(tmp_path, capsys):
+    # no level at all: a warning on stderr, no report, and the zero-sum
+    # check skipped for the failed assumption
+    spectra = [
+        {"alpha": 0, "isotypic": [{"m": 0, "k": 1}, {"m": 1, "k": 1}]},
+        {"alpha": "-3/2", "isotypic": [{"m": 2, "k": 1}]},
+    ]
+    path = write_spectra_problem(tmp_path, spectra, [{"subgroup": "Z1", "coeff": 1}])
+    warning = "warning: no positive eigenvalue, the level set is empty\n"
+    assert main(["classify", "--problem", path]) == 0
+    assert capsys.readouterr() == (
+        "classification: Alternative\nzero-sum check: skipped (assumptions not satisfied)\n",
+        warning,
+    )
+    assert main(["classify", "--problem", path, "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == json.dumps(
+        {
+            "classification": "Alternative",
+            "reports": [],
+            "zero_sum_subset": {"skipped": "skipped (assumptions not satisfied)"},
+        },
+        indent=2,
+    ) + "\n"
+    assert main(["levels", "--problem", path]) == 0
+    assert capsys.readouterr() == ("", warning)
+    assert main(["levels", "--problem", path, "--json"]) == 0
+    assert capsys.readouterr() == ('{\n  "levels": []\n}\n', "")
+
+
+def test_problem_with_zero_degree(tmp_path, capsys):
+    # every level is reported, with a zero index and no certificate
+    spectra = [
+        {"alpha": 0, "isotypic": [{"m": 0, "k": 1}, {"m": 1, "k": 1}]},
+        {"alpha": 2, "isotypic": [{"m": 0, "k": 1}]},
+    ]
+    path = write_spectra_problem(tmp_path, spectra, [])
+    assert main(["classify", "--problem", path, "--max-k", "2"]) == 0
+    assert capsys.readouterr() == (
+        "classification: Alternative\n"
+        "k=1 alpha=2 lambda_sq=1/2 nontrivial=no certificate=none"
+        " classification=NotApplicable index=0\n"
+        "k=2 alpha=2 lambda_sq=2 nontrivial=no certificate=none"
+        " classification=NotApplicable index=0\n"
+        "zero-sum check: skipped (assumptions not satisfied)\n",
+        "",
+    )
+    assert main(["classify", "--problem", path, "--max-k", "2", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == json.dumps(
+        {
+            "classification": "Alternative",
+            "reports": [
+                {
+                    "level": {"k": k, "alpha": 2, "lambda_sq": lambda_sq},
+                    "index": [],
+                    "nontrivial": False,
+                    "certificate": None,
+                    "classification": "NotApplicable",
+                }
+                for k, lambda_sq in ((1, "1/2"), (2, 2))
+            ],
+            "zero_sum_subset": {"skipped": "skipped (assumptions not satisfied)"},
+        },
+        indent=2,
+    ) + "\n"
+    assert main(["index", "--problem", path, "--lambda-sq", "2"]) == 0
+    assert capsys.readouterr() == ("0\ncertificate: none\n", "")
 
 
 def test_star_command(capsys):
@@ -952,3 +1038,25 @@ def test_parser_matches_argparse_reference(argv):
     if deliberate_difference(argv, reference, outcome):
         return
     assert outcome[:2] == reference[:2], argv
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["levels", "--=x", "--problem", "p"],
+            "torbif levels: error: ambiguous option: --=x could match --help, --json, --problem, --max-k",
+        ),
+        (["--help=x", "levels"], "torbif: error: argument -h, --help: ignored explicit argument 'x'"),
+        (["-x", "levels", "--problem", "p"], "torbif: error: unrecognized arguments: -x"),
+    ],
+)
+def test_parser_error_lines(argv, error):
+    # branches the random argvs seldom reach: each exits 2 with a usage line
+    # and this error line, as the argparse reference exits
+    outcome = parse_outcome(torbif.cli._parse, argv)
+    reference = parse_outcome(lambda tokens: argparse_reference_parser().parse_args(tokens), argv)
+    assert outcome[:2] == reference[:2] == ("exit", 2)
+    usage, line = outcome[2].splitlines()
+    assert usage.startswith(f"usage: torbif {argv[0] if argv[0] == 'levels' else '[-h]'}")
+    assert line == error

@@ -177,3 +177,75 @@ def test_rejects_non_json_and_wrong_shapes():
     with pytest.raises(ProblemFormatError):
         parse_problem(dumps(payload))
 
+
+def set_at(*path):
+    """An edit that sets the field at `path` (keys and list positions) of
+    the payload to the value it is given."""
+
+    def edit(payload, value):
+        for key in path[:-1]:
+            payload = payload[key]
+        payload[path[-1]] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, value, message",
+    [
+        (set_at("spectra", 0, "isotypic", 1, "m"), "1", "spectra[0].isotypic[1].m must be an integer, got '1'"),
+        (set_at("spectra", 0, "isotypic", 1, "k"), True, "spectra[0].isotypic[1].k must be an integer, got True"),
+        (set_at("deg_s1", 0, "coeff"), None, "deg_s1[0].coeff must be an integer, got None"),
+        (set_at("spectra", 1, "alpha"), True, "spectra[1].alpha must be a rational, got True"),
+        (
+            set_at("spectra", 1, "alpha"),
+            [2],
+            "spectra[1].alpha must be an integer or a 'p/q' string, got [2]",
+        ),
+        (set_at("spectra", 0, "isotypic", 1, "m"), -1, "spectra[0].isotypic[1].m must be >= 0"),
+        (set_at("spectra", 0, "isotypic", 1, "k"), 0, "spectra[0].isotypic[1].k must be >= 1"),
+        (set_at("deg_s1"), {"Z1": 1}, "deg_s1 must be a list"),
+        (set_at("deg_s1", 0, "subgroup"), 1, "deg_s1[0].subgroup must be a string"),
+        (
+            set_at("spectra", 0, "isotypic"),
+            [{"m": 0, "k": 1}, {"m": 1, "k": 1}, {"m": 0, "k": 3}],
+            "spectra[0].isotypic[2]: duplicate speed m=0",
+        ),
+        (
+            set_at("deg_s1"),
+            [{"subgroup": "S1", "coeff": 1}, {"subgroup": "Z1", "coeff": 1}, {"subgroup": "S1", "coeff": 2}],
+            "deg_s1[2]: duplicate subgroup 'S1'",
+        ),
+        # the label pattern lets a trailing newline through, so 'Z1' and
+        # 'Z1\n' name one subgroup: a duplicate, not an overwritten coefficient
+        (
+            set_at("deg_s1"),
+            [{"subgroup": "Z1", "coeff": 1}, {"subgroup": "Z1\n", "coeff": 2}],
+            "deg_s1[1]: duplicate subgroup 'Z1\\n'",
+        ),
+        # errors come in entry order, and within an entry the coefficient
+        # is checked before the duplicate and the label before a later entry
+        (
+            set_at("deg_s1"),
+            [{"subgroup": "Z1", "coeff": 1}, {"subgroup": "Z1", "coeff": 0}],
+            "deg_s1[1].coeff must be nonzero; omit the entry instead",
+        ),
+        (
+            set_at("deg_s1"),
+            [{"subgroup": "Z2", "coeff": 1}, {"subgroup": "Z2", "coeff": 1}, {"subgroup": "Zx", "coeff": 1}],
+            "deg_s1[1]: duplicate subgroup 'Z2'",
+        ),
+        (
+            set_at("deg_s1"),
+            [{"subgroup": "Zx", "coeff": 1}, {"subgroup": "Zx", "coeff": 1}],
+            "deg_s1[0].subgroup must be 'S1' or 'Zk' with k >= 1, got 'Zx'",
+        ),
+    ],
+)
+def test_rejection_messages(edit, value, message):
+    payload = base_payload()
+    edit(payload, value)
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(dumps(payload))
+    assert str(exc.value) == message
+
