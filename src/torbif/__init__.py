@@ -7,6 +7,14 @@ implemented with its star product on generators indexed by closed
 subgroups, degrees of -Id on orthogonal representations reduce to that
 product, and per-level bifurcation indices come with machine-checked
 nontriviality certificates and a noncompactness classification.
+
+The value types (`TorusSubgroup`, the two Euler-ring elements, the two
+representations, `SpectralDatum`, `AssumptionReport`,
+`CriticalPointProblem`, `BifurcationLevel` and `BifurcationReport`) are
+immutable plain classes.  They compare, hash and print by their fields,
+refuse assignment and survive `pickle` and `copy`.  They are not
+dataclasses, so `dataclasses.replace`, `fields` and `asdict` do not apply
+to them: a changed value is built with its constructor.
 """
 
 from .bifurcation import (

@@ -1,0 +1,43 @@
+"""The immutable base of the package's public value types.
+
+A subclass names its fields in `_fields` and stores them in its own
+`__init__` with `vars(self).update(...)`, after its checks.  The base
+compares, hashes and prints those fields as a frozen dataclass would:
+`==` holds only between instances of the same class with equal fields,
+`hash` is the hash of the tuple of fields, and `repr` reads
+`Name(field=value, ...)`.  Assigning or deleting an attribute raises
+AttributeError.  Instances keep their `__dict__`, so `vars`, `pickle` and
+`copy` work on them.  The package does not use `dataclasses`, whose
+import pulls in `inspect` and `ast` and whose decorator compiles methods
+for each class, both at every start of the command line.
+"""
+
+from __future__ import annotations
+
+
+class Frozen:
+    """Equality, hashing and repr over the fields named in `_fields`, and
+    no assignment after `__init__`."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

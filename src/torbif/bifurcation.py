@@ -79,10 +79,10 @@ walk is exponential only on tables that callers pass in.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
+from ._frozen import Frozen
 from .euler import (
     EulerElementS1,
     EulerElementT2,
@@ -130,15 +130,26 @@ class Classification(enum.Enum):
     NOT_APPLICABLE = "NotApplicable"
 
 
-@dataclass(frozen=True)
-class BifurcationReport:
+class BifurcationReport(Frozen):
     """Everything computed for one level."""
 
-    level: BifurcationLevel
-    index: EulerElementT2
-    nontrivial: bool
-    certificate: Optional[Certificate]
-    classification: Classification
+    _fields = ("level", "index", "nontrivial", "certificate", "classification")
+
+    def __init__(
+        self,
+        level: BifurcationLevel,
+        index: EulerElementT2,
+        nontrivial: bool,
+        certificate: Optional[Certificate],
+        classification: Classification,
+    ) -> None:
+        vars(self).update(
+            level=level,
+            index=index,
+            nontrivial=nontrivial,
+            certificate=certificate,
+            classification=classification,
+        )
 
     def to_dict(self) -> dict:
         return {

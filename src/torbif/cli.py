@@ -40,7 +40,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
@@ -71,11 +70,13 @@ _ZERO_SUM_LIMIT = 20
 
 
 def _integer(text: str) -> int:
-    _check_digits(text)
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"expected an integer, got {text!r}") from None
+    # An optional sign and ASCII digits, nothing else: no space, underscore
+    # or other script's digit, which int() would take.  String methods, not
+    # a pattern, since compiling one costs about as much as a small index.
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(_check_digits(text))
 
 
 def _positive_int(text: str) -> int:
@@ -175,7 +176,13 @@ def _cmd_classify(args: SimpleNamespace) -> int:
         zero_sum_state = "checked"
         if headline is Classification.ALTERNATIVE and problem.unique_critical_point:
             reports = [
-                replace(report, classification=Classification.NONCOMPACT_SUM_OBSTRUCTION)
+                BifurcationReport(
+                    report.level,
+                    report.index,
+                    report.nontrivial,
+                    report.certificate,
+                    Classification.NONCOMPACT_SUM_OBSTRUCTION,
+                )
                 for report in reports
             ]
 

@@ -42,9 +42,9 @@ isotropy of order k goes to the kernel of the character (k, 0).
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._frozen import Frozen
 from .subgroups import Character, TorusSubgroup, _interned, _label, _xgcd
 
 Rows = tuple[Character, ...]
@@ -57,15 +57,14 @@ def _check_coeff(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True, init=False)
-class EulerElementT2:
+class EulerElementT2(Frozen):
     """A finitely supported integer combination of torus orbit classes.
 
     `EulerElementT2(terms)` accepts a mapping or an iterable of (subgroup,
     coefficient) pairs; like terms merge and zero coefficients drop.
     """
 
-    _terms: _Terms
+    _fields = ("_terms",)
 
     def __new__(cls, terms: Iterable | Mapping = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -247,28 +246,25 @@ def element_to_json(element: EulerElementT2) -> list[dict]:
     return [{"generator": _label(rows), "coeff": c} for rows, c in element._terms]
 
 
-@dataclass(frozen=True)
-class EulerElementS1:
+class EulerElementS1(Frozen):
     """An additive element of the circle's Euler ring.
 
     `fixed` is the coefficient of the full-orbit class; `finite` maps the
     order k >= 1 of a finite cyclic isotropy group to its coefficient.
     """
 
-    fixed: int = 0
-    finite: tuple[tuple[int, int], ...] = ()
+    _fields = ("fixed", "finite")
 
-    def __post_init__(self) -> None:
-        _check_coeff(self.fixed)
-        raw = self.finite
-        items = raw.items() if isinstance(raw, Mapping) else raw
+    def __init__(self, fixed: int = 0, finite: Iterable | Mapping = ()) -> None:
+        _check_coeff(fixed)
+        items = finite.items() if isinstance(finite, Mapping) else finite
         merged: dict[int, int] = {}
         for order, coeff in items:
             if not isinstance(order, int) or isinstance(order, bool) or order < 1:
                 raise ValueError(f"isotropy order must be a positive int, got {order!r}")
             merged[order] = merged.get(order, 0) + _check_coeff(coeff)
         cleaned = tuple(sorted((k, c) for k, c in merged.items() if c))
-        object.__setattr__(self, "finite", cleaned)
+        vars(self).update(fixed=fixed, finite=cleaned)
 
     @classmethod
     def zero(cls) -> "EulerElementS1":

@@ -14,7 +14,8 @@ whose rows span a smaller-rank lattice) produce equal elements.
 `format_element` emits the canonical spelling: every term appears as
 'coeff*gen', terms are ordered by descending subgroup dimension and then
 by lattice rows, and the zero element prints as '0'.  The parser accepts a
-bare '0' back so printing and parsing round-trip.  An integer of more
+bare '0' back so printing and parsing round-trip.  An integer is an
+optional sign and ASCII digits.  An integer of more
 than `rationals._MAX_DIGITS` digits raises a plain ValueError instead of
 an ElementParseError, whose message would echo the whole text.
 """
@@ -26,6 +27,10 @@ from .rationals import _check_digits
 from .subgroups import _canonical_rows, normalize_character
 
 __all__ = ["ElementParseError", "parse_element", "format_element"]
+
+# The digits of an integer: ASCII only, where str.isdigit would also take
+# other scripts' digits and superscripts.
+_DIGITS = frozenset("0123456789")
 
 
 class ElementParseError(ValueError):
@@ -64,10 +69,10 @@ class _Scanner:
         start = self.pos
         if self.peek() in ("+", "-"):
             self.pos += 1
-        if not self.peek().isdigit():
+        if self.peek() not in _DIGITS:
             self.pos = start
             self.fail("expected an integer")
-        while self.peek().isdigit():
+        while self.peek() in _DIGITS:
             self.pos += 1
         return int(_check_digits(self.text[start:self.pos]))
 
@@ -104,7 +109,7 @@ class _Scanner:
     def term(self) -> tuple[int, Rows]:
         self.skip_ws()
         head = self.peek()
-        if head.isdigit() or head in ("+", "-"):
+        if head in _DIGITS or head in ("+", "-"):
             coeff = self.integer()
             self.expect("*")
             return coeff, self.generator()

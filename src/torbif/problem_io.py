@@ -17,7 +17,9 @@ for the full-orbit class or "Zk" for cyclic isotropy of order k, and an
 empty `deg_s1` list is the zero degree.  Floats, unknown or missing
 fields, duplicate eigenvalues, duplicate speeds, duplicate subgroups,
 malformed rationals and integers of more than `rationals._MAX_DIGITS`
-digits are all rejected outright so fixtures cannot drift silently.
+digits are all rejected outright so fixtures cannot drift silently.  The
+integers in "p/q" and "Zk" are ASCII digits with nothing after them: no
+other script's digits and no trailing newline.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ __all__ = [
     "write_problem",
 ]
 
-_SUBGROUP_RE = re.compile(r"^Z([1-9]\d*)$")
+_SUBGROUP_RE = re.compile(r"Z([1-9][0-9]*)")
 
 
 class ProblemFormatError(ValueError):
@@ -127,7 +129,7 @@ def _parse_degree(value: Any, where: str) -> EulerElementS1:
             raise ProblemFormatError(f"{ctx}.coeff must be nonzero; omit the entry instead")
         if not isinstance(label, str):
             raise ProblemFormatError(f"{ctx}.subgroup must be a string")
-        match = _SUBGROUP_RE.match(label)
+        match = _SUBGROUP_RE.fullmatch(label)
         if label != "S1" and not match:
             raise ProblemFormatError(
                 f"{ctx}.subgroup must be 'S1' or 'Zk' with k >= 1, got {label!r}"

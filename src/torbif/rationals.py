@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 # The most decimal digits of any integer the program reads: problem-file
 # ints, both parts of a 'p/q' string, the integer options and the integers
@@ -31,8 +31,10 @@ def _check_digits(text: str) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with integer p and positive integer q, each of
-    at most `_MAX_DIGITS` digits."""
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text):
+    at most `_MAX_DIGITS` ASCII digits and nothing else: no space,
+    underscore, other script's digit or trailing newline, all of which
+    Fraction() would take."""
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
     if "/" in text and text.rsplit("/", 1)[1].lstrip("0") == "":
         raise ValueError(f"malformed rational {text!r}; denominator must be positive")

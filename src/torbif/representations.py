@@ -29,9 +29,9 @@ product.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 
+from ._frozen import Frozen
 from .euler import EulerElementS1, EulerElementT2, _from_rows
 from .subgroups import normalize_character
 
@@ -44,25 +44,22 @@ def _check_mult(value: int, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class S1Representation:
+class S1Representation(Frozen):
     """Multiset of circle irreducibles: a trivial multiplicity and
     rotation planes keyed by their speed m >= 1."""
 
-    trivial: int = 0
-    rotating: tuple[tuple[int, int], ...] = ()
+    _fields = ("trivial", "rotating")
 
-    def __post_init__(self) -> None:
-        _check_mult(self.trivial, "trivial multiplicity")
-        raw = self.rotating
-        items = raw.items() if isinstance(raw, Mapping) else raw
+    def __init__(self, trivial: int = 0, rotating: Iterable | Mapping = ()) -> None:
+        _check_mult(trivial, "trivial multiplicity")
+        items = rotating.items() if isinstance(rotating, Mapping) else rotating
         merged: dict[int, int] = {}
         for speed, mult in items:
             if not isinstance(speed, int) or isinstance(speed, bool) or speed < 1:
                 raise ValueError(f"rotation speed must be a positive int, got {speed!r}")
             merged[speed] = merged.get(speed, 0) + _check_mult(mult, "multiplicity")
-        object.__setattr__(
-            self, "rotating", tuple(sorted((m, k) for m, k in merged.items() if k))
+        vars(self).update(
+            trivial=trivial, rotating=tuple(sorted((m, k) for m, k in merged.items() if k))
         )
 
     @property
@@ -85,17 +82,14 @@ class S1Representation:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class T2Representation:
+class T2Representation(Frozen):
     """Multiset of torus irreducibles keyed by normalized characters."""
 
-    trivial: int = 0
-    characters: tuple[tuple[CharacterKey, int], ...] = ()
+    _fields = ("trivial", "characters")
 
-    def __post_init__(self) -> None:
-        _check_mult(self.trivial, "trivial multiplicity")
-        raw = self.characters
-        items = raw.items() if isinstance(raw, Mapping) else raw
+    def __init__(self, trivial: int = 0, characters: Iterable | Mapping = ()) -> None:
+        _check_mult(trivial, "trivial multiplicity")
+        items = characters.items() if isinstance(characters, Mapping) else characters
         merged: dict[CharacterKey, int] = {}
         for key, mult in items:
             m, n = key
@@ -104,7 +98,7 @@ class T2Representation:
         cleaned = tuple(
             sorted(((key, k) for key, k in merged.items() if k), key=lambda item: (item[0][1], item[0][0]))
         )
-        object.__setattr__(self, "characters", cleaned)
+        vars(self).update(trivial=trivial, characters=cleaned)
 
     @property
     def dim(self) -> int:

@@ -31,9 +31,10 @@ an integer exactly when qd*ad divides qn*an, so no rational is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from fractions import Fraction
 
+from ._frozen import Frozen
 from .euler import EulerElementS1
 from .rationals import as_fraction
 from .representations import S1Representation, T2Representation, _signed_speeds
@@ -49,44 +50,46 @@ class InvalidLevel(ValueError):
     """The requested frequency is not a candidate bifurcation level."""
 
 
-@dataclass(frozen=True)
-class SpectralDatum:
+class SpectralDatum(Frozen):
     """One Hessian eigenvalue with the isotypic splitting of its eigenspace."""
 
-    alpha: Fraction
-    isotypic: S1Representation
+    _fields = ("alpha", "isotypic")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        if not isinstance(self.isotypic, S1Representation):
+    def __init__(self, alpha: int | str | Fraction, isotypic: S1Representation) -> None:
+        alpha = as_fraction(alpha)
+        if not isinstance(isotypic, S1Representation):
             raise TypeError("isotypic must be an S1Representation")
-        if self.isotypic.dim == 0:
+        if isotypic.dim == 0:
             raise ValueError("an eigenspace must have positive dimension")
+        vars(self).update(alpha=alpha, isotypic=isotypic)
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(Frozen):
     """Which structural assumptions the problem satisfies."""
 
-    positive_eigenvalue: bool
-    nonzero_degree: bool
+    _fields = ("positive_eigenvalue", "nonzero_degree")
+
+    def __init__(self, positive_eigenvalue: bool, nonzero_degree: bool) -> None:
+        vars(self).update(positive_eigenvalue=positive_eigenvalue, nonzero_degree=nonzero_degree)
 
     @property
     def ok(self) -> bool:
         return self.positive_eigenvalue and self.nonzero_degree
 
 
-@dataclass(frozen=True)
-class CriticalPointProblem:
+class CriticalPointProblem(Frozen):
     """A critical point described by its Hessian spectrum, the circle
     degree of the negated gradient, and a uniqueness flag."""
 
-    spectra: tuple[SpectralDatum, ...]
-    deg_s1: EulerElementS1
-    unique_critical_point: bool = False
+    _fields = ("spectra", "deg_s1", "unique_critical_point")
 
-    def __post_init__(self) -> None:
-        spectra = tuple(self.spectra)
+    def __init__(
+        self,
+        spectra: Iterable[SpectralDatum],
+        deg_s1: EulerElementS1,
+        unique_critical_point: bool = False,
+    ) -> None:
+        spectra = tuple(spectra)
         if not spectra:
             raise ValueError("a problem needs at least one spectral datum")
         if not all(isinstance(d, SpectralDatum) for d in spectra):
@@ -94,11 +97,11 @@ class CriticalPointProblem:
         alphas = [d.alpha for d in spectra]
         if len(set(alphas)) != len(alphas):
             raise ValueError("duplicate eigenvalues; merge their eigenspaces first")
-        object.__setattr__(self, "spectra", spectra)
-        if not isinstance(self.deg_s1, EulerElementS1):
+        if not isinstance(deg_s1, EulerElementS1):
             raise TypeError("deg_s1 must be an EulerElementS1")
-        if not isinstance(self.unique_critical_point, bool):
+        if not isinstance(unique_critical_point, bool):
             raise TypeError("unique_critical_point must be a bool")
+        vars(self).update(spectra=spectra, deg_s1=deg_s1, unique_critical_point=unique_critical_point)
 
     @property
     def dimension(self) -> int:
@@ -123,8 +126,7 @@ def validate(problem: CriticalPointProblem) -> AssumptionReport:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class BifurcationLevel:
+class BifurcationLevel(Frozen):
     """A candidate level, addressed as the frequency k / sqrt(alpha).
 
     Identity is the square of the frequency, stored once as `lambda_sq`:
@@ -132,17 +134,15 @@ class BifurcationLevel:
     so coincident levels coming from different eigenvalues compare equal.
     """
 
-    k: int
-    alpha: Fraction
-    lambda_sq: Fraction = field(init=False)
+    _fields = ("k", "alpha", "lambda_sq")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise ValueError(f"k must be a positive int, got {self.k!r}")
-        object.__setattr__(self, "alpha", as_fraction(self.alpha))
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        object.__setattr__(self, "lambda_sq", Fraction(self.k * self.k) / self.alpha)
+    def __init__(self, k: int, alpha: int | str | Fraction) -> None:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            raise ValueError(f"k must be a positive int, got {k!r}")
+        alpha = as_fraction(alpha)
+        if alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {alpha}")
+        vars(self).update(k=k, alpha=alpha, lambda_sq=Fraction(k * k) / alpha)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BifurcationLevel):

@@ -18,8 +18,8 @@ lattice than the one spanned by (1, 0), so (2, 0) and (1, 0) name
 different subgroups.  Intersecting subgroups corresponds to summing their
 lattices, which keeps everything downstream purely integral.
 
-Equality and hashing are the dataclass's own, on `rows`, not on identity:
-`_interned` shares instances, but it is a bounded cache that can evict an
+Equality and hashing are on `rows`, not on identity, as for every value
+type of the package (`_frozen.Frozen`): `_interned` shares instances, but it is a bounded cache that can evict an
 entry, so two distinct instances with the same rows can exist and must
 compare equal.  `_label` spells rows in the text grammar, for `str` of a
 subgroup and for the element formatter in `euler` alike.
@@ -38,9 +38,10 @@ instances pass the public validator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
+
+from ._frozen import Frozen
 
 Character = tuple[int, int]
 
@@ -98,8 +99,7 @@ def _check_int(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class TorusSubgroup:
+class TorusSubgroup(Frozen):
     """A closed subgroup of T^2, identified by its annihilator lattice.
 
     `rows` must already be a canonical basis as described in the module
@@ -107,10 +107,9 @@ class TorusSubgroup:
     characters.
     """
 
-    rows: tuple[Character, ...] = ()
+    _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = self.rows
+    def __init__(self, rows: tuple[Character, ...] = ()) -> None:
         if not isinstance(rows, tuple) or not all(
             isinstance(r, tuple) and len(r) == 2 for r in rows
         ):
@@ -128,6 +127,7 @@ class TorusSubgroup:
             canonical = not rows
         if not canonical:
             raise ValueError(f"rows {rows!r} are not a canonical lattice basis")
+        vars(self).update(rows=rows)
 
     @classmethod
     def from_characters(cls, chars: Iterable[Character]) -> "TorusSubgroup":

@@ -10,8 +10,9 @@ unit's geometric-series inverse, the plane-by-plane degree product, the
 untruncated three-factor index, the mode-by-mode negative space, the
 two-sided degree jump across a level, the unpruned walk over every subset
 of a zero-sum pool, the argparse parser the command line once built on
-every call, an element spelled through the subgroups of its `terms` view),
-so each identity they satisfy is a differential check on the package.
+every call, an element spelled through the subgroups of its `terms` view,
+the frozen dataclasses the value types once were), so each identity they
+satisfy is a differential check on the package.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from torbif import (
@@ -34,10 +37,14 @@ from torbif import (
     deg_minus_id_t2,
     loop_decompose,
     negative_space,
+    normalize_character,
     resonant_space,
 )
 from torbif.cli import _cmd_classify, _cmd_example, _cmd_index, _cmd_levels, _cmd_star
+from torbif.euler import _check_coeff
 from torbif.rationals import as_fraction
+from torbif.representations import _check_mult
+from torbif.subgroups import _check_int
 
 ALPHA_POOL = (
     Fraction(1, 2),
@@ -467,3 +474,218 @@ def argparse_reference_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_example)
 
     return parser
+
+
+def _twin(name, **options):
+    """A frozen dataclass that prints as `name`, the package type it
+    stands in for; `options` go to the decorator as they did there."""
+
+    def wrap(cls):
+        cls = dataclass(frozen=True, **options)(cls)
+        cls.__qualname__ = name
+        return cls
+
+    return wrap
+
+
+# Frozen-dataclass twins of the package's ten value types, as they were
+# declared before the types became plain classes on `torbif._frozen.Frozen`:
+# each keeps its dataclass options and its `__post_init__` (or, for the
+# element, its `__new__`) with every check, message and normalization.  The
+# twins refer to each other where the types referred to themselves.
+
+
+@_twin("TorusSubgroup")
+class TorusSubgroupTwin:
+    rows: tuple = ()
+
+    def __post_init__(self) -> None:
+        rows = self.rows
+        if not isinstance(rows, tuple) or not all(
+            isinstance(r, tuple) and len(r) == 2 for r in rows
+        ):
+            raise ValueError(f"rows must be a tuple of int pairs, got {rows!r}")
+        for r in rows:
+            _check_int(r[0])
+            _check_int(r[1])
+        if len(rows) == 1:
+            m, n = rows[0]
+            canonical = n > 0 or (n == 0 and m > 0)
+        elif len(rows) == 2:
+            (a, z), (b, d) = rows
+            canonical = z == 0 and a > 0 and d > 0 and 0 <= b < a
+        else:
+            canonical = not rows
+        if not canonical:
+            raise ValueError(f"rows {rows!r} are not a canonical lattice basis")
+
+
+@_twin("EulerElementT2", init=False)
+class EulerElementT2Twin:
+    _terms: tuple
+
+    def __new__(cls, terms=()):
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        merged = {}
+        for subgroup, coeff in items:
+            if not isinstance(subgroup, TorusSubgroupTwin):
+                raise TypeError(f"expected TorusSubgroup keys, got {subgroup!r}")
+            merged[subgroup.rows] = merged.get(subgroup.rows, 0) + _check_coeff(coeff)
+        element = object.__new__(cls)
+        terms = sorted((t for t in merged.items() if t[1]), key=lambda t: (len(t[0]), t[0]))
+        object.__setattr__(element, "_terms", tuple(terms))
+        return element
+
+
+@_twin("EulerElementS1")
+class EulerElementS1Twin:
+    fixed: int = 0
+    finite: tuple = ()
+
+    def __post_init__(self) -> None:
+        _check_coeff(self.fixed)
+        raw = self.finite
+        items = raw.items() if isinstance(raw, Mapping) else raw
+        merged = {}
+        for order, coeff in items:
+            if not isinstance(order, int) or isinstance(order, bool) or order < 1:
+                raise ValueError(f"isotropy order must be a positive int, got {order!r}")
+            merged[order] = merged.get(order, 0) + _check_coeff(coeff)
+        cleaned = tuple(sorted((k, c) for k, c in merged.items() if c))
+        object.__setattr__(self, "finite", cleaned)
+
+
+@_twin("S1Representation")
+class S1RepresentationTwin:
+    trivial: int = 0
+    rotating: tuple = ()
+
+    def __post_init__(self) -> None:
+        _check_mult(self.trivial, "trivial multiplicity")
+        raw = self.rotating
+        items = raw.items() if isinstance(raw, Mapping) else raw
+        merged = {}
+        for speed, mult in items:
+            if not isinstance(speed, int) or isinstance(speed, bool) or speed < 1:
+                raise ValueError(f"rotation speed must be a positive int, got {speed!r}")
+            merged[speed] = merged.get(speed, 0) + _check_mult(mult, "multiplicity")
+        object.__setattr__(
+            self, "rotating", tuple(sorted((m, k) for m, k in merged.items() if k))
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.trivial + 2 * sum(k for _, k in self.rotating)
+
+
+@_twin("T2Representation")
+class T2RepresentationTwin:
+    trivial: int = 0
+    characters: tuple = ()
+
+    def __post_init__(self) -> None:
+        _check_mult(self.trivial, "trivial multiplicity")
+        raw = self.characters
+        items = raw.items() if isinstance(raw, Mapping) else raw
+        merged = {}
+        for key, mult in items:
+            m, n = key
+            norm = normalize_character(m, n)
+            merged[norm] = merged.get(norm, 0) + _check_mult(mult, "multiplicity")
+        cleaned = tuple(
+            sorted(((key, k) for key, k in merged.items() if k), key=lambda item: (item[0][1], item[0][0]))
+        )
+        object.__setattr__(self, "characters", cleaned)
+
+
+@_twin("SpectralDatum")
+class SpectralDatumTwin:
+    alpha: Fraction
+    isotypic: S1RepresentationTwin
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
+        if not isinstance(self.isotypic, S1RepresentationTwin):
+            raise TypeError("isotypic must be an S1Representation")
+        if self.isotypic.dim == 0:
+            raise ValueError("an eigenspace must have positive dimension")
+
+
+@_twin("AssumptionReport")
+class AssumptionReportTwin:
+    positive_eigenvalue: bool
+    nonzero_degree: bool
+
+
+@_twin("CriticalPointProblem")
+class CriticalPointProblemTwin:
+    spectra: tuple
+    deg_s1: EulerElementS1Twin
+    unique_critical_point: bool = False
+
+    def __post_init__(self) -> None:
+        spectra = tuple(self.spectra)
+        if not spectra:
+            raise ValueError("a problem needs at least one spectral datum")
+        if not all(isinstance(d, SpectralDatumTwin) for d in spectra):
+            raise TypeError("spectra must contain SpectralDatum entries")
+        alphas = [d.alpha for d in spectra]
+        if len(set(alphas)) != len(alphas):
+            raise ValueError("duplicate eigenvalues; merge their eigenspaces first")
+        object.__setattr__(self, "spectra", spectra)
+        if not isinstance(self.deg_s1, EulerElementS1Twin):
+            raise TypeError("deg_s1 must be an EulerElementS1")
+        if not isinstance(self.unique_critical_point, bool):
+            raise TypeError("unique_critical_point must be a bool")
+
+
+@_twin("BifurcationLevel", eq=False)
+class BifurcationLevelTwin:
+    k: int
+    alpha: Fraction
+    lambda_sq: Fraction = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise ValueError(f"k must be a positive int, got {self.k!r}")
+        object.__setattr__(self, "alpha", as_fraction(self.alpha))
+        if self.alpha <= 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        object.__setattr__(self, "lambda_sq", Fraction(self.k * self.k) / self.alpha)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BifurcationLevelTwin):
+            return NotImplemented
+        return self.lambda_sq == other.lambda_sq
+
+    def __hash__(self) -> int:
+        return hash(self.lambda_sq)
+
+    def __repr__(self) -> str:
+        return f"BifurcationLevel(k={self.k}, alpha={self.alpha})"
+
+
+@_twin("BifurcationReport")
+class BifurcationReportTwin:
+    level: BifurcationLevelTwin
+    index: EulerElementT2Twin
+    nontrivial: bool
+    certificate: object
+    classification: object
+
+
+VALUE_TYPE_TWINS = {
+    twin.__qualname__: twin
+    for twin in (
+        TorusSubgroupTwin,
+        EulerElementT2Twin,
+        EulerElementS1Twin,
+        S1RepresentationTwin,
+        T2RepresentationTwin,
+        SpectralDatumTwin,
+        AssumptionReportTwin,
+        CriticalPointProblemTwin,
+        BifurcationLevelTwin,
+        BifurcationReportTwin,
+    )
+}

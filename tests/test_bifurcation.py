@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ import torbif.bifurcation
 import torbif.cli
 from torbif import (
     BifurcationLevel,
+    BifurcationReport,
     Certificate,
     Classification,
     CriticalPointProblem,
@@ -211,11 +211,14 @@ def test_classify_witness_branch(tmp_path, capsys, monkeypatch):
     x = gen((1, 0), (0, 2)) - 3 * I
     table = dict(zip(levels, (x, -1 * x, x, gen((1, 1)))))
     original = torbif.cli.build_report
-    monkeypatch.setattr(
-        torbif.cli,
-        "build_report",
-        lambda problem, level: replace(original(problem, level), index=table[level]),
-    )
+
+    def injected(problem, level):
+        report = original(problem, level)
+        return BifurcationReport(
+            level, table[level], report.nontrivial, report.certificate, report.classification
+        )
+
+    monkeypatch.setattr(torbif.cli, "build_report", injected)
     path = tmp_path / "problem.json"
     write_problem(prob, path)
     for extra in ([], ["--json"]):
@@ -366,7 +369,7 @@ def scaled_problem(rng, full_orbit):
     )
     fixed = rng.choice((1, -1, 2, -3)) if full_orbit else 0
     degree = EulerElementS1(fixed, prob.deg_s1.finite or {1: 1})
-    return replace(prob, spectra=spectra, deg_s1=degree)
+    return CriticalPointProblem(spectra, degree, prob.unique_critical_point)
 
 
 @settings(max_examples=60, deadline=None)

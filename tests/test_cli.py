@@ -285,6 +285,56 @@ def test_star_parse_error_shows_caret(capsys):
     assert "^" in err
 
 
+@pytest.mark.parametrize(
+    "factor, position",
+    [("H(\u0661,0)", 2), ("H(\u00b2,0)", 2), ("2*H(1,\u0663)", 6)],
+)
+def test_star_refuses_non_ascii_digits(capsys, factor, position):
+    # `H(١,0)` once multiplied as H(1,0), and `H(²,0)` ended in int()'s
+    # own message; each is a parse error with a caret under the digit
+    assert main(["star", factor, "T"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: expected an integer at position {position}\n  {factor}\n  {' ' * position}^\n",
+    )
+
+
+@pytest.mark.parametrize("option", ["--k", "--max-k"])
+@pytest.mark.parametrize("value", [" 1_0 ", "1_0", "\u0661", "1\n", " 1", "\uff12"])
+def test_integer_options_are_ascii_digits(example_path, capsys, option, value):
+    # int() reads each of these values (as 10, 1 or 2)
+    command = "index" if option == "--k" else "levels"
+    extra = ["--alpha", "2"] if command == "index" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--problem", example_path, option, value, *extra])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: torbif {command} ")
+    assert error == f"torbif {command}: error: argument {option}: expected an integer, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("subgroup", "Z1\u0661"), ("subgroup", "Z1\n"), ("alpha", "\u0662\n"), ("alpha", "\u0663/\u0662")],
+)
+def test_problem_integers_are_ascii_digits(tmp_path, capsys, field, value):
+    payload = json.loads(torbif.problem_to_text(example_problem()))
+    if field == "alpha":
+        payload["spectra"][1]["alpha"] = value
+    else:
+        payload["deg_s1"] = [{"subgroup": value, "coeff": 1}]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["levels"], ["classify"], ["index", "--k", "1", "--alpha", "2"]):
+        assert main([argv[0], "--problem", str(path), *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(value) in err
+
+
 def test_star_factor_may_start_with_minus(capsys):
     assert main(["star", "-1*T", "1*T"]) == 0
     assert capsys.readouterr().out == "-1*T\n"

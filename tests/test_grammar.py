@@ -92,6 +92,24 @@ def test_integers_over_the_digit_limit_are_refused():
     assert parse_element(f"-{over[:-1]}*T") == -int(over[:-1]) * I
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("H(\u0661,0)", "expected an integer at position 2"),
+        ("H(\u00b2,0)", "expected an integer at position 2"),
+        ("1*F(1,0;0,\u0663)", "expected an integer at position 10"),
+        ("1*H(1,-\uff11)", "expected an integer at position 6"),
+        ("\u0662*T", "expected a generator 'T', 'H(m,n)', or 'F(a,b;c,d)' at position 0"),
+    ],
+)
+def test_integers_are_ascii_digits(text, message):
+    # str.isdigit takes each of these characters, and int() all but the
+    # superscript; the parser stops at each with a caret position
+    with pytest.raises(ElementParseError) as info:
+        parse_element(text)
+    assert str(info.value) == message
+
+
 @given(st.integers(0, 10**9))
 def test_print_parse_round_trip(seed):
     element = random_element(random.Random(seed))

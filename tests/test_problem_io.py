@@ -18,7 +18,7 @@ from torbif import (
     problem_to_text,
     write_problem,
 )
-from torbif.rationals import _MAX_DIGITS
+from torbif.rationals import _MAX_DIGITS, parse_rational
 
 from oracles import random_problem
 
@@ -137,6 +137,14 @@ def test_rejects_malformed_rationals_and_degrees():
         parse_problem(dumps(payload))
 
 
+@pytest.mark.parametrize("text", ["\u0663/\u0662", "3/2\n", "\u0663"])
+def test_rationals_are_ascii_digits(text):
+    # Fraction() takes each of these spellings, as 3/2 or 3
+    with pytest.raises(ValueError) as exc:
+        parse_rational(text)
+    assert str(exc.value) == f"malformed rational {text!r}; expected 'p' or 'p/q'"
+
+
 def test_rejects_integers_over_the_digit_limit():
     over = 10**_MAX_DIGITS
     edits = (
@@ -216,12 +224,12 @@ def set_at(*path):
             [{"subgroup": "S1", "coeff": 1}, {"subgroup": "Z1", "coeff": 1}, {"subgroup": "S1", "coeff": 2}],
             "deg_s1[2]: duplicate subgroup 'S1'",
         ),
-        # the label pattern lets a trailing newline through, so 'Z1' and
-        # 'Z1\n' name one subgroup: a duplicate, not an overwritten coefficient
+        # nothing may follow the order: 'Z1\n' is refused, not read as a
+        # duplicate of 'Z1'
         (
             set_at("deg_s1"),
             [{"subgroup": "Z1", "coeff": 1}, {"subgroup": "Z1\n", "coeff": 2}],
-            "deg_s1[1]: duplicate subgroup 'Z1\\n'",
+            "deg_s1[1].subgroup must be 'S1' or 'Zk' with k >= 1, got 'Z1\\n'",
         ),
         # errors come in entry order, and within an entry the coefficient
         # is checked before the duplicate and the label before a later entry
@@ -239,6 +247,28 @@ def set_at(*path):
             set_at("deg_s1"),
             [{"subgroup": "Zx", "coeff": 1}, {"subgroup": "Zx", "coeff": 1}],
             "deg_s1[0].subgroup must be 'S1' or 'Zk' with k >= 1, got 'Zx'",
+        ),
+        # other scripts' digits, superscripts and a trailing newline, all of
+        # which int() or a '$'-anchored pattern would take
+        (
+            set_at("deg_s1", 0, "subgroup"),
+            "Z1\u0661",
+            "deg_s1[0].subgroup must be 'S1' or 'Zk' with k >= 1, got 'Z1\u0661'",
+        ),
+        (
+            set_at("deg_s1", 0, "subgroup"),
+            "Z\u00b2",
+            "deg_s1[0].subgroup must be 'S1' or 'Zk' with k >= 1, got 'Z\u00b2'",
+        ),
+        (
+            set_at("spectra", 1, "alpha"),
+            "\u0662\n",
+            "spectra[1].alpha: malformed rational '\u0662\\n'; expected 'p' or 'p/q'",
+        ),
+        (
+            set_at("spectra", 1, "alpha"),
+            "2\n",
+            "spectra[1].alpha: malformed rational '2\\n'; expected 'p' or 'p/q'",
         ),
     ],
 )
