@@ -11,12 +11,10 @@ speed of the machine.
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import torbif
+from test_cli import module_env
 
 UNWANTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
@@ -24,12 +22,9 @@ UNWANTED = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 def loaded_modules(statement: str) -> set[str]:
     """The modules loaded once a fresh interpreter has run `statement`,
     with this checkout's package first on its path."""
-    src = str(Path(torbif.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     code = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=module_env(), check=True
     )
     return set(json.loads(result.stdout))
 

@@ -71,10 +71,12 @@ def recipes(junk: bool):
     element = st.tuples(st.lists(st.tuples(arg(subgroup), arg(small)), max_size=4)).map(
         lambda a: Make("EulerElementT2", a)
     )
-    pairs = lambda key, value: st.one_of(  # noqa: E731
-        st.lists(st.tuples(arg(key), arg(value)), max_size=3),
-        st.dictionaries(key, value, max_size=3),
-    )
+    def pairs(key, value):
+        return st.one_of(
+            st.lists(st.tuples(arg(key), arg(value)), max_size=3),
+            st.dictionaries(key, value, max_size=3),
+        )
+
     s1_element = st.tuples(arg(small), pairs(st.integers(low + 1, 4), small)).map(
         lambda a: Make("EulerElementS1", a)
     )
