@@ -58,7 +58,7 @@ extended gcd of (b, n) once per mode and n, in a table built only as far
 as the top of the group a null character meets.  Then
 `euler._line_products` makes that character's products with the whole
 group, run by run, with no call per product.  Every term goes into one
-dict keyed by rows, and the index is built from it once.  The full
+dict keyed by term keys, and the index is built from it once.  The full
 three-factor product is kept as an oracle in the test suite.
 
 The classification upgrades a nonzero index to a non-compactness
@@ -86,8 +86,8 @@ from ._frozen import Frozen
 from .euler import (
     EulerElementS1,
     EulerElementT2,
-    Rows,
-    _from_rows,
+    Key,
+    _from_keys,
     _line_products,
     element_to_json,
     embed_s1_to_t2,
@@ -249,30 +249,30 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
             f" products, more than the limit of {_MAX_LINE_PRODUCTS}"
         )
     deg = deg_minus_id_t2(resonant)
-    acc = {rows: n0 * c for rows, c in deg._terms}
-    acc[()] = acc.get((), 0) - n0
+    acc = {key: n0 * c for key, c in deg._terms}
+    acc[(0,)] = acc.get((0,), 0) - n0
     # _xgcd(b, n) once per null mode b and n, as far as the runs met reach
     gcds: dict[int, list[tuple[int, int, int]]] = {}
-    for rows, c in deg._terms:
-        if len(rows) != 1:
+    for key, c in deg._terms:
+        if key[0] != 1:
             continue
-        (a, b), = rows
+        _, a, b = key
         met, _, top = groups[a == 0]
         g = gcds.setdefault(b, [])
         g.extend(_xgcd(b, n) for n in range(len(g), top))
         _line_products(acc, a, b, c, met, g)
     if n0:
         certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
-        phi = sum(c for rows, c in acc.items() if len(rows) == 1)
+        phi = sum(c for key, c in acc.items() if key[0] == 1)
     else:
         certificate = Certificate.SAME_SIGN
         i, coeff = problem.deg_s1.finite[0]
-        phi = sum(c for rows, c in acc.items() if len(rows) == 2 and rows[0] == (i, 0))
+        phi = sum(c for key, c in acc.items() if key[:2] == (2, i))
     if phi != -coeff * sum(k for _, k in resonant.characters):
         raise RuntimeError("certificate path disagrees with direct evaluation")
     return BifurcationReport(
         level=level,
-        index=_from_rows(acc),
+        index=_from_keys(acc),
         nontrivial=True,
         certificate=certificate,
         classification=_classification(problem),
@@ -339,14 +339,14 @@ def _zero_sum_dfs(
     # all-exclude leaf comes last and is live only for a zero `base`.  The
     # walk keeps its own stack, so a long pool cannot exhaust recursion.
     indices = [table[lvl] for lvl in pool]
-    last: dict[tuple[Rows, bool], int] = {}
+    last: dict[tuple[Key, bool], int] = {}
     for pos, index in enumerate(indices):
-        for rows, c in index._terms:
-            last[(rows, c > 0)] = pos
+        for key, c in index._terms:
+            last[(key, c > 0)] = pos
     stack: list[tuple[int, EulerElementT2, tuple[int, ...]]] = [(0, base, ())]
     while stack:
         pos, acc, picked = stack.pop()
-        if any(last.get((rows, c < 0), -1) < pos for rows, c in acc._terms):
+        if any(last.get((key, c < 0), -1) < pos for key, c in acc._terms):
             continue
         if pos == len(indices):
             return tuple(pool[i] for i in picked)

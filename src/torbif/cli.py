@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
@@ -225,7 +224,7 @@ def _cmd_star(args: SimpleNamespace) -> int:
         except ElementParseError as exc:
             _print_parse_error(source, exc)
             return 2
-    lines = [sum(len(rows) == 1 for rows, _ in factor._terms) for factor in factors]
+    lines = [sum(key[0] == 1 for key, _ in factor._terms) for factor in factors]
     if lines[0] * lines[1] > _MAX_LINE_PRODUCTS:
         raise ValueError(
             f"the product of {lines[0]} and {lines[1]} line terms needs {lines[0] * lines[1]}"
@@ -333,9 +332,13 @@ _COMMANDS = {
 # as a positional but not as an option's value; an unknown `--flag`.  A
 # negative number or a token with a space is a plain word.
 _WORD, _DASHED, _UNKNOWN = "word", "dashed", "unknown"
-# argparse's test for a negative number; compiled on first use, which most
-# requests never make
-_NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _negative_number(token: str) -> bool:
+    # argparse's re.match(r"^-\d+$|^-\d*\.\d+$", token) without compiling a
+    # pattern: `\d` is str.isdecimal, `$` also matches before a final "\n"
+    whole, dot, fraction = token[1 : -1 if token.endswith("\n") else None].partition(".")
+    return token[:1] == "-" and (whole + fraction).isdecimal() and bool(fraction or not dot)
 
 
 def _usage(name: Optional[str]) -> str:
@@ -404,7 +407,7 @@ def _read(token: str, name: Optional[str]):
             return found[0], (value if equals else None)
     if not token.startswith("-") or token in ("-", "--"):
         return _WORD
-    if " " in token or re.match(_NEGATIVE_NUMBER, token):
+    if " " in token or _negative_number(token):
         return _WORD
     return _DASHED if token[1] != "-" else _UNKNOWN
 

@@ -14,23 +14,24 @@ three.  So `star` splits each operand by dimension once: the full-torus
 term scales the other operand, and only pairs of two lines reach the
 closed form for the product of two lines, which works on their raw
 characters and the extended gcd of their second coordinates and returns
-canonical rows.  It has two forms.  The pair form `_line_product` serves
-`star`, through the cached `_generator_product`.  The run form
-`_line_products` serves the bifurcation index: it multiplies one line
-against whole runs of characters (s, n), lo <= n < hi, with the products
-written inline, and takes the run's weight and b*s once per run, so no
-call is made per product.  There are two because `star` still forms
-B1r * B1r on the index's path (see ROADMAP item 4(b)); once that product
-joins the index's loop, `star` leaves that path and the pair form serves
-only API callers.  A property test ties the run form to the pair form.
+the key of the product.  It has two forms.  The pair form
+`_line_product` serves `star`, through the cached `_generator_product`.
+The run form `_line_products` serves the bifurcation index: it multiplies
+one line against whole runs of characters (s, n), lo <= n < hi, with the
+products written inline, and takes the run's weight and b*s once per run,
+so no call is made per product.  There are two because `star` still
+forms B1r * B1r on the index's path (see ROADMAP item 4(b)); once that
+product joins the index's loop, `star` leaves that path and the pair
+form serves only API callers.  A property test ties the run form to the
+pair form.
 Elements are canonically sorted sparse integer combinations, so equality
 is structural and all arithmetic is exact.  An element keeps nonzero
-(rows, coefficient) pairs, with the canonical lattice rows of `subgroups`,
-sorted by (len(rows), rows), that is by descending dimension and then by
-rows; `bifurcation`, `representations`, `grammar` and `cli` also read or
-build rows.  `_from_rows` builds every element, each sum or product from
-one dict keyed by rows; no ring operation builds a subgroup, and only
-`terms`, for API callers, builds them.
+(key, coefficient) pairs, each key one flat tuple of ints: (0,) for T,
+(1, m, n) for H(m,n), (2, a, b, d) for F(a,0;b,d).  Plain tuple order on
+keys is the printed order, (len(rows), rows) on canonical rows, so
+`_from_keys` builds every element from one dict with a plain sort.  Rows
+and subgroups appear only at the API edge: the public constructor,
+`terms`, `coefficient` and `generator`; the rest of the package uses keys.
 
 The circle's Euler ring enters only through its additive group, generated
 by the full-orbit class and the classes with finite cyclic isotropy, and
@@ -45,10 +46,10 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 
 from ._frozen import Frozen
-from .subgroups import Character, TorusSubgroup, _interned, _label, _xgcd
+from .subgroups import Character, TorusSubgroup, _interned, _key, _label, _rows, _xgcd
 
-Rows = tuple[Character, ...]
-_Terms = tuple[tuple[Rows, int], ...]
+Key = tuple[int, ...]
+_Terms = tuple[tuple[Key, int], ...]
 
 
 def _check_coeff(value: int) -> int:
@@ -68,34 +69,35 @@ class EulerElementT2(Frozen):
 
     def __new__(cls, terms: Iterable | Mapping = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[Rows, int] = {}
+        merged: dict[Key, int] = {}
         for subgroup, coeff in items:
             if not isinstance(subgroup, TorusSubgroup):
                 raise TypeError(f"expected TorusSubgroup keys, got {subgroup!r}")
-            merged[subgroup.rows] = merged.get(subgroup.rows, 0) + _check_coeff(coeff)
-        return _from_rows(merged)
+            key = _key(subgroup.rows)
+            merged[key] = merged.get(key, 0) + _check_coeff(coeff)
+        return _from_keys(merged)
 
     @property
     def terms(self) -> tuple[tuple[TorusSubgroup, int], ...]:
         """The (subgroup, coefficient) pairs, by descending dimension and
         then by rows."""
-        return tuple((_interned(rows), c) for rows, c in self._terms)
+        return tuple((_interned(_rows(key)), c) for key, c in self._terms)
 
     @classmethod
     def zero(cls) -> "EulerElementT2":
-        return _from_rows({})
+        return _from_keys({})
 
     @classmethod
     def identity(cls) -> "EulerElementT2":
         """The class of the full torus, the ring identity."""
-        return _from_rows({(): 1})
+        return _from_keys({(0,): 1})
 
     @classmethod
     def generator(cls, subgroup: TorusSubgroup) -> "EulerElementT2":
         return cls(((subgroup, 1),))
 
     def coefficient(self, subgroup: TorusSubgroup) -> int:
-        return dict(self._terms).get(subgroup.rows, 0)
+        return dict(self._terms).get(_key(subgroup.rows), 0)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -104,9 +106,9 @@ class EulerElementT2(Frozen):
         if not isinstance(other, EulerElementT2):
             return NotImplemented
         acc = dict(self._terms)
-        for rows, c in other._terms:
-            acc[rows] = acc.get(rows, 0) + c
-        return _from_rows(acc)
+        for key, c in other._terms:
+            acc[key] = acc.get(key, 0) + c
+        return _from_keys(acc)
 
     def __sub__(self, other: "EulerElementT2") -> "EulerElementT2":
         if not isinstance(other, EulerElementT2):
@@ -114,12 +116,12 @@ class EulerElementT2(Frozen):
         return self + (-other)
 
     def __neg__(self) -> "EulerElementT2":
-        return _from_rows({rows: -c for rows, c in self._terms})
+        return _from_keys({key: -c for key, c in self._terms})
 
     def __mul__(self, scale: int) -> "EulerElementT2":
         if not isinstance(scale, int) or isinstance(scale, bool):
             return NotImplemented
-        return _from_rows({rows: scale * c for rows, c in self._terms})
+        return _from_keys({key: scale * c for key, c in self._terms})
 
     __rmul__ = __mul__
 
@@ -130,28 +132,28 @@ class EulerElementT2(Frozen):
         identity, scales the other operand; of the remaining pairs only
         line x line has total dimension 2, so every other pair is zero by
         the grading and only line pairs reach the generator product.  All
-        terms go into one dict keyed by rows, and the result is built once
-        from it by `_from_rows`."""
+        terms go into one dict keyed by term keys, and the result is built
+        once from it by `_from_keys`."""
         if not isinstance(other, EulerElementT2):
             raise TypeError(f"cannot multiply EulerElementT2 by {type(other).__name__}")
         t1, below1, lines1 = _split(self._terms)
         t2, _, lines2 = _split(other._terms)
-        acc: dict[Rows, int] = {rows: t1 * c for rows, c in other._terms} if t1 else {}
+        acc: dict[Key, int] = {key: t1 * c for key, c in other._terms} if t1 else {}
         if t2:
-            for rows, c in below1:
-                acc[rows] = acc.get(rows, 0) + t2 * c
+            for key, c in below1:
+                acc[key] = acc.get(key, 0) + t2 * c
         for ch1, c1 in lines1:
             for ch2, c2 in lines2:
-                rows = _generator_product(ch1, ch2)
-                if rows is not None:
-                    acc[rows] = acc.get(rows, 0) + c1 * c2
-        return _from_rows(acc)
+                key = _generator_product(ch1, ch2)
+                if key is not None:
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        return _from_keys(acc)
 
     def project(self, dim: int) -> "EulerElementT2":
         """The part supported on subgroups of the given dimension."""
         if dim not in (0, 1, 2):
             raise ValueError(f"dimension must be 0, 1, or 2, got {dim!r}")
-        return _from_rows({rows: c for rows, c in self._terms if len(rows) == 2 - dim})
+        return _from_keys({key: c for key, c in self._terms if key[0] == 2 - dim})
 
     def __str__(self) -> str:
         return format_element(self)
@@ -160,24 +162,23 @@ class EulerElementT2(Frozen):
 def _split(terms: _Terms) -> tuple[int, _Terms, list[tuple[Character, int]]]:
     """The coefficient of T, the terms below T and the (character,
     coefficient) pairs of the line terms of an element's sorted terms."""
-    t = terms[0][1] if terms and not terms[0][0] else 0
+    t = terms[0][1] if terms and terms[0][0] == (0,) else 0
     below = terms[1:] if t else terms
-    return t, below, [(rows[0], c) for rows, c in below if len(rows) == 1]
+    return t, below, [(key[1:], c) for key, c in below if key[0] == 1]
 
 
-def _from_rows(acc: Mapping[Rows, int]) -> EulerElementT2:
-    """The element with these coefficients, keyed by canonical rows: zeros
-    drop and the terms are sorted by (len(rows), rows)."""
-    terms = sorted((t for t in acc.items() if t[1]), key=lambda t: (len(t[0]), t[0]))
+def _from_keys(acc: Mapping[Key, int]) -> EulerElementT2:
+    """The element with these coefficients, keyed by term keys: zeros
+    drop and the terms are sorted in plain tuple order."""
     element = object.__new__(EulerElementT2)
-    object.__setattr__(element, "_terms", tuple(terms))
+    object.__setattr__(element, "_terms", tuple(sorted([t for t in acc.items() if t[1]])))
     return element
 
 
-def _line_product(ch1: Character, ch2: Character, g: tuple[int, int, int]) -> Rows | None:
-    """Canonical rows of the product of the kernels of two nonzero
-    characters, or None when the product vanishes, given g = _xgcd(b, n)
-    for their second coordinates.
+def _line_product(ch1: Character, ch2: Character, g: tuple[int, int, int]) -> Key | None:
+    """The key of the product of the kernels of two nonzero characters,
+    or None when the product vanishes, given g = _xgcd(b, n) for their
+    second coordinates.
 
     For the characters (a, b) and (m, n), in either sign, let det =
     a*n - b*m.  When det is 0 the characters are parallel, the
@@ -186,19 +187,19 @@ def _line_product(ch1: Character, ch2: Character, g: tuple[int, int, int]) -> Ro
     spanned by both characters, has index |det|.  With (d, x, y) = g, the
     gcd d of the second coordinates is reached by the lattice vector
     x*(a, b) + y*(m, n), so the lattice meets the first axis in multiples
-    of |det| / d, and its canonical rows are (|det| / d, 0) and
-    (x*a + y*m mod |det| / d, d)."""
+    of |det| / d, and its key is (2, |det| / d, x*a + y*m mod |det| / d, d)
+    for the canonical rows (|det| / d, 0) and (x*a + y*m mod |det| / d, d)."""
     (a, b), (m, n) = ch1, ch2
     det = a * n - b * m
     if det == 0:
         return None
     d, x, y = g
     axis = abs(det) // d
-    return ((axis, 0), ((x * a + y * m) % axis, d))
+    return (2, axis, (x * a + y * m) % axis, d)
 
 
 def _line_products(
-    acc: dict[Rows, int],
+    acc: dict[Key, int],
     a: int,
     b: int,
     c: int,
@@ -206,12 +207,12 @@ def _line_products(
     g: Sequence[tuple[int, int, int]],
 ) -> None:
     """Add c * w times the product of the kernels of (a, b) and (s, n) into
-    `acc`, keyed by canonical rows, for each run (s, lo, hi, w) and each n
+    `acc`, keyed by term keys, for each run (s, lo, hi, w) and each n
     with lo <= n < hi, given g[n] = _xgcd(b, n).
 
     This is `_line_product` over every pair of the runs, written out:
-    det = a*n - b*s, no term where det is 0, and otherwise the rows
-    (|det| / d, 0) and (x*a + y*s mod |det| / d, d) with (d, x, y) = g[n]."""
+    det = a*n - b*s, no term where det is 0, and otherwise the key
+    (2, |det| / d, x*a + y*s mod |det| / d, d) with (d, x, y) = g[n]."""
     for s, lo, hi, w in runs:
         cw, bs = c * w, b * s
         for n in range(lo, hi):
@@ -219,12 +220,12 @@ def _line_products(
             if det:
                 d, x, y = g[n]
                 axis = abs(det) // d
-                rows = ((axis, 0), ((x * a + y * s) % axis, d))
-                acc[rows] = acc.get(rows, 0) + cw
+                key = (2, axis, (x * a + y * s) % axis, d)
+                acc[key] = acc.get(key, 0) + cw
 
 
 @lru_cache(maxsize=1 << 14)
-def _generator_product(ch1: Character, ch2: Character) -> Rows | None:
+def _generator_product(ch1: Character, ch2: Character) -> Key | None:
     """`_line_product` of two characters, with their extended gcd, cached."""
     return _line_product(ch1, ch2, _xgcd(ch1[1], ch2[1]))
 
@@ -238,12 +239,12 @@ def _join(parts: list[str]) -> str:
 
 def format_element(element: EulerElementT2) -> str:
     """Render an element in the textual grammar; the zero element is '0'."""
-    return _join([f"{c}*{_label(rows)}" for rows, c in element._terms])
+    return _join([f"{c}*{_label(key)}" for key, c in element._terms])
 
 
 def element_to_json(element: EulerElementT2) -> list[dict]:
     """The terms of an element as JSON objects {"generator": ..., "coeff": ...}."""
-    return [{"generator": _label(rows), "coeff": c} for rows, c in element._terms]
+    return [{"generator": _label(key), "coeff": c} for key, c in element._terms]
 
 
 class EulerElementS1(Frozen):
@@ -314,6 +315,6 @@ def embed_s1_to_t2(element: EulerElementS1) -> EulerElementT2:
     The full-orbit class maps to the identity and the class with isotropy
     of order k maps to the kernel of the character (k, 0).
     """
-    acc = {((order, 0),): coeff for order, coeff in element.finite}
-    acc[()] = element.fixed
-    return _from_rows(acc)
+    acc = {(1, order, 0): coeff for order, coeff in element.finite}
+    acc[(0,)] = element.fixed
+    return _from_keys(acc)

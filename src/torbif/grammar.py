@@ -22,9 +22,9 @@ an ElementParseError, whose message would echo the whole text.
 
 from __future__ import annotations
 
-from .euler import EulerElementT2, Rows, _from_rows, format_element
+from .euler import EulerElementT2, Key, _from_keys, format_element
 from .rationals import _check_digits
-from .subgroups import _canonical_rows, normalize_character
+from .subgroups import _canonical_rows, _key, normalize_character
 
 __all__ = ["ElementParseError", "parse_element", "format_element"]
 
@@ -76,65 +76,57 @@ class _Scanner:
             self.pos += 1
         return int(_check_digits(self.text[start:self.pos]))
 
-    def generator(self) -> Rows:
-        # the canonical rows of the generator, as `_from_rows` takes them
+    def integers(self, opener: str, *closers: str) -> list[int]:
+        # the opener, then one integer before each closer, as in '(' m ',' n ')'
+        self.expect(opener)
+        values = []
+        for closer in closers:
+            values.append(self.integer())
+            self.expect(closer)
+        return values
+
+    def generator(self) -> Key:
+        # the key of the generator, as `_from_keys` takes it
         self.skip_ws()
         head = self.peek()
         if head == "T":
             self.pos += 1
-            return ()
+            return (0,)
         if head == "H":
             self.pos += 1
-            self.expect("(")
-            m = self.integer()
-            self.expect(",")
-            n = self.integer()
-            self.expect(")")
-            return (normalize_character(m, n),) if m or n else ()
+            m, n = self.integers("(", ",", ")")
+            return (1, *normalize_character(m, n)) if m or n else (0,)
         if head == "F":
             self.pos += 1
-            self.expect("(")
-            a = self.integer()
-            self.expect(",")
-            b = self.integer()
-            self.expect(";")
-            c = self.integer()
-            self.expect(",")
-            d = self.integer()
-            self.expect(")")
-            return _canonical_rows([(a, b), (c, d)])
+            a, b, c, d = self.integers("(", ",", ";", ",", ")")
+            return _key(_canonical_rows([(a, b), (c, d)]))
         self.fail("expected a generator 'T', 'H(m,n)', or 'F(a,b;c,d)'")
         raise AssertionError("unreachable")
 
-    def term(self) -> tuple[int, Rows]:
+    def term(self) -> tuple[int, Key]:
         self.skip_ws()
-        head = self.peek()
-        if head in _DIGITS or head in ("+", "-"):
+        coeff = 1
+        if self.peek() in _DIGITS or self.peek() in ("+", "-"):
             coeff = self.integer()
             self.expect("*")
-            return coeff, self.generator()
-        return 1, self.generator()
+        return coeff, self.generator()
 
     def element(self) -> EulerElementT2:
         if self.text.strip() == "0":
             return EulerElementT2.zero()
-        acc: dict[Rows, int] = {}
-
-        def add(sign: int) -> None:
-            coeff, rows = self.term()
-            acc[rows] = acc.get(rows, 0) + sign * coeff
-
-        add(1)
+        acc: dict[Key, int] = {}
+        sign = 1
         while True:
+            coeff, key = self.term()
+            acc[key] = acc.get(key, 0) + sign * coeff
             self.skip_ws()
             if self.pos >= len(self.text):
-                break
+                return _from_keys(acc)
             op = self.peek()
             if op not in ("+", "-"):
                 self.fail("expected '+' or '-'")
             self.pos += 1
-            add(1 if op == "+" else -1)
-        return _from_rows(acc)
+            sign = 1 if op == "+" else -1
 
 
 def parse_element(text: str) -> EulerElementT2:

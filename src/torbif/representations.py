@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ._frozen import Frozen
-from .euler import EulerElementS1, EulerElementT2, _from_rows
+from .euler import EulerElementS1, EulerElementT2, _from_keys
 from .subgroups import normalize_character
 
 CharacterKey = tuple[int, int]
@@ -148,14 +148,14 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     sign * (T - B1 + B1 * B1 / 2) (see the module docstring); B1 * B1
     counts each pair of distinct characters twice, so its coefficients
     are even.  The three parts have distinct subgroups of dimensions 2, 1
-    and 0, so the result is built from their rows in one pass."""
+    and 0, so the result is built from their term keys in one pass."""
     sign = -1 if rep.trivial % 2 else 1
-    # a normalized character is the canonical row of its kernel
-    b1 = _from_rows({(ch,): k for ch, k in rep.characters})
-    acc = {(): sign}
-    acc.update((rows, -sign * k) for rows, k in b1._terms)
-    acc.update((rows, sign * (c // 2)) for rows, c in b1.star(b1)._terms)
-    return _from_rows(acc)
+    # the kernel of a normalized character (m, n) has the key (1, m, n)
+    b1 = _from_keys({(1, *ch): k for ch, k in rep.characters})
+    acc = {(0,): sign}
+    acc.update((key, -sign * k) for key, k in b1._terms)
+    acc.update((key, sign * (c // 2)) for key, c in b1.star(b1)._terms)
+    return _from_keys(acc)
 
 
 def deg_minus_id_s1(rep: S1Representation) -> EulerElementS1:

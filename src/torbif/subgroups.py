@@ -21,12 +21,14 @@ lattices, which keeps everything downstream purely integral.
 Equality and hashing are on `rows`, not on identity, as for every value
 type of the package (`_frozen.Frozen`): `_interned` shares instances, but it is a bounded cache that can evict an
 entry, so two distinct instances with the same rows can exist and must
-compare equal.  `_label` spells rows in the text grammar, for `str` of a
-subgroup and for the element formatter in `euler` alike.
+compare equal.
 
-Ring elements do not hold subgroups: they keep canonical rows, in the
-order that `euler` sorts them.  Subgroup objects exist only at the API
-edge, where a caller builds one or reads an element's `terms`.  The
+Ring elements keep one flat tuple of ints per term, its key: the
+codimension, then the rows' entries but the fixed 0, that is (0,),
+(1, m, n) or (2, a, b, d), in the order of (len(rows), rows).  `_key` and
+`_rows` pass between rows and keys, and `_label` spells a key, for `str`
+of a subgroup and the element formatter alike.  Subgroups and rows appear
+only at the API edge, where a caller builds one or reads `terms`.  The
 public constructor `TorusSubgroup(rows)` checks that `rows` is a
 canonical basis of int pairs and says which rule it breaks.  `_interned`
 skips that check: its callers (`kernel`, `full`, `trivial`, the normal
@@ -177,19 +179,26 @@ class TorusSubgroup(Frozen):
         return _interned(_canonical_rows(self.rows + other.rows))
 
     def __str__(self) -> str:
-        return _label(self.rows)
+        return _label(_key(self.rows))
 
 
-def _label(rows: tuple[Character, ...]) -> str:
-    """The subgroup with these canonical rows in the text grammar: 'T',
-    'H(m,n)' or 'F(a,0;b,d)'."""
-    if not rows:
-        return "T"
-    if len(rows) == 1:
-        m, n = rows[0]
-        return f"H({m},{n})"
-    (a, z), (b, d) = rows
-    return f"F({a},{z};{b},{d})"
+def _key(rows: tuple[Character, ...]) -> tuple[int, ...]:
+    """The ring key of canonical rows: (0,), (1, m, n) or (2, a, b, d)."""
+    return (2, rows[0][0], *rows[1]) if len(rows) == 2 else (len(rows), *sum(rows, ()))
+
+
+def _rows(key: tuple[int, ...]) -> tuple[Character, ...]:
+    """The canonical rows of a ring key."""
+    if key[0] == 2:
+        return ((key[1], 0), key[2:])
+    return (key[1:],) if key[0] else ()
+
+
+def _label(key: tuple[int, ...]) -> str:
+    """The term with this ring key in the text grammar."""
+    if key[0] == 2:
+        return f"F({key[1]},0;{key[2]},{key[3]})"
+    return f"H({key[1]},{key[2]})" if key[0] else "T"
 
 
 @lru_cache(maxsize=1 << 14)

@@ -10,9 +10,11 @@ unit's geometric-series inverse, the plane-by-plane degree product, the
 untruncated three-factor index, the mode-by-mode negative space, the
 two-sided degree jump across a level, the unpruned walk over every subset
 of a zero-sum pool, the argparse parser the command line once built on
-every call, an element spelled through the subgroups of its `terms` view,
-the frozen dataclasses the value types once were), so each identity they
-satisfy is a differential check on the package.
+every call and its negative-number pattern, an element spelled through
+the subgroups of its `terms` view, the frozen dataclasses the value types
+once were, the nested rows by which ring terms were once keyed and
+sorted), so each identity they satisfy is a differential check on the
+package.
 """
 
 from __future__ import annotations
@@ -387,6 +389,22 @@ def one_signed_functional(problem, index):
     return sum(c for h, c in index.terms if h.rows[:1] == ((i, 0),))
 
 
+def rows_order(rows):
+    """The sort key under which ring terms were once kept, on canonical
+    rows: descending dimension, then the rows themselves."""
+    return (len(rows), rows)
+
+
+def term_key(rows):
+    """The ring key of canonical rows, spelled from its layout: the
+    codimension, then the entries of the rows but for the 0 that the first
+    of two rows holds."""
+    flat = [entry for row in rows for entry in row]
+    if len(rows) == 2:
+        del flat[1]
+    return (len(rows), *flat)
+
+
 def element_text_and_json(element):
     """An element in the text grammar and as its JSON terms, spelled by
     `str` of each subgroup of its `terms` view."""
@@ -394,6 +412,12 @@ def element_text_and_json(element):
     signed = [f"{'-' if c < 0 else '+'} {abs(c)}*{g}" for g, c in terms]
     text = " ".join([f"{terms[0][1]}*{terms[0][0]}"] + signed[1:]) if terms else "0"
     return text, [{"generator": g, "coeff": c} for g, c in terms]
+
+
+# argparse's test for a word that is a negative number, applied with
+# re.match: `\d` takes every Unicode decimal digit and `$` also matches
+# before one trailing newline
+NEGATIVE_NUMBER = r"^-\d+$|^-\d*\.\d+$"
 
 
 def _positive_int(text: str) -> int:
@@ -492,7 +516,9 @@ def _twin(name, **options):
 # declared before the types became plain classes on `torbif._frozen.Frozen`:
 # each keeps its dataclass options and its `__post_init__` (or, for the
 # element, its `__new__`) with every check, message and normalization.  The
-# twins refer to each other where the types referred to themselves.
+# element's twin still merges and sorts on rows, in `rows_order`, and then
+# keys its terms by `term_key`, as the package's element does.  The twins
+# refer to each other where the types referred to themselves.
 
 
 @_twin("TorusSubgroup")
@@ -532,8 +558,8 @@ class EulerElementT2Twin:
                 raise TypeError(f"expected TorusSubgroup keys, got {subgroup!r}")
             merged[subgroup.rows] = merged.get(subgroup.rows, 0) + _check_coeff(coeff)
         element = object.__new__(cls)
-        terms = sorted((t for t in merged.items() if t[1]), key=lambda t: (len(t[0]), t[0]))
-        object.__setattr__(element, "_terms", tuple(terms))
+        terms = sorted((t for t in merged.items() if t[1]), key=lambda t: rows_order(t[0]))
+        object.__setattr__(element, "_terms", tuple((term_key(rows), c) for rows, c in terms))
         return element
 
 

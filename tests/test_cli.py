@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import torbif
@@ -41,7 +42,7 @@ from torbif.cli import main
 from torbif.euler import _generator_product
 from torbif.subgroups import _interned
 
-from oracles import argparse_reference_parser, random_problem
+from oracles import NEGATIVE_NUMBER, argparse_reference_parser, random_problem
 
 
 def module_env():
@@ -757,7 +758,7 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monk
 
 
 def test_requests_build_no_subgroup(example_path, tmp_path, capsys):
-    # ring elements keep rows, and subgroups are built only for callers that
+    # ring elements keep keys, and subgroups are built only for callers that
     # read an element's terms, so no request touches the intern cache; both
     # certificate paths, the zero-sum check and --json are covered
     rich = CriticalPointProblem(
@@ -781,7 +782,7 @@ def test_requests_build_no_subgroup(example_path, tmp_path, capsys):
 
 
 def test_star_builds_no_subgroup(capsys):
-    # the parser canonicalizes each generator to rows, so multiplying two
+    # the parser canonicalizes each generator to a key, so multiplying two
     # factors of 300 lines each, none parallel to a line of the other,
     # builds no subgroup either
     lhs = " + ".join(f"1*H(1,{n})" for n in range(1, 301))
@@ -975,7 +976,7 @@ def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
     counts = Counter()
     canonical_rows = torbif.subgroups._canonical_rows
     intersect = TorusSubgroup.intersect
-    from_rows = torbif.euler._from_rows
+    from_keys = torbif.euler._from_keys
 
     def counting(name, fn):
         def counted(*args):
@@ -986,11 +987,11 @@ def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(torbif.subgroups, "_canonical_rows", counting("canonical_rows", canonical_rows))
     monkeypatch.setattr(TorusSubgroup, "intersect", counting("intersect", intersect))
-    # every element, the public constructor's too, is built by `_from_rows`
-    counted_build = counting("build", from_rows)
+    # every element, the public constructor's too, is built by `_from_keys`
+    counted_build = counting("build", from_keys)
     for module in list(sys.modules.values()):
-        if module.__name__.startswith("torbif") and getattr(module, "_from_rows", None) is from_rows:
-            monkeypatch.setattr(module, "_from_rows", counted_build)
+        if module.__name__.startswith("torbif") and getattr(module, "_from_keys", None) is from_keys:
+            monkeypatch.setattr(module, "_from_keys", counted_build)
     _interned.cache_clear()
     _generator_product.cache_clear()
     assert main(["classify", "--problem", str(path), "--max-k", "7"]) == 0
@@ -1060,15 +1061,32 @@ def argvs(draw):
     return argv
 
 
+def int_reads(value):
+    """Whether int() reads `value`, as argparse's `type=int` did."""
+    try:
+        int(value)
+    except ValueError:
+        return False
+    return True
+
+
 def deliberate_difference(argv, reference, outcome):
-    """The two ways this parser parts from argparse on purpose.  A word
+    """The three ways this parser parts from argparse on purpose.  A word
     that starts with a single `-`, such as the factor `-1*T`, is a
     positional here, where argparse took it for an unknown option and
     exited 2.  A lone `--` given as a value (`--problem=--`) or after the
     first `--` is that string here, where argparse dropped it and stored an
-    empty list, unconverted, on which a handler raised a TypeError."""
+    empty list, unconverted, on which a handler raised a TypeError.  The
+    value of an integer option (`--k`, `--max-k`) is an optional sign and
+    ASCII digits here, so one that int() reads only through other scripts'
+    digits, underscores or surrounding whitespace (`--k ١`, `--k 1_0`,
+    `--k " 1"`) exits 2 here, where argparse took it as a number."""
     if argv.count("--") > 1 or any(token.endswith("=--") for token in argv):
         return True
+    if outcome[:2] == ("exit", 2) and reference[0] == "ok":
+        refused = re.search(r"error: argument --(?:max-)?k: expected an integer, got (.*)\n\Z", outcome[2])
+        value = ast.literal_eval(refused[1]) if refused else "x"
+        return int_reads(value) and not re.fullmatch(r"[+-]?[0-9]+", value)
     return (
         outcome[0] == "ok"
         and reference[:2] == ("exit", 2)
@@ -1077,6 +1095,9 @@ def deliberate_difference(argv, reference, outcome):
 
 
 @settings(max_examples=800, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(argv=["index", "--problem", "p.json", "--k", "\u0661"])
+@example(argv=["index", "--problem", "p.json", "--k", "1_0"])
+@example(argv=["index", "--problem", "p.json", "--k", " 1"])
 @given(argv=argvs())
 def test_parser_matches_argparse_reference(argv):
     reference = parse_outcome(lambda tokens: argparse_reference_parser().parse_args(tokens), argv)
@@ -1088,6 +1109,24 @@ def test_parser_matches_argparse_reference(argv):
     if deliberate_difference(argv, reference, outcome):
         return
     assert outcome[:2] == reference[:2], argv
+
+
+# words near argparse's negative-number pattern: a sign, ASCII and other
+# decimal digits, a superscript (a digit but not a decimal), points,
+# newlines and spaces
+near_numbers = st.text(st.sampled_from("-+.0123456789\n \u0661\u0966\uff12\u00b2x"), max_size=8)
+
+
+@settings(max_examples=1000)
+@example("-5\n")
+@example("-5\n\n")
+@example("-\u0661.\u0662")
+@example("-.5")
+@example("-5.")
+@example("-\u00b2")
+@given(st.one_of(st.text(), st.from_regex(NEGATIVE_NUMBER), near_numbers, near_numbers.map("-{}".format)))
+def test_negative_number_matches_the_argparse_pattern(token):
+    assert torbif.cli._negative_number(token) is bool(re.match(NEGATIVE_NUMBER, token))
 
 
 @pytest.mark.parametrize(

@@ -15,9 +15,11 @@ from torbif import (
     embed_s1_to_t2,
     format_element,
     lambda_set,
+    normalize_character,
+    parse_element,
 )
-from torbif.euler import _generator_product, _line_product, _line_products, element_to_json
-from torbif.subgroups import _xgcd
+from torbif.euler import _from_keys, _generator_product, _line_product, _line_products, element_to_json
+from torbif.subgroups import _key, _rows, _xgcd
 
 from oracles import (
     NotInvertible,
@@ -27,7 +29,9 @@ from oracles import (
     random_element,
     random_problem,
     random_unit,
+    rows_order,
     star_by_pairs,
+    term_key,
 )
 
 I = EulerElementT2.identity()
@@ -113,10 +117,10 @@ def line_pairs(draw):
 @given(line_pairs())
 def test_line_product_matches_intersection(pair):
     # the product takes the raw characters, in either sign, and returns
-    # the canonical rows of the intersection of their kernels, or None
+    # the key of the intersection of their kernels, or None
     h1, h2 = (TorusSubgroup.kernel(m, n) for m, n in pair)
     meet = generator_product_by_intersection(h1, h2)
-    assert _generator_product.__wrapped__(*pair) == (None if meet is None else meet.rows)
+    assert _generator_product.__wrapped__(*pair) == (None if meet is None else term_key(meet.rows))
 
 
 @st.composite
@@ -136,7 +140,7 @@ def runs_against_a_line(draw):
 
 
 @settings(max_examples=500)
-@given(runs_against_a_line(), st.dictionaries(st.sampled_from([((1, 0), (0, 1)), ((2, 0), (1, 1))]), entries))
+@given(runs_against_a_line(), st.dictionaries(st.sampled_from([(2, 1, 0, 1), (2, 2, 1, 1)]), entries))
 def test_line_products_match_the_pair_form(case, start):
     # the run form adds to the dict what the pair form gives on every pair
     # of the runs, weighted by c * w, with no term where det is 0
@@ -167,7 +171,7 @@ def test_star_matches_pairwise_product(seed):
 @settings(max_examples=200)
 @given(st.integers(0, 10**9))
 def test_star_builds_what_the_public_constructor_builds(seed):
-    # star builds its result from rows without the public constructor: the
+    # star builds its result from keys without the public constructor: the
     # terms must come out merged, nonzero, sorted and on valid subgroups
     rng = random.Random(seed)
     span = rng.choice((9, 10**6))
@@ -183,9 +187,9 @@ def test_star_builds_what_the_public_constructor_builds(seed):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10**9))
 def test_terms_view_rebuilds_and_spells_the_element(seed):
-    # elements keep rows; their (subgroup, coefficient) view must give back
+    # elements keep keys; their (subgroup, coefficient) view must give back
     # the same element through the public constructor, and the formatter
-    # and the JSON, which spell rows, must match `str` over that view
+    # and the JSON, which spell keys, must match `str` over that view
     rng = random.Random(seed)
     span = rng.choice((9, 10**6))
     a = random_element(rng, max_terms=6, span=span) + rng.randint(-3, 3) * I
@@ -210,12 +214,69 @@ PACKAGE = sorted(Path(torbif.__file__).resolve().parent.glob("*.py"))
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
 def test_package_reads_rows_not_the_terms_view(path):
     # the (subgroup, coefficient) view builds subgroup objects for callers
-    # outside the package; its own modules read an element's rows
+    # outside the package; its own modules read an element's keys
     tree = ast.parse(path.read_text(encoding="utf-8"))
     reads = [
         node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "terms"
     ]
     assert reads == []
+
+
+canonical_rows = st.one_of(
+    st.just(()),
+    st.tuples(entries, entries).filter(lambda v: v != (0, 0)).map(lambda v: (normalize_character(*v),)),
+    st.tuples(st.integers(1, 9) | st.integers(1, 10**6), st.integers(1, 9) | st.integers(1, 10**6), entries).map(
+        lambda v: ((v[0], 0), (v[2] % v[0], v[1]))
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(canonical_rows, max_size=12, unique=True), st.lists(st.integers(-3, 3).filter(bool), min_size=12))
+def test_keys_sort_in_the_order_of_rows(rows, coeffs):
+    # plain tuple order on keys, with no key function, is the order the
+    # terms were once sorted in: (len(rows), rows)
+    element = _from_keys({term_key(r): c for r, c in zip(rows, coeffs)})
+    assert [key for key, _ in element._terms] == [term_key(r) for r in sorted(rows, key=rows_order)]
+    assert [h.rows for h, _ in element.terms] == sorted(rows, key=rows_order)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(canonical_rows, st.integers(-3, 3) | entries), max_size=8))
+def test_rows_round_trip_through_keys(pairs):
+    # rows -> key -> rows through the public constructor, `terms`,
+    # `coefficient` and the text grammar
+    element = EulerElementT2([(TorusSubgroup(rows), c) for rows, c in pairs])
+    merged = {}
+    for rows, c in pairs:
+        assert _key(rows) == term_key(rows)
+        assert _rows(_key(rows)) == rows
+        merged[rows] = merged.get(rows, 0) + c
+    expected = sorted((t for t in merged.items() if t[1]), key=lambda t: rows_order(t[0]))
+    assert element.terms == tuple((TorusSubgroup(rows), c) for rows, c in expected)
+    for rows, c in merged.items():
+        assert element.coefficient(TorusSubgroup(rows)) == c
+    assert parse_element(format_element(element)) == element
+    assert all(str(h) == format_element(EulerElementT2.generator(h))[2:] for h, _ in element.terms)
+
+
+def flat_int_keys(element):
+    return all(type(key) is tuple and all(type(x) is int for x in key) for key, _ in element._terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10**9))
+def test_every_key_is_a_flat_tuple_of_ints(seed):
+    # the terms of indices, products, sums and parsed elements are each
+    # keyed by one tuple of ints, with no nested rows
+    rng = random.Random(seed)
+    a = random_element(rng, max_terms=6) + rng.randint(-3, 3) * I
+    b = random_element(rng, max_terms=6)
+    problem = random_problem(rng)
+    elements = [a + b, a - b, -a, 2 * a, a.star(b), a.star(a), a.project(0), parse_element(str(a.star(b)))]
+    elements += [build_report(problem, level).index for level in lambda_set(problem, 3)]
+    elements += [embed_s1_to_t2(problem.deg_s1), I, EulerElementT2.zero()]
+    assert all(flat_int_keys(element) for element in elements)
 
 
 def test_star_known_products():

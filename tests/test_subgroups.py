@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import torbif.subgroups
 from torbif import EulerElementT2, TorusSubgroup
 from torbif.euler import _generator_product
-from torbif.subgroups import _canonical_rows, _interned
+from torbif.subgroups import _canonical_rows, _interned, _rows
 
 from oracles import canonical_rows_by_folding, minor_gcd_index, torsion_points
 
@@ -214,17 +214,17 @@ def test_stored_fields_follow_rows(chars, others):
 @st.composite
 def trusted_rows(draw):
     """Rows as the callers of `_interned` make them, with entries up to
-    10**6: the row of a kernel, a lattice normal form, or the product of
-    two lines."""
+    10**6: the row of a kernel, a lattice normal form, or the rows of the
+    key of the product of two lines, as `terms` reads them."""
     source = draw(st.sampled_from(("kernel", "normal form", "line product")))
     if source == "kernel":
         return TorusSubgroup.kernel(draw(entries), draw(entries)).rows
     if source == "normal form":
         return _canonical_rows(draw(character_lists()))
     line = st.tuples(entries, entries).filter(lambda v: v != (0, 0))
-    rows = _generator_product.__wrapped__(draw(line), draw(line))
-    assume(rows is not None)
-    return rows
+    key = _generator_product.__wrapped__(draw(line), draw(line))
+    assume(key is not None)
+    return _rows(key)
 
 
 @settings(max_examples=500)
