@@ -1085,7 +1085,9 @@ def deliberate_difference(argv, reference, outcome):
         return True
     if outcome[:2] == ("exit", 2) and reference[0] == "ok":
         refused = re.search(r"error: argument --(?:max-)?k: expected an integer, got (.*)\n\Z", outcome[2])
-        value = ast.literal_eval(refused[1]) if refused else "x"
+        if refused is None:
+            return False
+        value = ast.literal_eval(refused[1])
         return int_reads(value) and not re.fullmatch(r"[+-]?[0-9]+", value)
     return (
         outcome[0] == "ok"
