@@ -107,9 +107,10 @@ from .subgroups import _xgcd
 
 
 # The most line products made at one level by `build_report`, for the
-# pairs of null characters in their degree and again for the loop over
-# runs, or for one product by `torbif star`, so that a huge --k, many
-# speeds or long factors end in an error, not in minutes of work.
+# unordered pairs of null characters in their degree and again for the
+# loop over runs, or for one product by `torbif star`, so that a huge
+# --k, many speeds or long factors end in an error, not in minutes of
+# work.
 _MAX_LINE_PRODUCTS = 1_000_000
 
 
@@ -201,10 +202,10 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     n0 != 0, and then only through its runs: its full degree would square
     a sum whose length grows with k, and a run parallel to a null
     character costs O(1).  When the c null characters need more than
-    `_MAX_LINE_PRODUCTS` line products, c * (c - 1) in their degree or
-    the sum over the runs they meet in the loop, ValueError is raised
-    before any is made.  Its phi or phi_i must be -n0 or -c_i times the
-    null-mode multiplicity.  The classification is the problem-wide one;
+    `_MAX_LINE_PRODUCTS` line products, c * (c - 1) / 2 in their degree,
+    one per unordered pair, or the sum over the runs they meet in the
+    loop, ValueError is raised before any is made.  Its phi or phi_i must
+    be -n0 or -c_i times the null-mode multiplicity.  The classification is the problem-wide one;
     the sum-obstruction upgrade needs the indices of all levels and is
     made by the caller that has them.  A resonant level shows a positive
     eigenvalue, so only the degree is read here: `validate` runs only at
@@ -224,10 +225,11 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
             classification=Classification.NOT_APPLICABLE,
         )
     chars = len(resonant.characters)
-    if chars * (chars - 1) > _MAX_LINE_PRODUCTS:
+    pairs = chars * (chars - 1) // 2
+    if pairs > _MAX_LINE_PRODUCTS:
         raise ValueError(
             f"the degree on the null modes at lambda_sq = {level.lambda_sq} needs"
-            f" {chars * (chars - 1)} line products for {chars} characters, more than"
+            f" {pairs} line products for {chars} characters, more than"
             f" the limit of {_MAX_LINE_PRODUCTS}"
         )
     n0 = problem.deg_s1.fixed
@@ -314,8 +316,7 @@ def _index_table(
     pool: list[BifurcationLevel],
     indices: Optional[Mapping[BifurcationLevel, EulerElementT2]],
 ) -> dict[BifurcationLevel, EulerElementT2]:
-    squares = [lvl.lambda_sq for lvl in pool]
-    if len(set(squares)) != len(squares):
+    if len(set(pool)) != len(pool):
         raise ValueError("levels must be pairwise distinct")
     table: dict[BifurcationLevel, EulerElementT2] = dict(indices or {})
     for lvl in pool:

@@ -24,10 +24,11 @@ prints a `usage: torbif CMD ...` line and a `torbif CMD: error: ...` line
 on stderr and exits 2.
 
 Exit codes: 0 success, 2 malformed input (problem files, expressions,
-usage) or input over a bound (an integer of more than 1000 digits, more
-than 100,000 levels, an index, its null modes' degree or a star product
-needing more than 10^6 line products), 3 a frequency that is not a
-candidate level, 4 output-file failure, 5 an internal cross-check failed
+usage) or input over a bound (a problem file of more than 2^20 bytes, an
+integer of more than 1000 digits, more than 100,000 levels, an index, its
+null modes' degree or a star product needing more than 10^6 line
+products), 3 a frequency that is not a candidate level, 4 output-file
+failure, 5 an internal cross-check failed
 (a bug in torbif), 141 stdout was closed before all output was written
 (the status a shell reports for a process ended by SIGPIPE).  Output is
 deterministic: identical inputs produce byte-identical text, and --json

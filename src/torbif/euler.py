@@ -20,7 +20,8 @@ The run form `_line_products` serves the bifurcation index: it multiplies
 one line against whole runs of characters (s, n), lo <= n < hi, with the
 products written inline, and takes the run's weight and b*s once per run,
 so no call is made per product.  There are two because `star` still
-forms B1r * B1r on the index's path (see ROADMAP item 4(b)); once that
+forms B1r * B1r on the index's path (see ROADMAP item 2), as a square
+that makes each unordered pair of distinct lines once; once that
 product joins the index's loop, `star` leaves that path and the pair
 form serves only API callers.  A property test ties the run form to the
 pair form.
@@ -131,9 +132,13 @@ class EulerElementT2(Frozen):
         Each operand is split by dimension once.  Its full-torus term, the
         identity, scales the other operand; of the remaining pairs only
         line x line has total dimension 2, so every other pair is zero by
-        the grading and only line pairs reach the generator product.  All
-        terms go into one dict keyed by term keys, and the result is built
-        once from it by `_from_keys`."""
+        the grading and only line pairs reach the generator product.  The
+        product is commutative, so a square `x.star(x)` takes each unordered
+        pair of distinct lines once, with twice its coefficient, and skips a
+        line times itself, which is parallel and so zero: c * (c - 1) / 2
+        generator products for c lines, not c * c.  All terms go into one
+        dict keyed by term keys, and the result is built once from it by
+        `_from_keys`."""
         if not isinstance(other, EulerElementT2):
             raise TypeError(f"cannot multiply EulerElementT2 by {type(other).__name__}")
         t1, below1, lines1 = _split(self._terms)
@@ -142,7 +147,9 @@ class EulerElementT2(Frozen):
         if t2:
             for key, c in below1:
                 acc[key] = acc.get(key, 0) + t2 * c
-        for ch1, c1 in lines1:
+        for i, (ch1, c1) in enumerate(lines1):
+            if other is self:
+                c1, lines2 = 2 * c1, lines1[i + 1 :]
             for ch2, c2 in lines2:
                 key = _generator_product(ch1, ch2)
                 if key is not None:

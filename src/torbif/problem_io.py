@@ -45,6 +45,11 @@ __all__ = [
 
 _SUBGROUP_RE = re.compile(r"Z([1-9][0-9]*)")
 
+# The most bytes `load_problem` reads from a problem file, far above any
+# real problem, so that a huge file or an endless one such as /dev/zero
+# ends in an error, not in memory exhaustion.
+_MAX_PROBLEM_BYTES = 1 << 20
+
 
 class ProblemFormatError(ValueError):
     """The problem file does not conform to the format above."""
@@ -177,12 +182,18 @@ def parse_problem(text: str) -> CriticalPointProblem:
 
 
 def load_problem(path: str | Path) -> CriticalPointProblem:
-    """Read and parse a problem file."""
+    """Read and parse a problem file of at most `_MAX_PROBLEM_BYTES`
+    bytes of UTF-8; a longer one raises ProblemFormatError before any of
+    it is decoded, and one that is not UTF-8 raises UnicodeDecodeError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as handle:
+            data = handle.read(_MAX_PROBLEM_BYTES + 1)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
-    return parse_problem(text)
+    if len(data) > _MAX_PROBLEM_BYTES:
+        raise ProblemFormatError(f"{path} is longer than the limit of {_MAX_PROBLEM_BYTES} bytes")
+    # newlines as text mode reads them, so JSON error positions stay put
+    return parse_problem(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def problem_to_text(problem: CriticalPointProblem) -> str:

@@ -7,9 +7,11 @@ character (m, n), determined up to global sign.  Characters are stored
 with the sign convention n > 0, or n == 0 and m > 0, of the rank-1
 generators of `TorusSubgroup` (`subgroups.normalize_character`), so a
 representation is a frozen multiset of irreducibles.  The constructors
-are the only normalizers: they check multiplicities, apply that
-convention, merge like keys, drop zeros and sort, so callers pass raw
-(key, multiplicity) pairs.
+are the normalizers: they check multiplicities, apply that convention,
+merge like keys, drop zeros and sort, so callers pass raw (key,
+multiplicity) pairs.  `_from_characters` skips all of that for a caller
+whose characters are canonical by construction, as `euler._from_keys`
+does for ring elements: `spectral.resonant_space` alone uses it.
 
 `loop_decompose` passes from a circle representation to the torus
 representation of its space of Fourier modes: the extra circle rotates the
@@ -21,10 +23,11 @@ from the parity of the trivial part, in the closed form
 sign * (T - B1 + B1 * B1 / 2), with B1 the sum of k*H over the characters
 of multiplicity k.  The grading gives H * H = 0 for one-dimensional classes
 (1 + 1 != 2 + 1) and kills every product of three of them, so only T, -B1
-and one product per unordered pair of characters survive; B1 * B1 counts
-each pair twice and no squares, so its coefficients are even and halving
-them is exact.  The test suite compares the result with the plane-by-plane
-product.
+and one product per unordered pair of characters survive.  B1 * B1
+counts each pair twice and no squares, so its coefficients are even and
+halving them is exact; `EulerElementT2.star` forms that square from each
+unordered pair once, with twice its coefficient.  The test suite compares
+the result with the plane-by-plane product.
 """
 
 from __future__ import annotations
@@ -120,6 +123,15 @@ class T2Representation(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
+def _from_characters(characters: tuple[tuple[CharacterKey, int], ...]) -> T2Representation:
+    """The representation with no trivial part and these (character,
+    multiplicity) pairs, which must already be normalized, distinct, of
+    positive multiplicity and sorted by (n, m): nothing is checked."""
+    rep = object.__new__(T2Representation)
+    vars(rep).update(trivial=0, characters=characters)
+    return rep
+
+
 def _signed_speeds(rep: S1Representation) -> list[tuple[int, int]]:
     # The signed speeds of `rep` on a positive mode, with multiplicities: 0
     # for the trivial part, m and -m for each rotation plane of speed m.
@@ -147,8 +159,10 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     """Equivariant degree of minus-identity on the unit ball of `rep`, as
     sign * (T - B1 + B1 * B1 / 2) (see the module docstring); B1 * B1
     counts each pair of distinct characters twice, so its coefficients
-    are even.  The three parts have distinct subgroups of dimensions 2, 1
-    and 0, so the result is built from their term keys in one pass."""
+    are even, and `star` makes it from c * (c - 1) / 2 generator products
+    for c characters.  The three parts have distinct subgroups of
+    dimensions 2, 1 and 0, so the result is built from their term keys in
+    one pass."""
     sign = -1 if rep.trivial % 2 else 1
     # the kernel of a normalized character (m, n) has the key (1, m, n)
     b1 = _from_keys({(1, *ch): k for ch, k in rep.characters})

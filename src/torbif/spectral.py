@@ -17,10 +17,11 @@ different eigenvalues are a single level and every comparison is
 decidable.  The negative space is taken just below the level, over the
 modes 1 <= n <= isqrt(ceil(q alpha) - 1), which are exactly those with
 n^2 < q alpha; the null modes n^2 == q alpha form the resonant space,
-handed to the representation constructor as one list of characters over
-all its modes.  Below the level the characters come in runs: for one
-signed speed s (0 for the trivial part) the characters (s, n) over every
-eigenvalue merge into runs lo <= n < hi of one multiplicity, so
+whose characters are made canonical, in order, and handed to the trusted
+representation constructor as one tuple over all its modes.  Below the
+level the characters come in runs: for one signed speed s (0 for the
+trivial part) the characters (s, n) over every eigenvalue merge into
+runs lo <= n < hi of one multiplicity, so
 `_below_runs` names each run in O(1) and only `negative_space` lists
 its characters.  This module alone decides which characters lie below a
 level.  Per level those comparisons are made in integers: with q = qn/qd
@@ -37,7 +38,7 @@ from fractions import Fraction
 from ._frozen import Frozen
 from .euler import EulerElementS1
 from .rationals import as_fraction
-from .representations import S1Representation, T2Representation, _signed_speeds
+from .representations import S1Representation, T2Representation, _from_characters, _signed_speeds
 
 
 # The most candidate levels `lambda_set` will enumerate (max_k times the
@@ -132,6 +133,9 @@ class BifurcationLevel(Frozen):
     Identity is the square of the frequency, stored once as `lambda_sq`:
     two levels are equal exactly when their `lambda_sq` values are equal,
     so coincident levels coming from different eigenvalues compare equal.
+    The hash is hash(lambda_sq), taken on first use and kept, since a
+    Fraction hashes by a modular inverse: `classify` takes it once per
+    level and `index` not at all.  A pickle or copy leaves it out.
     """
 
     _fields = ("k", "alpha", "lambda_sq")
@@ -150,7 +154,14 @@ class BifurcationLevel(Frozen):
         return self.lambda_sq == other.lambda_sq
 
     def __hash__(self) -> int:
-        return hash(self.lambda_sq)
+        try:
+            return self._hash
+        except AttributeError:
+            vars(self)["_hash"] = value = hash(self.lambda_sq)
+            return value
+
+    def __getstate__(self) -> dict:
+        return {name: vars(self)[name] for name in self._fields}
 
     def __repr__(self) -> str:
         return f"BifurcationLevel(k={self.k}, alpha={self.alpha})"
@@ -158,10 +169,10 @@ class BifurcationLevel(Frozen):
 
 def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLevel]:
     """Candidate levels k / sqrt(alpha) for k = 1..max_k over the positive
-    eigenvalues, merged by frequency and sorted ascending.  Each merged
-    level keeps the representative with the smallest k.  Raises ValueError
-    when max_k times the number of positive eigenvalues is over
-    `_MAX_LEVELS`, before any level is built."""
+    eigenvalues, merged by frequency through the levels' hashes and
+    sorted ascending.  Each merged level keeps the representative with the
+    smallest k.  Raises ValueError when max_k times the number of positive
+    eigenvalues is over `_MAX_LEVELS`, before any level is built."""
     if not isinstance(max_k, int) or isinstance(max_k, bool) or max_k < 1:
         raise ValueError(f"max_k must be a positive int, got {max_k!r}")
     alphas = problem.positive_alphas()
@@ -170,12 +181,11 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
             f"max_k {max_k} over {len(alphas)} positive eigenvalue(s) asks for"
             f" {max_k * len(alphas)} levels, more than the limit of {_MAX_LEVELS}"
         )
-    found: dict[Fraction, BifurcationLevel] = {}
+    found: dict[BifurcationLevel, None] = {}
     for k in range(1, max_k + 1):
         for alpha in alphas:
-            level = BifurcationLevel(k, alpha)
-            found.setdefault(level.lambda_sq, level)
-    return sorted(found.values(), key=lambda lvl: lvl.lambda_sq)
+            found.setdefault(BifurcationLevel(k, alpha))
+    return sorted(found, key=lambda lvl: lvl.lambda_sq)
 
 
 def _resonances(problem: CriticalPointProblem, q: Fraction) -> tuple[tuple[int, Fraction], ...]:
@@ -257,13 +267,19 @@ def negative_space(problem: CriticalPointProblem, level: BifurcationLevel) -> T2
 def resonant_space(
     problem: CriticalPointProblem, level: BifurcationLevel
 ) -> T2Representation:
-    """Direct sum of the null Fourier modes of the second variation at the level,
-    built by one constructor call over every mode's raw characters."""
-    return T2Representation(
-        0,
-        [
+    """Direct sum of the null Fourier modes of the second variation at the level.
+
+    Its characters (s, n) are canonical as they are made, so the trusted
+    `_from_characters` takes them with no normalizing, merging or keyed
+    sort: each has n >= 1, each mode n is null for one eigenvalue, whose
+    signed speeds s are distinct, and the modes come in ascending order,
+    so sorting each mode's speeds sorts the whole by (n, s).  The test
+    suite checks it against the public constructor."""
+    return _from_characters(
+        tuple(
             ((s, n), k)
             for n, alpha in resonant_pairs(problem, level)
-            for s, k in _signed_speeds(problem.eigenspace(alpha))
-        ],
+            for s, k in sorted(_signed_speeds(problem.eigenspace(alpha)))
+            if k
+        )
     )

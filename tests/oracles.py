@@ -8,6 +8,7 @@ package by a different route (the intersection of two generators under
 the dimension rule, the bilinear product over every pair of terms, a
 unit's geometric-series inverse, the plane-by-plane degree product, the
 untruncated three-factor index, the mode-by-mode negative space, the
+null modes through the public representation constructor, the
 two-sided degree jump across a level, the unpruned walk over every subset
 of a zero-sum pool, the argparse parser the command line once built on
 every call and its negative-number pattern, an element spelled through
@@ -321,6 +322,19 @@ def negative_space_by_mode(problem: CriticalPointProblem, level: BifurcationLeve
             total = total + loop_decompose(datum.isotypic, n)
             n += 1
     return total
+
+
+def resonant_space_by_constructor(problem: CriticalPointProblem, level: BifurcationLevel):
+    """The null modes' representation through the public constructor,
+    which normalizes, merges, drops zeros and sorts: each null mode n of
+    an eigenvalue alpha brings the raw characters (0, n) of its trivial
+    part and (m, n), (-m, n) of each speed m."""
+    characters = []
+    for n, alpha in resonances_by_fractions(problem, level.lambda_sq):
+        rep = problem.eigenspace(alpha)
+        characters.append(((0, n), rep.trivial))
+        characters.extend(((sign * m, n), k) for m, k in rep.rotating for sign in (1, -1))
+    return T2Representation(0, characters)
 
 
 def resonances_by_fractions(problem: CriticalPointProblem, q: Fraction):

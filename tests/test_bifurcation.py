@@ -497,3 +497,42 @@ def test_level_arithmetic_makes_no_fraction_arithmetic(monkeypatch):
     assert calls == []
     assert report.index == expected
     assert len(resonant_space(problem, level).characters) == 3 * 3
+
+
+def test_each_level_is_hashed_at_most_once(tmp_path, capsys, monkeypatch):
+    # one positive eigenvalue with a mixed-sign finite degree and a unique
+    # critical point, so classify keys its levels in lambda_set and again
+    # in the zero-sum check; a level keeps its hash, so beyond the hashes
+    # of parsing (the eigenvalues' duplicate checks) each level's Fraction
+    # is hashed at most once, and the one level of index never
+    problem = CriticalPointProblem(
+        spectra=(
+            SpectralDatum(Fraction(1, 2), S1Representation(trivial=1, rotating={1: 1})),
+            SpectralDatum(-1, S1Representation(rotating={2: 1})),
+        ),
+        deg_s1=EulerElementS1(0, {1: 1, 2: -1}),
+        unique_critical_point=True,
+    )
+    path = str(tmp_path / "problem.json")
+    write_problem(problem, path)
+    hashes = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        hashes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    torbif.cli.load_problem(path)
+    parsing = len(hashes)
+    for json_flag in ([], ["--json"]):
+        hashes.clear()
+        assert main(["classify", *json_flag, "--problem", path, "--max-k", "12"]) == 0
+        assert len(hashes) - parsing <= 12
+        hashes.clear()
+        assert main(["index", *json_flag, "--problem", path, "--k", "5", "--alpha", "1/2"]) == 0
+        assert len(hashes) == parsing
+    monkeypatch.undo()
+    out = capsys.readouterr().out
+    assert out.count("zero-sum subsets among computed levels: none") == 1
+    assert '"zero_sum_subset": {\n    "exists": false' in out

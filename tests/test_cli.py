@@ -19,6 +19,7 @@ import torbif
 import torbif.bifurcation
 import torbif.cli
 import torbif.euler
+import torbif.problem_io
 import torbif.rationals
 import torbif.spectral
 import torbif.subgroups
@@ -427,30 +428,79 @@ def test_star_line_products_are_bounded(capsys, monkeypatch):
 def test_null_mode_pairs_are_bounded(tmp_path, capsys, monkeypatch):
     # alpha 1 with speeds 1 and 2, deg_s1 = 1*Z1: at --k 1 the null modes
     # have the 4 characters (+-1, 1) and (+-2, 1), whose degree multiplies
-    # 4 * 3 ordered pairs; over the bound, read from the module, the degree
-    # is never formed
+    # 4 * 3 / 2 unordered pairs; over the bound, read from the module, the
+    # degree is never formed
     problem = CriticalPointProblem(
         spectra=(SpectralDatum(1, S1Representation(rotating={1: 1, 2: 1})),),
         deg_s1=EulerElementS1.cyclic(1),
     )
     path = tmp_path / "speeds.json"
     write_problem(problem, path)
-    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 12)
+    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 6)
     assert main(["index", "--problem", str(path), "--k", "1", "--alpha", "1"]) == 0
     capsys.readouterr()
 
     def refuse(rep):
         raise AssertionError("deg_minus_id_t2 was called")
 
-    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 11)
+    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 5)
     monkeypatch.setattr(torbif.bifurcation, "deg_minus_id_t2", refuse)
     for command in (["index", "--k", "1", "--alpha", "1"], ["classify", "--max-k", "1"]):
         assert main([command[0], "--problem", str(path)] + command[1:]) == 2
         assert capsys.readouterr() == (
             "",
-            "error: the degree on the null modes at lambda_sq = 1 needs 12 line"
-            " products for 4 characters, more than the limit of 11\n",
+            "error: the degree on the null modes at lambda_sq = 1 needs 6 line"
+            " products for 4 characters, more than the limit of 5\n",
         )
+
+
+def test_problem_files_are_read_up_to_a_byte_limit(example_path, capsys, monkeypatch):
+    # the limit is read from the module: a valid file of exactly that many
+    # bytes loads, and one byte more exits 2 before any of it is decoded,
+    # so a bad byte past the limit is never reached; a file that is not
+    # UTF-8 exits 2 with one line as well
+    path = Path(example_path)
+    text = path.read_bytes()
+    limit = len(text) + 10
+    monkeypatch.setattr(torbif.problem_io, "_MAX_PROBLEM_BYTES", limit)
+    path.write_bytes(text + b" " * 10)
+    assert main(["levels", "--problem", example_path, "--max-k", "1"]) == 0
+    assert capsys.readouterr().out.startswith("k=1 alpha=2 ")
+    path.write_bytes(text + b" " * 10 + b"\xff")
+    assert main(["levels", "--problem", example_path, "--max-k", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {example_path} is longer than the limit of {limit} bytes\n")
+    path.write_bytes(b"\xff" + text)
+    assert main(["levels", "--problem", example_path, "--max-k", "1"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n",
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_problem_file_exits_2():
+    # /dev/zero never ends, so the read stops one byte past the limit, here
+    # 4096; the child runs under a 1 GiB address-space cap, so a read
+    # without a limit fails in the child instead of filling the host
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    script = (
+        "import sys, torbif.problem_io\n"
+        "torbif.problem_io._MAX_PROBLEM_BYTES = 4096\n"
+        "from torbif.cli import main\n"
+        "sys.exit(main(['levels', '--problem', '/dev/zero']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=module_env(), preexec_fn=cap, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2,
+        "",
+        "error: /dev/zero is longer than the limit of 4096 bytes\n",
+    )
 
 
 DIGITS = torbif.rationals._MAX_DIGITS
@@ -719,12 +769,12 @@ def test_line_product_bound_is_exact(seed):
         with redirect_stdout(out), redirect_stderr(err):
             assert main(argv) == 0
             count = sum(visited)
-            patch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", max(count, chars * (chars - 1)))
+            patch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", max(count, chars * (chars - 1) // 2))
             assert main(argv) == 0
             patch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", count - 1)
             assert main(argv) == 2
     assert out.getvalue().count("certificate: ") == 2
-    if chars * (chars - 1) <= count - 1:
+    if chars * (chars - 1) // 2 <= count - 1:
         assert err.getvalue().endswith(
             f"error: the index at lambda_sq = {level.lambda_sq} needs {count} line"
             f" products, more than the limit of {count - 1}\n"
@@ -734,13 +784,14 @@ def test_line_product_bound_is_exact(seed):
 def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monkeypatch):
     # deterministic counters, not timings: neither degree here has a
     # full-orbit term, so neither index meets a character below the level;
-    # the line products are the pairs of null characters in the degree on
-    # the null modes and one per null character and class of D1, and the
-    # gcd table holds the one null mode at n = 0
+    # the line products are the unordered pairs of distinct null characters
+    # in the degree on the null modes and one per null character and class
+    # of D1, and the gcd table holds the one null mode at n = 0
     counts = counting_line_products(monkeypatch)
     assert main(["index", "--problem", example_path, "--k", "6400", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,6400)\ncertificate: SameSignPath\n"
-    assert counts == {"line_product": 1 + 1, "gcd_table": 1}
+    # one null character: no pair in its degree, one product with H(1,0)
+    assert counts == {"line_product": 1, "gcd_table": 1}
     problem = CriticalPointProblem(
         spectra=(SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1, 2: 1})),),
         deg_s1=EulerElementS1.cyclic(1),
@@ -752,9 +803,9 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monk
     _generator_product.cache_clear()
     assert main(["index", "--problem", str(path), "--k", "250", "--alpha", "1"]) == 0
     assert capsys.readouterr().out == "-5*F(1,0;0,250)\ncertificate: SameSignPath\n"
-    # 5 null characters: 5 * 5 ordered pairs and 5 products with H(1,0), not
-    # one per character of the 249 modes below the level
-    assert counts == {"line_product": 5 * 5 + 5, "gcd_table": 1}
+    # 5 null characters: 5 * 4 / 2 unordered pairs and 5 products with
+    # H(1,0), not one per character of the 249 modes below the level
+    assert counts == {"line_product": 5 * 4 // 2 + 5, "gcd_table": 1}
 
 
 def test_requests_build_no_subgroup(example_path, tmp_path, capsys):

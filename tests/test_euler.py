@@ -98,6 +98,28 @@ def test_star_skips_pairs_below_dimension_two():
     assert _generator_product.cache_info().misses == 0
 
 
+small = st.integers(-3, 3)
+big = st.tuples(st.sampled_from((1, -1)), st.integers(10**999, 10**1000 - 1)).map(lambda t: t[0] * t[1])
+subgroups = st.one_of(
+    st.just(TorusSubgroup.full()),
+    st.tuples(small, small).filter(lambda v: v != (0, 0)).map(lambda v: TorusSubgroup.kernel(*v)),
+    st.tuples(small, small, small, small)
+    .filter(lambda v: v[0] * v[3] != v[1] * v[2])
+    .map(lambda v: TorusSubgroup.from_characters([v[:2], v[2:]])),
+)
+elements = st.lists(st.tuples(subgroups, st.one_of(small, big)), max_size=8).map(EulerElementT2)
+
+
+@given(elements)
+def test_square_matches_product_with_an_equal_copy(x):
+    # x.star(x) takes each unordered pair of lines once, doubled; an equal
+    # but distinct operand takes every ordered pair, and the pairwise
+    # oracle intersects every pair of terms
+    y = EulerElementT2(x.terms)
+    assert y == x and y is not x
+    assert x.star(x) == x.star(y) == star_by_pairs(x, x)
+
+
 entries = st.one_of(st.integers(-9, 9), st.integers(-10**6, 10**6))
 characters = st.tuples(entries, entries).filter(lambda v: v != (0, 0))
 

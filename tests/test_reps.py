@@ -16,6 +16,7 @@ from torbif import (
     loop_decompose,
     normalize_character,
 )
+from torbif.euler import _generator_product
 
 from oracles import (
     deg_minus_id_t2_expanded,
@@ -127,6 +128,18 @@ def test_deg_minus_id_t2_makes_one_product(monkeypatch):
     degree = deg_minus_id_t2(rep)
     assert len(calls) == 1
     assert len(degree.project(0).terms) > 0
+
+
+@given(st.integers(0, 10**9))
+def test_deg_minus_id_t2_looks_up_each_unordered_pair_once(seed):
+    # B1 * B1 is a square, so c characters make c * (c - 1) / 2 generator
+    # products, hits and misses together, not c * c
+    rep = random_t2_rep(random.Random(seed), max_chars=8)
+    chars = len(rep.characters)
+    _generator_product.cache_clear()
+    deg_minus_id_t2(rep)
+    info = _generator_product.cache_info()
+    assert info.hits + info.misses == chars * (chars - 1) // 2
 
 
 @given(st.integers(0, 10**9))

@@ -32,6 +32,7 @@ from oracles import (
     negative_space_by_mode,
     random_problem,
     resonances_by_fractions,
+    resonant_space_by_constructor,
 )
 
 
@@ -184,6 +185,17 @@ def test_plus_side_absorbs_resonant_space(seed):
         plus = negative_space_by_mode(prob, level, "plus")
         minus = negative_space(prob, level)
         assert minus + resonant_space(prob, level) == plus
+
+
+@given(st.integers(0, 10**9))
+def test_resonant_space_matches_the_public_constructor(seed):
+    # the trusted constructor takes characters made canonical and sorted;
+    # the public one, which normalizes, merges and sorts, agrees on them,
+    # also at frequencies that are not levels
+    prob = random_problem(random.Random(seed))
+    levels = lambda_set(prob, 6) + [BifurcationLevel(k, 7) for k in (1, 2)]
+    for level in levels:
+        assert resonant_space(prob, level) == resonant_space_by_constructor(prob, level)
 
 
 @given(st.integers(0, 10**9))
