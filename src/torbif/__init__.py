@@ -26,7 +26,6 @@ from .bifurcation import (
     build_report,
     certify_nontrivial,
     classify_noncompact,
-    deg_h0,
     example_problem,
     exists_zero_sum_subset,
 )
@@ -47,7 +46,6 @@ from .problem_io import (
 from .representations import (
     S1Representation,
     T2Representation,
-    deg_minus_id_s1,
     deg_minus_id_t2,
     loop_decompose,
 )
@@ -89,8 +87,6 @@ __all__ = [
     "build_report",
     "certify_nontrivial",
     "classify_noncompact",
-    "deg_h0",
-    "deg_minus_id_s1",
     "deg_minus_id_t2",
     "embed_s1_to_t2",
     "example_problem",

@@ -90,7 +90,6 @@ from .euler import (
     _from_keys,
     _line_products,
     element_to_json,
-    embed_s1_to_t2,
 )
 from .rationals import rational_to_json
 from .representations import S1Representation, deg_minus_id_t2
@@ -164,11 +163,6 @@ class BifurcationReport(Frozen):
             "certificate": self.certificate.value if self.certificate else None,
             "classification": self.classification.value,
         }
-
-
-def deg_h0(problem: CriticalPointProblem) -> EulerElementT2:
-    """The circle degree of the negated gradient, embedded in the torus ring."""
-    return embed_s1_to_t2(problem.deg_s1)
 
 
 def bif_index(problem: CriticalPointProblem, level: BifurcationLevel) -> EulerElementT2:

@@ -146,14 +146,14 @@ def _cmd_index(args: SimpleNamespace) -> int:
     return 0
 
 
-def _report_line(report: BifurcationReport) -> str:
+def _report_line(report: BifurcationReport, classification: Classification) -> str:
     lvl = report.level
     certificate = report.certificate.value if report.certificate else "none"
     return (
         f"k={lvl.k} alpha={lvl.alpha} lambda_sq={lvl.lambda_sq}"
         f" nontrivial={'yes' if report.nontrivial else 'no'}"
         f" certificate={certificate}"
-        f" classification={report.classification.value}"
+        f" classification={classification.value}"
         f" index={format_element(report.index)}"
     )
 
@@ -163,38 +163,30 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     levels = lambda_set(problem, args.max_k)
     headline = classify_noncompact(problem)
     reports = [build_report(problem, lvl) for lvl in levels]
+    upgrade = None
     if not validate(problem).ok:
-        zero_sum_state = "skipped (assumptions not satisfied)"
+        skipped = "skipped (assumptions not satisfied)"
     elif len(levels) > _ZERO_SUM_LIMIT:
-        zero_sum_state = f"skipped (more than {_ZERO_SUM_LIMIT} levels)"
+        skipped = f"skipped (more than {_ZERO_SUM_LIMIT} levels)"
     else:
         # No subset of level indices sums to zero (see `bifurcation`), so
         # every level is upgraded; the search checks that at run time.
         indices = {report.level: report.index for report in reports}
         if any_zero_sum_subset(problem, levels, indices) is not None:
             raise RuntimeError("a subset of the level indices sums to zero")
-        zero_sum_state = "checked"
+        skipped = None
         if headline is Classification.ALTERNATIVE and problem.unique_critical_point:
-            reports = [
-                BifurcationReport(
-                    report.level,
-                    report.index,
-                    report.nontrivial,
-                    report.certificate,
-                    Classification.NONCOMPACT_SUM_OBSTRUCTION,
-                )
-                for report in reports
-            ]
+            upgrade = Classification.NONCOMPACT_SUM_OBSTRUCTION
 
     if args.json:
-        if zero_sum_state == "checked":
-            zero_sum = {"exists": False, "witness": None}
-        else:
-            zero_sum = {"skipped": zero_sum_state}
+        zero_sum = {"skipped": skipped} if skipped else {"exists": False, "witness": None}
         _emit_json(
             {
                 "classification": headline.value,
-                "reports": [report.to_dict() for report in reports],
+                "reports": [
+                    dict(report.to_dict(), classification=(upgrade or report.classification).value)
+                    for report in reports
+                ],
                 "zero_sum_subset": zero_sum,
             }
         )
@@ -203,11 +195,11 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     if not levels:
         print("warning: no positive eigenvalue, the level set is empty", file=sys.stderr)
     for report in reports:
-        print(_report_line(report))
-    if zero_sum_state == "checked":
-        print("zero-sum subsets among computed levels: none")
+        print(_report_line(report, upgrade or report.classification))
+    if skipped:
+        print(f"zero-sum check: {skipped}")
     else:
-        print(f"zero-sum check: {zero_sum_state}")
+        print("zero-sum subsets among computed levels: none")
     return 0
 
 

@@ -185,13 +185,16 @@ def load_problem(path: str | Path) -> CriticalPointProblem:
     """Read and parse a problem file of at most `_MAX_PROBLEM_BYTES`
     bytes of UTF-8; a longer one raises ProblemFormatError before any of
     it is decoded, and one that is not UTF-8 raises UnicodeDecodeError."""
+    data = b""
     try:
         with open(path, "rb") as handle:
-            data = handle.read(_MAX_PROBLEM_BYTES + 1)
+            # in chunks, so a small file needs no buffer of the whole limit
+            while chunk := handle.read(1 << 16):
+                data += chunk
+                if len(data) > _MAX_PROBLEM_BYTES:
+                    raise ProblemFormatError(f"{path} is longer than the limit of {_MAX_PROBLEM_BYTES} bytes")
     except OSError as exc:
         raise ProblemFormatError(f"cannot read {path}: {exc}") from exc
-    if len(data) > _MAX_PROBLEM_BYTES:
-        raise ProblemFormatError(f"{path} is longer than the limit of {_MAX_PROBLEM_BYTES} bytes")
     # newlines as text mode reads them, so JSON error positions stay put
     return parse_problem(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ._frozen import Frozen
-from .euler import EulerElementS1, EulerElementT2, _from_keys
+from .euler import EulerElementT2, _from_keys
 from .subgroups import normalize_character
 
 CharacterKey = tuple[int, int]
@@ -170,17 +170,3 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     acc.update((key, -sign * k) for key, k in b1._terms)
     acc.update((key, sign * (c // 2)) for key, c in b1.star(b1)._terms)
     return _from_keys(acc)
-
-
-def deg_minus_id_s1(rep: S1Representation) -> EulerElementS1:
-    """Circle version of the degree of minus-identity.
-
-    Cross terms between distinct finite-isotropy classes vanish, so the
-    product collapses to an expression linear in the multiplicities; the
-    test suite checks this against the torus computation through the
-    mode-zero decomposition and the ring embedding.
-    """
-    sign = -1 if rep.trivial % 2 else 1
-    finite = EulerElementS1(0, rep.rotating)
-    return sign * (EulerElementS1.identity() - finite)
-

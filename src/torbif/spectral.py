@@ -132,10 +132,8 @@ class BifurcationLevel(Frozen):
 
     Identity is the square of the frequency, stored once as `lambda_sq`:
     two levels are equal exactly when their `lambda_sq` values are equal,
-    so coincident levels coming from different eigenvalues compare equal.
-    The hash is hash(lambda_sq), taken on first use and kept, since a
-    Fraction hashes by a modular inverse: `classify` takes it once per
-    level and `index` not at all.  A pickle or copy leaves it out.
+    so coincident levels coming from different eigenvalues compare equal,
+    and the hash is hash(lambda_sq).
     """
 
     _fields = ("k", "alpha", "lambda_sq")
@@ -154,14 +152,7 @@ class BifurcationLevel(Frozen):
         return self.lambda_sq == other.lambda_sq
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            vars(self)["_hash"] = value = hash(self.lambda_sq)
-            return value
-
-    def __getstate__(self) -> dict:
-        return {name: vars(self)[name] for name in self._fields}
+        return hash(self.lambda_sq)
 
     def __repr__(self) -> str:
         return f"BifurcationLevel(k={self.k}, alpha={self.alpha})"

@@ -7,21 +7,23 @@ are checking.  The ring and index oracles below reach the same values as the
 package by a different route (the intersection of two generators under
 the dimension rule, the bilinear product over every pair of terms, a
 unit's geometric-series inverse, the plane-by-plane degree product, the
-untruncated three-factor index, the mode-by-mode negative space, the
-null modes through the public representation constructor, the
-two-sided degree jump across a level, the unpruned walk over every subset
-of a zero-sum pool, the argparse parser the command line once built on
-every call and its negative-number pattern, an element spelled through
-the subgroups of its `terms` view, the frozen dataclasses the value types
-once were, the nested rows by which ring terms were once keyed and
-sorted), so each identity they satisfy is a differential check on the
-package.
+circle degree of minus-identity, the untruncated three-factor index, the
+mode-by-mode negative space, the null modes through the public
+representation constructor, the two-sided degree jump across a level,
+the unpruned walk over every subset of a zero-sum pool, the argparse
+parser the command line once built on every call and its negative-number
+pattern, `classify`'s output from reports rebuilt for the
+sum-obstruction upgrade, an element spelled through the subgroups of its
+`terms` view, the frozen dataclasses the value types once were, the
+nested rows by which ring terms were once keyed and sorted), so each
+identity they satisfy is a differential check on the package.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -29,6 +31,8 @@ from fractions import Fraction
 
 from torbif import (
     BifurcationLevel,
+    BifurcationReport,
+    Classification,
     CriticalPointProblem,
     EulerElementS1,
     EulerElementT2,
@@ -36,12 +40,18 @@ from torbif import (
     SpectralDatum,
     T2Representation,
     TorusSubgroup,
-    deg_h0,
+    any_zero_sum_subset,
+    build_report,
+    classify_noncompact,
     deg_minus_id_t2,
+    embed_s1_to_t2,
+    format_element,
+    lambda_set,
     loop_decompose,
     negative_space,
     normalize_character,
     resonant_space,
+    validate,
 )
 from torbif.cli import _cmd_classify, _cmd_example, _cmd_index, _cmd_levels, _cmd_star
 from torbif.euler import _check_coeff
@@ -263,6 +273,19 @@ def hessian_eigenvalue(mode, lambda_sq, alpha):
     return (Fraction(mode * mode) - q * a) / (mode * mode + 1)
 
 
+def deg_minus_id_s1(rep):
+    """Circle version of the degree of minus-identity.
+
+    Cross terms between distinct finite-isotropy classes vanish, so the
+    product collapses to an expression linear in the multiplicities; the
+    tests check it against the torus computation of the package through
+    the mode-zero decomposition and the ring embedding.
+    """
+    sign = -1 if rep.trivial % 2 else 1
+    finite = EulerElementS1(0, rep.rotating)
+    return sign * (EulerElementS1.identity() - finite)
+
+
 def nondegenerate_orbit_degree(morse_index, isotropy):
     """Local degree of a nondegenerate circle orbit of nonstationary
     solutions: a sign from the Morse index times the class with the orbit's
@@ -279,7 +302,7 @@ def bif_index_two_sided(problem: CriticalPointProblem, level: BifurcationLevel):
     """The index as the difference of the degrees just above and just below
     the level; equality with `bif_index` is a computed identity, not a
     definition.  The level must be a candidate level of the problem."""
-    d0 = deg_h0(problem)
+    d0 = embed_s1_to_t2(problem.deg_s1)
     above = d0.star(deg_minus_id_t2(negative_space_by_mode(problem, level, "plus")))
     below = d0.star(deg_minus_id_t2(negative_space(problem, level)))
     return above - below
@@ -304,7 +327,7 @@ def bif_index_expanded(problem: CriticalPointProblem, level: BifurcationLevel):
     deg(-Id, below), with the factor below the level untruncated."""
     kernel_factor = deg_minus_id_t2(resonant_space(problem, level)) - EulerElementT2.identity()
     below = deg_minus_id_t2(negative_space(problem, level))
-    return deg_h0(problem).star(kernel_factor).star(below)
+    return embed_s1_to_t2(problem.deg_s1).star(kernel_factor).star(below)
 
 
 def negative_space_by_mode(problem: CriticalPointProblem, level: BifurcationLevel, side="minus"):
@@ -512,6 +535,59 @@ def argparse_reference_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_example)
 
     return parser
+
+
+def classify_output_rebuilding_reports(problem: CriticalPointProblem, max_k: int, as_json: bool) -> str:
+    """The stdout of `torbif classify`, made as the command once made it:
+    after the zero-sum search each upgraded level's report is built a
+    second time with the sum-obstruction classification, and both writers
+    print those rebuilt reports."""
+    levels = lambda_set(problem, max_k)
+    headline = classify_noncompact(problem)
+    reports = [build_report(problem, lvl) for lvl in levels]
+    if not validate(problem).ok:
+        state = "skipped (assumptions not satisfied)"
+    elif len(levels) > 20:
+        state = "skipped (more than 20 levels)"
+    else:
+        indices = {report.level: report.index for report in reports}
+        assert any_zero_sum_subset(problem, levels, indices) is None
+        state = "checked"
+        if headline is Classification.ALTERNATIVE and problem.unique_critical_point:
+            reports = [
+                BifurcationReport(
+                    report.level,
+                    report.index,
+                    report.nontrivial,
+                    report.certificate,
+                    Classification.NONCOMPACT_SUM_OBSTRUCTION,
+                )
+                for report in reports
+            ]
+    if as_json:
+        zero_sum = {"exists": False, "witness": None} if state == "checked" else {"skipped": state}
+        payload = {
+            "classification": headline.value,
+            "reports": [report.to_dict() for report in reports],
+            "zero_sum_subset": zero_sum,
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [f"classification: {headline.value}"]
+    for report in reports:
+        lvl = report.level
+        certificate = report.certificate.value if report.certificate else "none"
+        lines.append(
+            f"k={lvl.k} alpha={lvl.alpha} lambda_sq={lvl.lambda_sq}"
+            f" nontrivial={'yes' if report.nontrivial else 'no'}"
+            f" certificate={certificate}"
+            f" classification={report.classification.value}"
+            f" index={format_element(report.index)}"
+        )
+    if state == "checked":
+        lines.append("zero-sum subsets among computed levels: none")
+    else:
+        lines.append(f"zero-sum check: {state}")
+    return "".join(line + "\n" for line in lines)
 
 
 def _twin(name, **options):

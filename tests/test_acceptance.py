@@ -20,7 +20,6 @@ from torbif import (
     bif_index,
     certify_nontrivial,
     classify_noncompact,
-    deg_minus_id_s1,
     deg_minus_id_t2,
     embed_s1_to_t2,
     example_problem,
@@ -35,6 +34,7 @@ from torbif.cli import main
 from oracles import (
     axis_twisted_count,
     bif_index_two_sided,
+    deg_minus_id_s1,
     invert,
     random_element,
     random_s1_rep,

@@ -1,9 +1,13 @@
+import io
 import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torbif.bifurcation
@@ -25,7 +29,7 @@ from torbif import (
     build_report,
     certify_nontrivial,
     classify_noncompact,
-    deg_h0,
+    embed_s1_to_t2,
     example_problem,
     exists_zero_sum_subset,
     lambda_set,
@@ -37,6 +41,7 @@ from torbif.cli import main
 from oracles import (
     bif_index_expanded,
     bif_index_two_sided,
+    classify_output_rebuilding_reports,
     one_signed_functional,
     random_element,
     random_problem,
@@ -73,7 +78,7 @@ def test_example_golden_family():
     for k in (1, 2, 3):
         index = bif_index(prob, BifurcationLevel(k, 2))
         assert index == -1 * gen((1, 0), (0, k))
-    assert deg_h0(prob) == gen((1, 0))
+    assert embed_s1_to_t2(prob.deg_s1) == gen((1, 0))
     assert prob.deg_s1.fixed == 0
 
 
@@ -499,12 +504,11 @@ def test_level_arithmetic_makes_no_fraction_arithmetic(monkeypatch):
     assert len(resonant_space(problem, level).characters) == 3 * 3
 
 
-def test_each_level_is_hashed_at_most_once(tmp_path, capsys, monkeypatch):
+def test_index_hashes_no_level_fraction(tmp_path, capsys, monkeypatch):
     # one positive eigenvalue with a mixed-sign finite degree and a unique
     # critical point, so classify keys its levels in lambda_set and again
-    # in the zero-sum check; a level keeps its hash, so beyond the hashes
-    # of parsing (the eigenvalues' duplicate checks) each level's Fraction
-    # is hashed at most once, and the one level of index never
+    # in the zero-sum check; beyond the hashes of parsing (the eigenvalues'
+    # duplicate checks) the one level of index is never hashed
     problem = CriticalPointProblem(
         spectra=(
             SpectralDatum(Fraction(1, 2), S1Representation(trivial=1, rotating={1: 1})),
@@ -526,9 +530,7 @@ def test_each_level_is_hashed_at_most_once(tmp_path, capsys, monkeypatch):
     torbif.cli.load_problem(path)
     parsing = len(hashes)
     for json_flag in ([], ["--json"]):
-        hashes.clear()
         assert main(["classify", *json_flag, "--problem", path, "--max-k", "12"]) == 0
-        assert len(hashes) - parsing <= 12
         hashes.clear()
         assert main(["index", *json_flag, "--problem", path, "--k", "5", "--alpha", "1/2"]) == 0
         assert len(hashes) == parsing
@@ -536,3 +538,70 @@ def test_each_level_is_hashed_at_most_once(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert out.count("zero-sum subsets among computed levels: none") == 1
     assert '"zero_sum_subset": {\n    "exists": false' in out
+
+
+def test_classify_builds_one_report_per_level(tmp_path, capsys, monkeypatch):
+    # an Alternative problem with a unique critical point and 4 levels, so
+    # every level is upgraded to sum_obstruction; the upgrade is printed
+    # from the one report build_report made, not from a rebuilt one
+    prob = axis_family_problem(finite={1: 1, 2: -1})
+    path = tmp_path / "problem.json"
+    write_problem(prob, path)
+    built = []
+    original = BifurcationReport.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0] if args else kwargs["level"])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BifurcationReport, "__init__", counting)
+    for extra in ([], ["--json"]):
+        built.clear()
+        assert main(["classify", "--problem", str(path), "--max-k", "4", *extra]) == 0
+        assert built == lambda_set(prob, 4)
+        out = capsys.readouterr().out
+        assert out.count(Classification.NONCOMPACT_SUM_OBSTRUCTION.value) == 4
+
+
+def degree_of_kind(kind, rng):
+    """A circle degree that is zero, or gives c1, c2 or the Alternative
+    on a valid problem with a unique critical point."""
+    sign = rng.choice((1, -1))
+    if kind == "zero":
+        return EulerElementS1.zero()
+    if kind == "c1":
+        return EulerElementS1(sign * rng.randint(1, 2), {m: rng.randint(-2, 2) for m in (1, 3)})
+    orders = rng.sample((1, 2, 3), 2)
+    if kind == "c2":
+        return EulerElementS1(0, {m: sign * rng.randint(1, 2) for m in orders[: rng.randint(1, 2)]})
+    return EulerElementS1(0, {orders[0]: sign, orders[1]: -sign * rng.randint(1, 2)})
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=0, kind="alternative", unique=True, max_k=4, as_json=False)
+@example(seed=0, kind="alternative", unique=True, max_k=4, as_json=True)
+@example(seed=0, kind="alternative", unique=False, max_k=4, as_json=True)
+@example(seed=0, kind="alternative", unique=True, max_k=25, as_json=True)
+@given(
+    st.integers(0, 10**9),
+    st.sampled_from(("zero", "c1", "c2", "alternative")),
+    st.booleans(),
+    st.one_of(st.integers(1, 6), st.integers(21, 25)),
+    st.booleans(),
+)
+def test_classify_prints_what_rebuilt_reports_print(seed, kind, unique, max_k, as_json):
+    # byte for byte the output of classify as it was when each upgraded
+    # report was built a second time: zero degree, c1, c2 and Alternative,
+    # with and without a unique critical point, at most 18 levels (at most
+    # 3 eigenvalues) or more than 20
+    rng = random.Random(seed)
+    spectra = random_problem(rng, require_positive=rng.random() < 0.9).spectra
+    prob = CriticalPointProblem(spectra, degree_of_kind(kind, rng), unique)
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "problem.json")
+        write_problem(prob, path)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            argv = ["classify", "--problem", path, "--max-k", str(max_k)]
+            assert main(argv + ["--json"] * as_json) == 0
+    assert out.getvalue() == classify_output_rebuilding_reports(prob, max_k, as_json)

@@ -477,6 +477,23 @@ def test_problem_files_are_read_up_to_a_byte_limit(example_path, capsys, monkeyp
     )
 
 
+def test_byte_limit_holds_across_read_chunks(example_path, capsys, monkeypatch):
+    # a limit above one read chunk: the count runs over every chunk, so a
+    # valid file padded with CRLF line ends to exactly the limit loads and
+    # one byte more exits 2
+    path = Path(example_path)
+    text = path.read_bytes().replace(b"\n", b"\r\n")
+    limit = 100_000
+    assert limit > 1 << 16
+    monkeypatch.setattr(torbif.problem_io, "_MAX_PROBLEM_BYTES", limit)
+    path.write_bytes(text + b" " * (limit - len(text)))
+    assert main(["levels", "--problem", example_path, "--max-k", "1"]) == 0
+    assert capsys.readouterr().out.startswith("k=1 alpha=2 ")
+    path.write_bytes(text + b" " * (limit - len(text) + 1))
+    assert main(["levels", "--problem", example_path, "--max-k", "1"]) == 2
+    assert capsys.readouterr() == ("", f"error: {example_path} is longer than the limit of {limit} bytes\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
 def test_endless_problem_file_exits_2():
     # /dev/zero never ends, so the read stops one byte past the limit, here

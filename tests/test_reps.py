@@ -10,7 +10,6 @@ from torbif import (
     S1Representation,
     T2Representation,
     TorusSubgroup,
-    deg_minus_id_s1,
     deg_minus_id_t2,
     embed_s1_to_t2,
     loop_decompose,
@@ -19,6 +18,7 @@ from torbif import (
 from torbif.euler import _generator_product
 
 from oracles import (
+    deg_minus_id_s1,
     deg_minus_id_t2_expanded,
     nondegenerate_orbit_degree,
     random_character,
