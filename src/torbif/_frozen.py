@@ -10,9 +10,33 @@ AttributeError.  Instances keep their `__dict__`, so `vars`, `pickle` and
 `copy` work on them.  The package does not use `dataclasses`, whose
 import pulls in `inspect` and `ast` and whose decorator compiles methods
 for each class, both at every start of the command line.
+
+The subclasses' constructors share a range check, `_at_least`, and a
+multiset merge, `_merged`.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Iterable, Mapping
+
+
+def _at_least(value: int, what: str, least: int) -> int:
+    """`value` if it is an int, not a bool, of at least `least` (0 or 1);
+    otherwise ValueError."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise ValueError(f"{what} must be a {kind} int, got {value!r}")
+    return value
+
+
+def _merged(items: Iterable | Mapping, key: Callable, check: Callable) -> dict:
+    """The pairs (k, v) of a mapping or an iterable as a dict from key(k)
+    to the sum of check(v); key runs first on each pair."""
+    merged: dict = {}
+    for k, v in items.items() if isinstance(items, Mapping) else items:
+        k = key(k)
+        merged[k] = merged.get(k, 0) + check(v)
+    return merged
 
 
 class Frozen:

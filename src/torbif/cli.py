@@ -29,10 +29,10 @@ integer of more than 1000 digits, more than 100,000 levels, an index, its
 null modes' degree or a star product needing more than 10^6 line
 products), 3 a frequency that is not a candidate level, 4 output-file
 failure, 5 an internal cross-check failed
-(a bug in torbif), 141 stdout was closed before all output was written
-(the status a shell reports for a process ended by SIGPIPE).  Output is
-deterministic: identical inputs produce byte-identical text, and --json
-swaps in machine-readable JSON.
+(a bug in torbif), 141 stdout was closed at start or before all output,
+help included, was written (the status a shell reports for a process
+ended by SIGPIPE).  Output is deterministic: identical inputs produce
+byte-identical text, and --json swaps in machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -102,6 +102,10 @@ def _level_payload(problem: CriticalPointProblem, level: BifurcationLevel) -> di
     }
 
 
+def _level_text(level: BifurcationLevel) -> str:
+    return f"k={level.k} alpha={level.alpha} lambda_sq={level.lambda_sq}"
+
+
 def _cmd_levels(args: SimpleNamespace) -> int:
     problem = load_problem(args.problem)
     levels = lambda_set(problem, args.max_k)
@@ -114,7 +118,7 @@ def _cmd_levels(args: SimpleNamespace) -> int:
             res = ", ".join(
                 f"(n={n}, alpha={alpha})" for n, alpha in resonant_pairs(problem, lvl)
             )
-            print(f"k={lvl.k} alpha={lvl.alpha} lambda_sq={lvl.lambda_sq} resonances: {res}")
+            print(f"{_level_text(lvl)} resonances: {res}")
     return 0
 
 
@@ -147,11 +151,10 @@ def _cmd_index(args: SimpleNamespace) -> int:
 
 
 def _report_line(report: BifurcationReport, classification: Classification) -> str:
-    lvl = report.level
     certificate = report.certificate.value if report.certificate else "none"
     return (
-        f"k={lvl.k} alpha={lvl.alpha} lambda_sq={lvl.lambda_sq}"
-        f" nontrivial={'yes' if report.nontrivial else 'no'}"
+        _level_text(report.level)
+        + f" nontrivial={'yes' if report.nontrivial else 'no'}"
         f" certificate={certificate}"
         f" classification={classification.value}"
         f" index={format_element(report.index)}"
@@ -203,20 +206,8 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     return 0
 
 
-def _print_parse_error(source: str, exc: ElementParseError) -> None:
-    print(f"error: {exc}", file=sys.stderr)
-    print(f"  {source}", file=sys.stderr)
-    print("  " + " " * exc.position + "^", file=sys.stderr)
-
-
 def _cmd_star(args: SimpleNamespace) -> int:
-    factors = []
-    for source in (args.lhs, args.rhs):
-        try:
-            factors.append(parse_element(source))
-        except ElementParseError as exc:
-            _print_parse_error(source, exc)
-            return 2
+    factors = [parse_element(args.lhs), parse_element(args.rhs)]
     lines = [sum(key[0] == 1 for key, _ in factor._terms) for factor in factors]
     if lines[0] * lines[1] > _MAX_LINE_PRODUCTS:
         raise ValueError(
@@ -374,6 +365,22 @@ def _help(name: Optional[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _stdout():
+    # CPython sets sys.stdout to None when fd 1 is closed at start, which
+    # ends as a reader that went away does
+    if sys.stdout is None:
+        raise BrokenPipeError("stdout was closed before start")
+    return sys.stdout
+
+
+def _print_help(name: Optional[str]) -> NoReturn:
+    # flushed here, so a closed stdout fails inside `main`
+    out = _stdout()
+    out.write(_help(name))
+    out.flush()
+    raise SystemExit(0)
+
+
 def _usage_error(name: Optional[str], message: str) -> NoReturn:
     prog = "torbif" if name is None else f"torbif {name}"
     print(_usage(name), file=sys.stderr)
@@ -433,8 +440,7 @@ def _parse_command(name: str, tokens: list[str]) -> SimpleNamespace:
                 message = f"ignored explicit argument {value!r}"
                 _usage_error(name, f"argument {_label(option)}: {message}")
             if option is _HELP:
-                sys.stdout.write(_help(name))
-                raise SystemExit(0)
+                _print_help(name)
             values[option.dest] = True
             continue
         if value is None:
@@ -479,8 +485,7 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         elif read[1] is not None:
             _usage_error(None, f"argument -h, --help: ignored explicit argument {read[1]!r}")
         else:
-            sys.stdout.write(_help(None))
-            raise SystemExit(0)
+            _print_help(None)
     else:
         _usage_error(None, "the following arguments are required: command")
     if token not in _COMMANDS:
@@ -493,24 +498,25 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         code = args.handler(args)
-        sys.stdout.flush()
+        _stdout().flush()
         return code
-    except InvalidLevel as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, ElementParseError):
+            print(f"  {exc.text}", file=sys.stderr)
+            print("  " + " " * exc.position + "^", file=sys.stderr)
+        return 3 if isinstance(exc, InvalidLevel) else 2
     except RuntimeError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 5
     except BrokenPipeError:
         # The reader went away; point stdout at devnull so the interpreter's
         # final flush cannot raise again (the recipe from the signal docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
 
 

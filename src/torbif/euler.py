@@ -46,7 +46,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _at_least, _merged
 from .subgroups import Character, TorusSubgroup, _interned, _key, _label, _rows, _xgcd
 
 Key = tuple[int, ...]
@@ -59,6 +59,12 @@ def _check_coeff(value: int) -> int:
     return value
 
 
+def _subgroup_key(subgroup: TorusSubgroup) -> Key:
+    if not isinstance(subgroup, TorusSubgroup):
+        raise TypeError(f"expected TorusSubgroup keys, got {subgroup!r}")
+    return _key(subgroup.rows)
+
+
 class EulerElementT2(Frozen):
     """A finitely supported integer combination of torus orbit classes.
 
@@ -69,14 +75,7 @@ class EulerElementT2(Frozen):
     _fields = ("_terms",)
 
     def __new__(cls, terms: Iterable | Mapping = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        merged: dict[Key, int] = {}
-        for subgroup, coeff in items:
-            if not isinstance(subgroup, TorusSubgroup):
-                raise TypeError(f"expected TorusSubgroup keys, got {subgroup!r}")
-            key = _key(subgroup.rows)
-            merged[key] = merged.get(key, 0) + _check_coeff(coeff)
-        return _from_keys(merged)
+        return _from_keys(_merged(terms, _subgroup_key, _check_coeff))
 
     @property
     def terms(self) -> tuple[tuple[TorusSubgroup, int], ...]:
@@ -265,12 +264,7 @@ class EulerElementS1(Frozen):
 
     def __init__(self, fixed: int = 0, finite: Iterable | Mapping = ()) -> None:
         _check_coeff(fixed)
-        items = finite.items() if isinstance(finite, Mapping) else finite
-        merged: dict[int, int] = {}
-        for order, coeff in items:
-            if not isinstance(order, int) or isinstance(order, bool) or order < 1:
-                raise ValueError(f"isotropy order must be a positive int, got {order!r}")
-            merged[order] = merged.get(order, 0) + _check_coeff(coeff)
+        merged = _merged(finite, lambda order: _at_least(order, "isotropy order", 1), _check_coeff)
         cleaned = tuple(sorted((k, c) for k, c in merged.items() if c))
         vars(self).update(fixed=fixed, finite=cleaned)
 

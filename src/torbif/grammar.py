@@ -14,8 +14,9 @@ whose rows span a smaller-rank lattice) produce equal elements.
 `format_element` emits the canonical spelling: every term appears as
 'coeff*gen', terms are ordered by descending subgroup dimension and then
 by lattice rows, and the zero element prints as '0'.  The parser accepts a
-bare '0' back so printing and parsing round-trip.  An integer is an
-optional sign and ASCII digits.  An integer of more
+bare '0' back so printing and parsing round-trip.  A syntax error raises
+ElementParseError, which carries the `position` and the whole `text`.
+An integer is an optional sign and ASCII digits.  An integer of more
 than `rationals._MAX_DIGITS` digits raises a plain ValueError instead of
 an ElementParseError, whose message would echo the whole text.
 """
@@ -34,11 +35,12 @@ _DIGITS = frozenset("0123456789")
 
 
 class ElementParseError(ValueError):
-    """Syntax error in the element grammar, with a 0-based `position`."""
+    """Syntax error at the 0-based `position` of the parsed `text`."""
 
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: int, text: str = ""):
         super().__init__(f"{message} at position {position}")
         self.position = position
+        self.text = text
 
 
 class _Scanner:
@@ -56,7 +58,7 @@ class _Scanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def fail(self, message: str) -> None:
-        raise ElementParseError(message, self.pos)
+        raise ElementParseError(message, self.pos, self.text)
 
     def expect(self, char: str) -> None:
         self.skip_ws()

@@ -152,8 +152,6 @@ def parse_problem(text: str) -> CriticalPointProblem:
         payload = json.loads(
             text, parse_int=_int, parse_float=_no_float, parse_constant=_no_constant
         )
-    except ProblemFormatError:
-        raise
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -8,8 +8,9 @@ with the sign convention n > 0, or n == 0 and m > 0, of the rank-1
 generators of `TorusSubgroup` (`subgroups.normalize_character`), so a
 representation is a frozen multiset of irreducibles.  The constructors
 are the normalizers: they check multiplicities, apply that convention,
-merge like keys, drop zeros and sort, so callers pass raw (key,
-multiplicity) pairs.  `_from_characters` skips all of that for a caller
+merge like keys (through `_frozen._merged`), drop zeros and sort, so
+callers pass raw (key, multiplicity) pairs; the two types share their
+dimension and direct sum.  `_from_characters` skips all of that for a caller
 whose characters are canonical by construction, as `euler._from_keys`
 does for ring elements: `spectral.resonant_space` alone uses it.
 
@@ -34,48 +35,47 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _at_least, _merged
 from .euler import EulerElementT2, _from_keys
 from .subgroups import normalize_character
 
 CharacterKey = tuple[int, int]
 
 
-def _check_mult(value: int, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{what} must be a nonnegative int, got {value!r}")
-    return value
+def _multiplicity(value: int) -> int:
+    return _at_least(value, "multiplicity", 0)
 
 
-class S1Representation(Frozen):
+class _Representation(Frozen):
+    """Dimension, truth and direct sum over `trivial` and the (irreducible,
+    multiplicity) pairs named second in `_fields`."""
+
+    @property
+    def dim(self) -> int:
+        return self.trivial + 2 * sum(k for _, k in getattr(self, self._fields[1]))
+
+    def __bool__(self) -> bool:
+        return self.dim > 0
+
+    def __add__(self, other: "_Representation") -> "_Representation":
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        parts = self._fields[1]
+        return type(self)(self.trivial + other.trivial, getattr(self, parts) + getattr(other, parts))
+
+
+class S1Representation(_Representation):
     """Multiset of circle irreducibles: a trivial multiplicity and
     rotation planes keyed by their speed m >= 1."""
 
     _fields = ("trivial", "rotating")
 
     def __init__(self, trivial: int = 0, rotating: Iterable | Mapping = ()) -> None:
-        _check_mult(trivial, "trivial multiplicity")
-        items = rotating.items() if isinstance(rotating, Mapping) else rotating
-        merged: dict[int, int] = {}
-        for speed, mult in items:
-            if not isinstance(speed, int) or isinstance(speed, bool) or speed < 1:
-                raise ValueError(f"rotation speed must be a positive int, got {speed!r}")
-            merged[speed] = merged.get(speed, 0) + _check_mult(mult, "multiplicity")
+        _at_least(trivial, "trivial multiplicity", 0)
+        merged = _merged(rotating, lambda speed: _at_least(speed, "rotation speed", 1), _multiplicity)
         vars(self).update(
             trivial=trivial, rotating=tuple(sorted((m, k) for m, k in merged.items() if k))
         )
-
-    @property
-    def dim(self) -> int:
-        return self.trivial + 2 * sum(k for _, k in self.rotating)
-
-    def __bool__(self) -> bool:
-        return self.dim > 0
-
-    def __add__(self, other: "S1Representation") -> "S1Representation":
-        if not isinstance(other, S1Representation):
-            return NotImplemented
-        return S1Representation(self.trivial + other.trivial, self.rotating + other.rotating)
 
     def __str__(self) -> str:
         parts = []
@@ -85,35 +85,23 @@ class S1Representation(Frozen):
         return " + ".join(parts) if parts else "0"
 
 
-class T2Representation(Frozen):
+def _character(key: CharacterKey) -> CharacterKey:
+    m, n = key
+    return normalize_character(m, n)
+
+
+class T2Representation(_Representation):
     """Multiset of torus irreducibles keyed by normalized characters."""
 
     _fields = ("trivial", "characters")
 
     def __init__(self, trivial: int = 0, characters: Iterable | Mapping = ()) -> None:
-        _check_mult(trivial, "trivial multiplicity")
-        items = characters.items() if isinstance(characters, Mapping) else characters
-        merged: dict[CharacterKey, int] = {}
-        for key, mult in items:
-            m, n = key
-            norm = normalize_character(m, n)
-            merged[norm] = merged.get(norm, 0) + _check_mult(mult, "multiplicity")
+        _at_least(trivial, "trivial multiplicity", 0)
+        merged = _merged(characters, _character, _multiplicity)
         cleaned = tuple(
             sorted(((key, k) for key, k in merged.items() if k), key=lambda item: (item[0][1], item[0][0]))
         )
         vars(self).update(trivial=trivial, characters=cleaned)
-
-    @property
-    def dim(self) -> int:
-        return self.trivial + 2 * sum(k for _, k in self.characters)
-
-    def __bool__(self) -> bool:
-        return self.dim > 0
-
-    def __add__(self, other: "T2Representation") -> "T2Representation":
-        if not isinstance(other, T2Representation):
-            return NotImplemented
-        return T2Representation(self.trivial + other.trivial, self.characters + other.characters)
 
     def __str__(self) -> str:
         parts = []
@@ -148,8 +136,7 @@ def loop_decompose(rep: S1Representation, mode: int) -> T2Representation:
     pair of characters (m, mode) and (-m, mode), which the constructor
     normalizes and merges.
     """
-    if not isinstance(mode, int) or isinstance(mode, bool) or mode < 0:
-        raise ValueError(f"mode must be a nonnegative int, got {mode!r}")
+    _at_least(mode, "mode", 0)
     if mode == 0:
         return T2Representation(rep.trivial, [((m, 0), k) for m, k in rep.rotating])
     return T2Representation(0, [((s, mode), k) for s, k in _signed_speeds(rep)])

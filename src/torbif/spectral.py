@@ -35,7 +35,7 @@ import math
 from collections.abc import Iterable
 from fractions import Fraction
 
-from ._frozen import Frozen
+from ._frozen import Frozen, _at_least
 from .euler import EulerElementS1
 from .rationals import as_fraction
 from .representations import S1Representation, T2Representation, _from_characters, _signed_speeds
@@ -139,12 +139,12 @@ class BifurcationLevel(Frozen):
     _fields = ("k", "alpha", "lambda_sq")
 
     def __init__(self, k: int, alpha: int | str | Fraction) -> None:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ValueError(f"k must be a positive int, got {k!r}")
+        _at_least(k, "k", 1)
         alpha = as_fraction(alpha)
         if alpha <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
-        vars(self).update(k=k, alpha=alpha, lambda_sq=Fraction(k * k) / alpha)
+        # k^2 / alpha in one constructor call; alpha > 0 keeps the sign
+        vars(self).update(k=k, alpha=alpha, lambda_sq=Fraction(k * k * alpha.denominator, alpha.numerator))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BifurcationLevel):
@@ -164,8 +164,7 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
     sorted ascending.  Each merged level keeps the representative with the
     smallest k.  Raises ValueError when max_k times the number of positive
     eigenvalues is over `_MAX_LEVELS`, before any level is built."""
-    if not isinstance(max_k, int) or isinstance(max_k, bool) or max_k < 1:
-        raise ValueError(f"max_k must be a positive int, got {max_k!r}")
+    _at_least(max_k, "max_k", 1)
     alphas = problem.positive_alphas()
     if max_k * len(alphas) > _MAX_LEVELS:
         raise ValueError(

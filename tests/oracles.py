@@ -56,7 +56,6 @@ from torbif import (
 from torbif.cli import _cmd_classify, _cmd_example, _cmd_index, _cmd_levels, _cmd_star
 from torbif.euler import _check_coeff
 from torbif.rationals import as_fraction
-from torbif.representations import _check_mult
 from torbif.subgroups import _check_int
 
 ALPHA_POOL = (
@@ -669,6 +668,14 @@ class EulerElementS1Twin:
             merged[order] = merged.get(order, 0) + _check_coeff(coeff)
         cleaned = tuple(sorted((k, c) for k, c in merged.items() if c))
         object.__setattr__(self, "finite", cleaned)
+
+
+def _check_mult(value, what):
+    # the multiplicity check the representation types were declared with,
+    # written out here so the twins do not share the package's check
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{what} must be a nonnegative int, got {value!r}")
+    return value
 
 
 @_twin("S1Representation")

@@ -285,6 +285,9 @@ def test_star_parse_error_shows_caret(capsys):
     err = capsys.readouterr().err
     assert "at position 5" in err
     assert "^" in err
+    # the failing factor is the one echoed, with its own caret
+    assert main(["star", "1*T", "H(1,"]) == 2
+    assert capsys.readouterr() == ("", "error: expected an integer at position 4\n  H(1,\n      ^\n")
 
 
 @pytest.mark.parametrize(

@@ -68,6 +68,7 @@ def test_parse_error_positions():
         with pytest.raises(ElementParseError) as info:
             parse_element(text)
         assert info.value.position == position
+        assert info.value.text == text
         message = "expected a generator 'T', 'H(m,n)', or 'F(a,b;c,d)'"
         assert str(info.value) == f"{message} at position {position}"
     with pytest.raises(ElementParseError):

@@ -6,7 +6,10 @@ for the child alone.  A case passes when the child exits 0, 2, 3 or 141,
 writes at most one line to stderr, and prints no traceback.  A case that
 the caps end (a negative exit, the signal) is a fault of the program; the
 known ones are marked `xfail(strict=True)` with the ROADMAP item that
-mends them, so the mend shows as an unexpected pass.
+mends them, so the mend shows as an unexpected pass.  Besides the fixed
+cases, hypothesis draws argvs and problem files from the same shapes,
+with few examples and small sizes so the draws stay fast; they stay below
+the sizes of the unbounded shapes, which the xfail cases hold.
 """
 
 import json
@@ -16,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import torbif
 
@@ -26,12 +31,15 @@ CPU_SECONDS = 20
 HUGE = "9" * 999
 
 
-def run_capped(argv, cpu_seconds=CPU_SECONDS, stdout=subprocess.PIPE):
-    """`python -m torbif *argv` under the caps: (exit code, stderr)."""
+def run_capped(argv, cpu_seconds=CPU_SECONDS, stdout=subprocess.PIPE, close_stdout=False):
+    """`python -m torbif *argv` under the caps, with fd 1 closed before the
+    start if `close_stdout`: (exit code, stderr)."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
         resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
+        if close_stdout:
+            os.close(1)
 
     src = str(Path(torbif.__file__).resolve().parent.parent)
     env = dict(os.environ)
@@ -126,16 +134,40 @@ def test_endless_problem_file_ends_in_exit_2():
     assert code == 2
 
 
-def test_closed_stdout_ends_in_141(tmp_path):
+def run_into_closed_pipe(argv):
     # the read end is closed before the child starts, so its first write
     # fails
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        code, err = run_capped(argv_for(tmp_path, ONE, ["classify"]), stdout=write_end)
+        return run_capped(argv, stdout=write_end)
     finally:
         os.close(write_end)
-    assert (code, err) == (141, "")
+
+
+def test_closed_stdout_ends_in_141(tmp_path):
+    assert run_into_closed_pipe(argv_for(tmp_path, ONE, ["classify"])) == (141, "")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["classify", "-h"], ["levels", "--help"]])
+def test_help_into_a_closed_pipe_ends_in_141(argv):
+    assert run_into_closed_pipe(argv) == (141, "")
+
+
+@pytest.mark.parametrize(
+    "argv", [["levels"], ["classify", "--json"], ["star", "H(1,1)", "H(1,2)"], ["-h"], ["index", "-h"]]
+)
+def test_stdout_closed_at_start_ends_in_141(tmp_path, argv):
+    # CPython starts with sys.stdout None when fd 1 is closed
+    if argv[0] in ("levels", "classify"):
+        argv = argv_for(tmp_path, ONE, argv)
+    assert run_capped(argv, close_stdout=True) == (141, "")
+
+
+def test_example_writes_its_file_before_141_on_a_stdout_closed_at_start(tmp_path):
+    out = tmp_path / "example.json"
+    assert run_capped(["example", str(out)], close_stdout=True) == (141, "")
+    assert out.read_text(encoding="utf-8") == torbif.problem_to_text(torbif.example_problem())
 
 
 # Shapes whose total work has no bound yet: they run until the CPU cap,
@@ -156,3 +188,61 @@ UNBOUNDED = {
 def test_unbounded_classify_ends_in_a_documented_exit(tmp_path, name):
     text, argv = UNBOUNDED[name]
     assert_bounded(*run_capped(argv_for(tmp_path, text, argv), cpu_seconds=2))
+
+
+# Draws from the shapes above: huge multiplicities, huge or large `--k`
+# and `--max-k`, many speeds or eigenvalues, deep JSON and a closed
+# stdout.  `--max-k` is small or over the level limit, and "many" is a
+# few hundred, below the unbounded shapes.
+HUGE_OR_LARGE = st.sampled_from([HUGE, "1000000", str(10**30)])
+MULTIPLICITY = st.sampled_from([1, 2, 3]) | st.integers(1, 999).map(lambda e: 10**e)
+ALPHAS = ["1", "2", "1/2", "3", "9/4", "0", "-1"]
+
+
+@st.composite
+def isotypics(draw):
+    if draw(st.integers(0, 5)) == 5:
+        return [(m, 1) for m in range(1, draw(st.sampled_from([100, 400])) + 1)]
+    speeds = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3, unique=True))
+    return [(m, draw(MULTIPLICITY)) for m in speeds]
+
+
+@st.composite
+def problems(draw):
+    depth = draw(st.sampled_from([0, 0, 0, 0, 1_000, 100_000]))
+    if depth:
+        return "[" * depth + "]" * depth if draw(st.booleans()) else '{"a":' * depth + "1" + "}" * depth
+    if draw(st.integers(0, 5)) == 5:
+        spectra = [eigenvalue(alpha, [(0, 1)]) for alpha in range(1, 201)]
+    else:
+        alphas = draw(st.lists(st.sampled_from(ALPHAS), min_size=1, max_size=3, unique=True))
+        spectra = [eigenvalue(alpha, draw(isotypics())) for alpha in alphas]
+    degree = [{"subgroup": "S1", "coeff": draw(MULTIPLICITY)}]
+    if draw(st.booleans()):
+        degree.append({"subgroup": f"Z{draw(st.integers(1, 3))}", "coeff": -draw(MULTIPLICITY)})
+    return problem(spectra, degree)
+
+
+@st.composite
+def hostile_runs(draw):
+    """(problem file text, argv after the command, closed stdout)."""
+    command = draw(st.sampled_from(["levels", "index", "classify"]))
+    if command == "index":
+        argv = ["index", "--k", draw(st.sampled_from(["1", "2", "7"]) | HUGE_OR_LARGE)]
+        argv += ["--alpha", draw(st.sampled_from(ALPHAS[:5]))]
+    else:
+        argv = [command, "--max-k", draw(st.sampled_from(["1", "3", "12"]) | HUGE_OR_LARGE)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return draw(problems()), argv, draw(st.booleans())
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, suppress_health_check=list(HealthCheck))
+@given(run=hostile_runs())
+def test_drawn_hostile_input_ends_in_a_documented_exit(tmp_path_factory, run):
+    text, argv, closed = run
+    tmp_path = tmp_path_factory.mktemp("drawn")
+    code, err = run_capped(argv_for(tmp_path, text, argv), close_stdout=closed)
+    assert_bounded(code, err)
+    # with no stdout, success is reported as 141
+    assert not closed or code != 0
