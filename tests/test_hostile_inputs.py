@@ -225,7 +225,7 @@ def problems(draw):
 
 @st.composite
 def hostile_runs(draw):
-    """(problem file text, argv after the command, closed stdout)."""
+    """(problem file text, argv, whether fd 1 is closed at start)."""
     command = draw(st.sampled_from(["levels", "index", "classify"]))
     if command == "index":
         argv = ["index", "--k", draw(st.sampled_from(["1", "2", "7"]) | HUGE_OR_LARGE)]
