@@ -87,6 +87,7 @@ from .euler import (
     EulerElementS1,
     EulerElementT2,
     Key,
+    _check_line_products,
     _from_keys,
     _line_products,
     element_to_json,
@@ -103,14 +104,6 @@ from .spectral import (
     validate,
 )
 from .subgroups import _xgcd
-
-
-# The most line products made at one level by `build_report`, for the
-# unordered pairs of null characters in their degree and again for the
-# loop over runs, or for one product by `torbif star`, so that a huge
-# --k, many speeds or long factors end in an error, not in minutes of
-# work.
-_MAX_LINE_PRODUCTS = 1_000_000
 
 
 class Certificate(enum.Enum):
@@ -196,10 +189,11 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     n0 != 0, and then only through its runs: its full degree would square
     a sum whose length grows with k, and a run parallel to a null
     character costs O(1).  When the c null characters need more than
-    `_MAX_LINE_PRODUCTS` line products, c * (c - 1) / 2 in their degree,
-    one per unordered pair, or the sum over the runs they meet in the
-    loop, ValueError is raised before any is made.  Its phi or phi_i must
-    be -n0 or -c_i times the null-mode multiplicity.  The classification is the problem-wide one;
+    `euler._MAX_LINE_PRODUCTS` line products, c * (c - 1) / 2 in their
+    degree, one per unordered pair, or the sum over the runs they meet in
+    the loop, `euler._check_line_products` raises ValueError before any
+    is made.  Its phi or phi_i must be -n0 or -c_i times the null-mode
+    multiplicity.  The classification is the problem-wide one;
     the sum-obstruction upgrade needs the indices of all levels and is
     made by the caller that has them.  A resonant level shows a positive
     eigenvalue, so only the degree is read here: `validate` runs only at
@@ -219,13 +213,11 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
             classification=Classification.NOT_APPLICABLE,
         )
     chars = len(resonant.characters)
-    pairs = chars * (chars - 1) // 2
-    if pairs > _MAX_LINE_PRODUCTS:
-        raise ValueError(
-            f"the degree on the null modes at lambda_sq = {level.lambda_sq} needs"
-            f" {pairs} line products for {chars} characters, more than"
-            f" the limit of {_MAX_LINE_PRODUCTS}"
-        )
+    _check_line_products(
+        chars * (chars - 1) // 2,
+        f"the degree on the null modes at lambda_sq = {level.lambda_sq}",
+        f" for {chars} characters",
+    )
     n0 = problem.deg_s1.fixed
     # D1 as runs at n = 0, then the runs below the level, weighted by -n0
     runs = [(i, 0, 1, c) for i, c in problem.deg_s1.finite]
@@ -238,12 +230,10 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
         a_zero: (met, sum(hi - lo for _, lo, hi, _ in met), max((hi for _, _, hi, _ in met), default=0))
         for a_zero, met in ((False, runs), (True, [run for run in runs if run[0]]))
     }
-    products = sum(groups[null[0] == 0][1] for null, _ in resonant.characters)
-    if products > _MAX_LINE_PRODUCTS:
-        raise ValueError(
-            f"the index at lambda_sq = {level.lambda_sq} needs {products} line"
-            f" products, more than the limit of {_MAX_LINE_PRODUCTS}"
-        )
+    _check_line_products(
+        sum(groups[null[0] == 0][1] for null, _ in resonant.characters),
+        f"the index at lambda_sq = {level.lambda_sq}",
+    )
     deg = deg_minus_id_t2(resonant)
     acc = {key: n0 * c for key, c in deg._terms}
     acc[(0,)] = acc.get((0,), 0) - n0

@@ -28,11 +28,13 @@ usage) or input over a bound (a problem file of more than 2^20 bytes, an
 integer of more than 1000 digits, more than 100,000 levels, an index, its
 null modes' degree or a star product needing more than 10^6 line
 products), 3 a frequency that is not a candidate level, 4 output-file
-failure, 5 an internal cross-check failed
-(a bug in torbif), 141 stdout was closed at start or before all output,
-help included, was written (the status a shell reports for a process
-ended by SIGPIPE).  Output is deterministic: identical inputs produce
-byte-identical text, and --json swaps in machine-readable JSON.
+failure or a failed write to stdout, such as to a full device, with one
+`error: cannot write stdout: ...` line on stderr, 5 an internal
+cross-check failed (a bug in torbif), 141 stdout was closed at start or
+before all output, help included, was written (the status a shell
+reports for a process ended by SIGPIPE).  Output is deterministic:
+identical inputs produce byte-identical text, and --json swaps in
+machine-readable JSON.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
 from .bifurcation import (
-    _MAX_LINE_PRODUCTS,
     BifurcationReport,
     Classification,
     any_zero_sum_subset,
@@ -52,7 +53,7 @@ from .bifurcation import (
     classify_noncompact,
     example_problem,
 )
-from .euler import element_to_json, format_element
+from .euler import _check_line_products, element_to_json, format_element
 from .grammar import ElementParseError, parse_element
 from .problem_io import load_problem, write_problem
 from .rationals import _check_digits, parse_rational, rational_to_json
@@ -209,11 +210,7 @@ def _cmd_classify(args: SimpleNamespace) -> int:
 def _cmd_star(args: SimpleNamespace) -> int:
     factors = [parse_element(args.lhs), parse_element(args.rhs)]
     lines = [sum(key[0] == 1 for key, _ in factor._terms) for factor in factors]
-    if lines[0] * lines[1] > _MAX_LINE_PRODUCTS:
-        raise ValueError(
-            f"the product of {lines[0]} and {lines[1]} line terms needs {lines[0] * lines[1]}"
-            f" line products, more than the limit of {_MAX_LINE_PRODUCTS}"
-        )
+    _check_line_products(lines[0] * lines[1], f"the product of {lines[0]} and {lines[1]} line terms")
     product = factors[0].star(factors[1])
     if args.json:
         _emit_json({"product": element_to_json(product), "text": format_element(product)})
@@ -512,12 +509,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 5
-    except BrokenPipeError:
-        # The reader went away; point stdout at devnull so the interpreter's
-        # final flush cannot raise again (the recipe from the signal docs).
+    except OSError as exc:
+        # The handlers report their own file errors, so this is a write to
+        # stdout that failed.  Point stdout at devnull so the interpreter's
+        # final flush cannot raise again (the recipe from the signal docs);
+        # a reader that went away ends silently, as SIGPIPE would.
         if sys.stdout is not None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        if isinstance(exc, BrokenPipeError):
+            return 141
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

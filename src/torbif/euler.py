@@ -52,6 +52,14 @@ from .subgroups import Character, TorusSubgroup, _interned, _key, _label, _rows,
 Key = tuple[int, ...]
 _Terms = tuple[tuple[Key, int], ...]
 
+# The most line products made at one level by `bifurcation.build_report`,
+# for the unordered pairs of null characters in their degree and again for
+# the loop over runs, or for one product by `torbif star`, so that a huge
+# --k, many speeds or long factors end in an error, not in minutes of
+# work.  Each of them counts its products first and passes the count to
+# `_check_line_products`.
+_MAX_LINE_PRODUCTS = 1_000_000
+
 
 def _check_coeff(value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -228,6 +236,15 @@ def _line_products(
                 axis = abs(det) // d
                 key = (2, axis, (x * a + y * s) % axis, d)
                 acc[key] = acc.get(key, 0) + cw
+
+
+def _check_line_products(count: int, what: str, detail: str = "") -> None:
+    """Raise ValueError, before any product is made, when `what` needs
+    more than `_MAX_LINE_PRODUCTS` line products."""
+    if count > _MAX_LINE_PRODUCTS:
+        raise ValueError(
+            f"{what} needs {count} line products{detail}, more than the limit of {_MAX_LINE_PRODUCTS}"
+        )
 
 
 @lru_cache(maxsize=1 << 14)

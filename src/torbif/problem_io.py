@@ -14,12 +14,14 @@ The on-disk format is JSON with exactly three top-level fields:
 `alpha` is an integer or a rational string "p/q"; `m` is a rotation speed
 (0 for the trivial summand) and `k` its multiplicity; `subgroup` is "S1"
 for the full-orbit class or "Zk" for cyclic isotropy of order k, and an
-empty `deg_s1` list is the zero degree.  Floats, unknown or missing
-fields, duplicate eigenvalues, duplicate speeds, duplicate subgroups,
-malformed rationals and integers of more than `rationals._MAX_DIGITS`
-digits are all rejected outright so fixtures cannot drift silently.  The
-integers in "p/q" and "Zk" are ASCII digits with nothing after them: no
-other script's digits and no trailing newline.
+empty `deg_s1` list is the zero degree.  Floats, unknown, missing or
+repeated fields, duplicate eigenvalues, duplicate speeds, duplicate
+subgroups, malformed rationals and integers of more than
+`rationals._MAX_DIGITS` digits are all rejected outright so fixtures
+cannot drift silently; a repeated field, which `json.loads` alone would
+read as its last value, raises "duplicate field 'name'".  The integers
+in "p/q" and "Zk" are ASCII digits with nothing after them: no other
+script's digits and no trailing newline.
 """
 
 from __future__ import annotations
@@ -68,6 +70,16 @@ def _int(text: str) -> int:
         return int(_check_digits(text))
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
+
+
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    # json.loads would keep the last value of a repeated field
+    fields = {}
+    for name, value in pairs:
+        if name in fields:
+            raise ProblemFormatError(f"duplicate field {name!r}")
+        fields[name] = value
+    return fields
 
 
 def _require_object(value: Any, keys: tuple[str, ...], where: str) -> dict:
@@ -150,7 +162,11 @@ def parse_problem(text: str) -> CriticalPointProblem:
     """Parse a problem file's contents."""
     try:
         payload = json.loads(
-            text, parse_int=_int, parse_float=_no_float, parse_constant=_no_constant
+            text,
+            object_pairs_hook=_object,
+            parse_int=_int,
+            parse_float=_no_float,
+            parse_constant=_no_constant,
         )
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc

@@ -14,25 +14,27 @@ with lambda^2 alpha.  A candidate level is a frequency whose square q
 makes q * alpha a perfect square for some positive eigenvalue alpha;
 levels are identified by q, so coincident frequencies arising from
 different eigenvalues are a single level and every comparison is
-decidable.  The negative space is taken just below the level, over the
-modes 1 <= n <= isqrt(ceil(q alpha) - 1), which are exactly those with
-n^2 < q alpha; the null modes n^2 == q alpha form the resonant space,
-whose characters are made canonical, in order, and handed to the trusted
-representation constructor as one tuple over all its modes.  Below the
-level the characters come in runs: for one signed speed s (0 for the
-trivial part) the characters (s, n) over every eigenvalue merge into
-runs lo <= n < hi of one multiplicity, so
-`_below_runs` names each run in O(1) and only `negative_space` lists
-its characters.  This module alone decides which characters lie below a
-level.  Per level those comparisons are made in integers: with q = qn/qd
-and alpha = an/ad, ceil(q alpha) is -(-qn*an // (qd*ad)), and q alpha is
-an integer exactly when qd*ad divides qn*an, so no rational is formed.
+decidable.  One integer test per positive eigenvalue decides both the
+null modes and the modes below a level: with q = qn/qd and alpha =
+an/ad, `_modes` takes (t, r) = divmod(qn*an, qd*ad) and n = isqrt(t),
+so n^2 <= q alpha < (n + 1)^2, and mode n is null exactly when r == 0
+and n*n == t; no rational is formed.  The negative space is taken just
+below the level, over the modes 1 <= n' < n when n is null and 1 <= n'
+<= n when it is not, which are exactly those with n'^2 < q alpha; the
+null modes form the resonant space, whose characters are made
+canonical, in order, and handed to the trusted representation
+constructor as one tuple over all its modes.  Below the level the
+characters come in runs: for one signed speed s (0 for the trivial
+part) the characters (s, n) over every eigenvalue merge into runs lo <=
+n < hi of one multiplicity, so `_below_runs` names each run in O(1) and
+only `negative_space` lists its characters.  This module alone decides
+which characters lie below a level.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from ._frozen import Frozen, _at_least
@@ -178,22 +180,22 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
     return sorted(found, key=lambda lvl: lvl.lambda_sq)
 
 
-def _resonances(problem: CriticalPointProblem, q: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    # All (mode, alpha) with mode^2 == q * alpha, mode >= 1, for q > 0,
-    # decided in integers (see the module docstring).
+def _modes(problem: CriticalPointProblem, q: Fraction) -> Iterator[tuple[SpectralDatum, int, bool]]:
+    # (datum, n, null) over the positive eigenvalues alpha, for q > 0:
+    # n = isqrt(floor(q * alpha)), and whether n^2 == q * alpha, decided in
+    # integers (see the module docstring).
     qn, qd = q.numerator, q.denominator
-    pairs = []
     for datum in problem.spectra:
         an, ad = datum.alpha.numerator, datum.alpha.denominator
-        if an <= 0:
-            continue
-        target, rest = divmod(qn * an, qd * ad)
-        if rest:
-            continue
-        n = math.isqrt(target)
-        if n >= 1 and n * n == target:
-            pairs.append((n, datum.alpha))
-    return tuple(sorted(pairs))
+        if an > 0:
+            t, r = divmod(qn * an, qd * ad)
+            n = math.isqrt(t)
+            yield datum, n, not r and n * n == t
+
+
+def _resonances(problem: CriticalPointProblem, q: Fraction) -> tuple[tuple[int, Fraction], ...]:
+    # All (mode, alpha) with mode^2 == q * alpha, mode >= 1, for q > 0.
+    return tuple(sorted((n, datum.alpha) for datum, n, null in _modes(problem, q) if null))
 
 
 def resonant_pairs(
@@ -220,20 +222,16 @@ def _below_runs(
 ) -> list[tuple[int, int, int, int]]:
     """The characters below the level as runs (s, lo, hi, k): the
     characters (s, n), lo <= n < hi, each of total multiplicity k, with s
-    a signed rotation speed, or 0 for the trivial part.  Over alpha the
-    modes below the level are 1 <= n <= isqrt(ceil(lambda_sq * alpha) - 1);
-    the eigenspaces with a speed s share their first modes, so they are
-    merged and each character lies in exactly one run.  The count of modes
-    is taken in integers (see the module docstring)."""
-    qn, qd = level.lambda_sq.numerator, level.lambda_sq.denominator
+    a signed rotation speed, or 0 for the trivial part.  Over alpha, with
+    the mode n of `_modes`, the modes below the level are 1, ..., n - 1
+    when n is null and 1, ..., n when it is not; the eigenspaces with a
+    speed s share their first modes, so they are merged and each
+    character lies in exactly one run."""
     by_speed: dict[int, list[tuple[int, int]]] = {}
-    for datum in problem.spectra:
-        an, ad = datum.alpha.numerator, datum.alpha.denominator
-        if an > 0:
-            count = math.isqrt(-(-qn * an // (qd * ad)) - 1)
-            for s, k in _signed_speeds(datum.isotypic):
-                if k:
-                    by_speed.setdefault(s, []).append((count, k))
+    for datum, n, null in _modes(problem, level.lambda_sq):
+        for s, k in _signed_speeds(datum.isotypic):
+            if k:
+                by_speed.setdefault(s, []).append((n - 1 if null else n, k))
     runs = []
     for s, modes in by_speed.items():
         lo, weight = 1, sum(k for _, k in modes)
@@ -265,11 +263,7 @@ def resonant_space(
     signed speeds s are distinct, and the modes come in ascending order,
     so sorting each mode's speeds sorts the whole by (n, s).  The test
     suite checks it against the public constructor."""
+    modes = sorted((n, d.isotypic) for d, n, null in _modes(problem, level.lambda_sq) if null)
     return _from_characters(
-        tuple(
-            ((s, n), k)
-            for n, alpha in resonant_pairs(problem, level)
-            for s, k in sorted(_signed_speeds(problem.eigenspace(alpha)))
-            if k
-        )
+        tuple(((s, n), k) for n, rep in modes for s, k in sorted(_signed_speeds(rep)) if k)
     )

@@ -388,7 +388,7 @@ def test_line_products_are_bounded(tmp_path, capsys, monkeypatch):
     )
     path = tmp_path / "rotating.json"
     write_problem(problem, path)
-    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 80)
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 80)
     assert main(["index", "--problem", str(path), "--k", "11", "--alpha", "1"]) == 0
     capsys.readouterr()
     assert main(["index", "--problem", str(path), "--k", "12", "--alpha", "1"]) == 2
@@ -398,7 +398,7 @@ def test_line_products_are_bounded(tmp_path, capsys, monkeypatch):
         " more than the limit of 80\n",
     )
     # a run parallel to its null character makes no product at any k
-    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 0)
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 0)
     fixed = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
     write_problem(fixed, path)
     assert main(["index", "--problem", str(path), "--k", "1000000", "--alpha", "2"]) == 0
@@ -410,10 +410,10 @@ def test_star_line_products_are_bounded(capsys, monkeypatch):
     # made; the T term adds none, and the bound is read from the module,
     # never reached by a huge run
     lhs, rhs = "1*T + 1*H(1,0) + 1*H(1,1) + 1*H(1,2)", "1*H(0,1) - 1*H(2,1)"
-    monkeypatch.setattr(torbif.cli, "_MAX_LINE_PRODUCTS", 6)
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 6)
     assert main(["star", lhs, rhs]) == 0
     assert capsys.readouterr().out.startswith("1*H(0,1) - 1*H(2,1) + ")
-    monkeypatch.setattr(torbif.cli, "_MAX_LINE_PRODUCTS", 5)
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 5)
 
     def refuse(self, other):
         raise AssertionError("star was called")
@@ -439,14 +439,14 @@ def test_null_mode_pairs_are_bounded(tmp_path, capsys, monkeypatch):
     )
     path = tmp_path / "speeds.json"
     write_problem(problem, path)
-    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 6)
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 6)
     assert main(["index", "--problem", str(path), "--k", "1", "--alpha", "1"]) == 0
     capsys.readouterr()
 
     def refuse(rep):
         raise AssertionError("deg_minus_id_t2 was called")
 
-    monkeypatch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", 5)
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 5)
     monkeypatch.setattr(torbif.bifurcation, "deg_minus_id_t2", refuse)
     for command in (["index", "--k", "1", "--alpha", "1"], ["classify", "--max-k", "1"]):
         assert main([command[0], "--problem", str(path)] + command[1:]) == 2
@@ -789,9 +789,9 @@ def test_line_product_bound_is_exact(seed):
         with redirect_stdout(out), redirect_stderr(err):
             assert main(argv) == 0
             count = sum(visited)
-            patch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", max(count, chars * (chars - 1) // 2))
+            patch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", max(count, chars * (chars - 1) // 2))
             assert main(argv) == 0
-            patch.setattr(torbif.bifurcation, "_MAX_LINE_PRODUCTS", count - 1)
+            patch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", count - 1)
             assert main(argv) == 2
     assert out.getvalue().count("certificate: ") == 2
     if chars * (chars - 1) // 2 <= count - 1:

@@ -164,10 +164,50 @@ def test_stdout_closed_at_start_ends_in_141(tmp_path, argv):
     assert run_capped(argv, close_stdout=True) == (141, "")
 
 
+def run_into_full_device(argv):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        return run_capped(argv, stdout=full)
+
+
+def assert_one_stdout_error(code, err):
+    assert code == 4, (code, err[-300:])
+    assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err[-300:]
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["levels"], ["classify", "--json"], ["-h"]])
+def test_stdout_on_a_full_device_ends_in_4(tmp_path, argv):
+    if argv[0] != "-h":
+        argv = argv_for(tmp_path, ONE, argv)
+    assert_one_stdout_error(*run_into_full_device(argv))
+
+
 def test_example_writes_its_file_before_141_on_a_stdout_closed_at_start(tmp_path):
     out = tmp_path / "example.json"
     assert run_capped(["example", str(out)], close_stdout=True) == (141, "")
     assert out.read_text(encoding="utf-8") == torbif.problem_to_text(torbif.example_problem())
+
+
+def resonance_dense(count, degree):
+    """`count` eigenvalues j^2, j = 1..count, each trivial of multiplicity
+    one: at lambda_sq = 1 each has a null mode, j."""
+    return problem([eigenvalue(j * j, [(0, 1)]) for j in range(1, count + 1)], degree)
+
+
+Z1 = [{"subgroup": "Z1", "coeff": 1}]
+
+
+def test_resonance_dense_index_ends_in_exit_2(tmp_path):
+    # 8,000 null characters need 31,996,000 line products in their degree;
+    # finding them is one integer test per eigenvalue, well inside 2 s
+    argv = argv_for(tmp_path, resonance_dense(8000, Z1), ["index", "--lambda-sq", "1"])
+    assert run_capped(argv, cpu_seconds=2) == (
+        2,
+        "error: the degree on the null modes at lambda_sq = 1 needs 31996000 line"
+        " products for 8000 characters, more than the limit of 1000000\n",
+    )
 
 
 # Shapes whose total work has no bound yet: they run until the CPU cap,
@@ -246,3 +286,41 @@ def test_drawn_hostile_input_ends_in_a_documented_exit(tmp_path_factory, run):
     assert_bounded(code, err)
     # with no stdout, success is reported as 141
     assert not closed or code != 0
+
+
+# Draws of `index --lambda-sq` on resonance-dense problems, with stdout a
+# pipe, a full device or closed at start.  The exit is known in advance:
+# 3 with no null mode, 2 when the null modes' degree needs more than 10^6
+# line products, and otherwise success, which a full device turns into 4
+# and a closed stdout into 141.  Up to 150 null modes, or from 1,500 on,
+# so the draws skip the costly middle that ROADMAP item 2 owns.
+@st.composite
+def resonance_dense_runs(draw):
+    """(problem file text, argv, stdout, expected exit)."""
+    count = draw(st.integers(1, 150) | st.integers(1500, 3000))
+    q = draw(st.sampled_from(["1", "4", "2"]))
+    degree = draw(st.sampled_from([Z1, S1, S1 + [{"subgroup": "Z2", "coeff": -1}]]))
+    argv = ["index", "--lambda-sq", q] + draw(st.sampled_from([[], ["--json"]]))
+    null = 0 if q == "2" else count
+    code = 3 if not null else 2 if null * (null - 1) // 2 > 10**6 else 0
+    stdout = draw(st.sampled_from(["pipe", "full", "closed"]))
+    if code == 0:
+        code = {"pipe": 0, "full": 4, "closed": 141}[stdout]
+    return resonance_dense(count, degree), argv, stdout, code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@settings(max_examples=16, derandomize=True, deadline=None, suppress_health_check=list(HealthCheck))
+@given(run=resonance_dense_runs())
+def test_drawn_resonance_dense_index_ends_in_its_exit(tmp_path_factory, run):
+    text, argv, stdout, expected = run
+    argv = argv_for(tmp_path_factory.mktemp("dense"), text, argv)
+    if stdout == "full":
+        code, err = run_into_full_device(argv)
+    else:
+        code, err = run_capped(argv, close_stdout=stdout == "closed")
+    if expected == 4:
+        assert_one_stdout_error(code, err)
+    else:
+        assert_bounded(code, err)
+        assert code == expected

@@ -279,3 +279,44 @@ def test_rejection_messages(edit, value, message):
         parse_problem(dumps(payload))
     assert str(exc.value) == message
 
+
+
+def repeated(spectrum="", top=""):
+    """A one-eigenvalue problem with `spectrum` added inside its spectral
+    datum and `top` added at its top level, verbatim."""
+    return (
+        '{"spectra": [{"alpha": 2, "isotypic": [{"m": 0, "k": 1}]' + spectrum + "}],"
+        ' "deg_s1": [{"subgroup": "Z1", "coeff": 1}], "unique_critical_point": true' + top + "}"
+    )
+
+
+# name: the problem text with one field written twice; json.loads alone
+# keeps the last value, so each would read as another problem
+REPEATED_FIELDS = {
+    "alpha": repeated(spectrum=', "alpha": 3'),
+    "deg_s1": repeated(top=', "deg_s1": []'),
+    "isotypic": repeated(spectrum=', "isotypic": [{"m": 1, "k": 1}]'),
+    "k": repeated().replace('"k": 1', '"k": 1, "k": 2'),
+    "unique_critical_point": repeated(top=', "unique_critical_point": false'),
+}
+
+
+@pytest.mark.parametrize("name", list(REPEATED_FIELDS))
+def test_rejects_a_repeated_field(name):
+    # without the repeat the problem parses, and the last value would change it
+    assert parse_problem(repeated()).spectra[0].alpha == 2
+    assert json.loads(REPEATED_FIELDS[name]) != json.loads(repeated())
+    with pytest.raises(ProblemFormatError) as exc:
+        parse_problem(REPEATED_FIELDS[name])
+    assert str(exc.value) == f"duplicate field {name!r}"
+
+
+@pytest.mark.parametrize("command", [["levels"], ["index", "--lambda-sq", "2"], ["classify", "--json"]])
+def test_cli_refuses_a_repeated_field_with_one_line(tmp_path, capsys, command):
+    from torbif.cli import main
+
+    path = tmp_path / "problem.json"
+    path.write_text(REPEATED_FIELDS["deg_s1"], encoding="utf-8")
+    assert main([command[0], "--problem", str(path), *command[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: duplicate field 'deg_s1'\n")
