@@ -3,7 +3,9 @@
 Each case runs `python -m torbif` in a child whose address space and CPU
 time are capped by `resource.setrlimit` in `preexec_fn`, so the caps hold
 for the child alone.  A case passes when the child exits 0, 2, 3 or 141,
-writes at most one line to stderr, and prints no traceback.  A case that
+writes at most one line to stderr, and prints no traceback; with stdout on
+a full device, a run that would succeed must exit exactly 4, with one
+`error: cannot write stdout:` line.  A case that
 the caps end (a negative exit, the signal) is a fault of the program; the
 known ones are marked `xfail(strict=True)` with the ROADMAP item that
 mends them, so the mend shows as an unexpected pass.  Besides the fixed

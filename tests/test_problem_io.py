@@ -18,6 +18,7 @@ from torbif import (
     problem_to_text,
     write_problem,
 )
+from torbif.cli import main
 from torbif.rationals import _MAX_DIGITS, parse_rational
 
 from oracles import random_problem
@@ -313,8 +314,6 @@ def test_rejects_a_repeated_field(name):
 
 @pytest.mark.parametrize("command", [["levels"], ["index", "--lambda-sq", "2"], ["classify", "--json"]])
 def test_cli_refuses_a_repeated_field_with_one_line(tmp_path, capsys, command):
-    from torbif.cli import main
-
     path = tmp_path / "problem.json"
     path.write_text(REPEATED_FIELDS["deg_s1"], encoding="utf-8")
     assert main([command[0], "--problem", str(path), *command[1:]]) == 2
