@@ -32,7 +32,9 @@ failure or a failed write to stdout, such as to a full device, with one
 `error: cannot write stdout: ...` line on stderr, 5 an internal
 cross-check failed (a bug in torbif), 141 stdout was closed at start or
 before all output, help included, was written (the status a shell
-reports for a process ended by SIGPIPE).  Output is deterministic:
+reports for a process ended by SIGPIPE).  Every stderr line goes through
+`_stderr`: when stderr cannot be written (a full device, or fd 2 closed)
+the message is lost but the exit code is kept.  Output is deterministic:
 identical inputs produce byte-identical text, and --json swaps in
 machine-readable JSON.
 """
@@ -56,7 +58,7 @@ from .bifurcation import (
 from .euler import _check_line_products, element_to_json, format_element
 from .grammar import ElementParseError, parse_element
 from .problem_io import load_problem, write_problem
-from .rationals import _check_digits, parse_rational, rational_to_json
+from .rationals import _is_int, _to_int, parse_rational, rational_to_json
 from .spectral import (
     BifurcationLevel,
     CriticalPointProblem,
@@ -71,13 +73,9 @@ _ZERO_SUM_LIMIT = 20
 
 
 def _integer(text: str) -> int:
-    # An optional sign and ASCII digits, nothing else: no space, underscore
-    # or other script's digit, which int() would take.  String methods, not
-    # a pattern, since compiling one costs about as much as a small index.
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if not (digits.isascii() and digits.isdigit()):
+    if not _is_int(text, "+-"):
         raise ValueError(f"expected an integer, got {text!r}")
-    return int(_check_digits(text))
+    return _to_int(text)
 
 
 def _positive_int(text: str) -> int:
@@ -114,7 +112,7 @@ def _cmd_levels(args: SimpleNamespace) -> int:
         _emit_json({"levels": [_level_payload(problem, lvl) for lvl in levels]})
     else:
         if not levels:
-            print("warning: no positive eigenvalue, the level set is empty", file=sys.stderr)
+            _stderr("warning: no positive eigenvalue, the level set is empty")
         for lvl in levels:
             res = ", ".join(
                 f"(n={n}, alpha={alpha})" for n, alpha in resonant_pairs(problem, lvl)
@@ -197,7 +195,7 @@ def _cmd_classify(args: SimpleNamespace) -> int:
         return 0
     print(f"classification: {headline.value}")
     if not levels:
-        print("warning: no positive eigenvalue, the level set is empty", file=sys.stderr)
+        _stderr("warning: no positive eigenvalue, the level set is empty")
     for report in reports:
         print(_report_line(report, upgrade or report.classification))
     if skipped:
@@ -224,7 +222,7 @@ def _cmd_example(args: SimpleNamespace) -> int:
     try:
         write_problem(problem, args.out)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+        _stderr(f"error: cannot write {args.out}: {exc}")
         return 4
     if args.json:
         _emit_json({"written": args.out})
@@ -370,6 +368,26 @@ def _stdout():
     return sys.stdout
 
 
+def _to_devnull(fd: int) -> None:
+    # after a failed write, so that the interpreter's final flush of the
+    # stream cannot raise again (the recipe from the signal docs)
+    os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+
+
+def _stderr(*lines: str) -> None:
+    # Every stderr line goes through here.  A stderr that is closed
+    # (CPython then sets sys.stderr to None) or cannot be written loses
+    # the lines but not the exit code.
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write("".join(line + "\n" for line in lines))
+            sys.stderr.flush()
+            return
+        except OSError:
+            pass
+    _to_devnull(2)
+
+
 def _print_help(name: Optional[str]) -> NoReturn:
     # flushed here, so a closed stdout fails inside `main`
     out = _stdout()
@@ -380,8 +398,7 @@ def _print_help(name: Optional[str]) -> NoReturn:
 
 def _usage_error(name: Optional[str], message: str) -> NoReturn:
     prog = "torbif" if name is None else f"torbif {name}"
-    print(_usage(name), file=sys.stderr)
-    print(f"{prog}: error: {message}", file=sys.stderr)
+    _stderr(_usage(name), f"{prog}: error: {message}")
     raise SystemExit(2)
 
 
@@ -501,24 +518,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _stdout().flush()
         return code
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        lines = [f"error: {exc}"]
         if isinstance(exc, ElementParseError):
-            print(f"  {exc.text}", file=sys.stderr)
-            print("  " + " " * exc.position + "^", file=sys.stderr)
+            lines += [f"  {exc.text}", "  " + " " * exc.position + "^"]
+        _stderr(*lines)
         return 3 if isinstance(exc, InvalidLevel) else 2
     except RuntimeError as exc:
-        print(f"error: internal: {exc}", file=sys.stderr)
+        _stderr(f"error: internal: {exc}")
         return 5
     except OSError as exc:
         # The handlers report their own file errors, so this is a write to
-        # stdout that failed.  Point stdout at devnull so the interpreter's
-        # final flush cannot raise again (the recipe from the signal docs);
-        # a reader that went away ends silently, as SIGPIPE would.
+        # stdout that failed; a reader that went away ends silently, as
+        # SIGPIPE would.
         if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _to_devnull(sys.stdout.fileno())
         if isinstance(exc, BrokenPipeError):
             return 141
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        _stderr(f"error: cannot write stdout: {exc}")
         return 4
 
 

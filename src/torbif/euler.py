@@ -14,17 +14,17 @@ three.  So `star` splits each operand by dimension once: the full-torus
 term scales the other operand, and only pairs of two lines reach the
 closed form for the product of two lines, which works on their raw
 characters and the extended gcd of their second coordinates and returns
-the key of the product.  It has two forms.  The pair form
-`_line_product` serves `star`, through the cached `_generator_product`.
-The run form `_line_products` serves the bifurcation index: it multiplies
-one line against whole runs of characters (s, n), lo <= n < hi, with the
-products written inline, and takes the run's weight and b*s once per run,
-so no call is made per product.  There are two because `star` still
-forms B1r * B1r on the index's path (see ROADMAP item 2), as a square
-that makes each unordered pair of distinct lines once; once that
-product joins the index's loop, `star` leaves that path and the pair
-form serves only API callers.  A property test ties the run form to the
-pair form.
+the key of the product.  It has two forms.  The pair form, the cached
+`_generator_product`, serves `star`; it tests for parallel lines before
+it takes a gcd.  The run form `_line_products` serves the bifurcation
+index: it multiplies one line against whole runs of characters (s, n),
+lo <= n < hi, with the products written inline, and takes the run's
+weight and b*s once per run, so no call is made per product.  There are
+two because `star` still forms B1r * B1r on the index's path (see
+ROADMAP item 2), as a square that makes each unordered pair of distinct
+lines once; once that product joins the index's loop, `star` leaves
+that path and the pair form serves only API callers.  A property test
+ties the run form to the pair form.
 Elements are canonically sorted sparse integer combinations, so equality
 is structural and all arithmetic is exact.  An element keeps nonzero
 (key, coefficient) pairs, each key one flat tuple of ints: (0,) for T,
@@ -189,29 +189,6 @@ def _from_keys(acc: Mapping[Key, int]) -> EulerElementT2:
     return element
 
 
-def _line_product(ch1: Character, ch2: Character, g: tuple[int, int, int]) -> Key | None:
-    """The key of the product of the kernels of two nonzero characters,
-    or None when the product vanishes, given g = _xgcd(b, n) for their
-    second coordinates.
-
-    For the characters (a, b) and (m, n), in either sign, let det =
-    a*n - b*m.  When det is 0 the characters are parallel, the
-    intersection is one-dimensional and the product vanishes by the
-    dimension rule.  Otherwise the intersection is finite and its lattice,
-    spanned by both characters, has index |det|.  With (d, x, y) = g, the
-    gcd d of the second coordinates is reached by the lattice vector
-    x*(a, b) + y*(m, n), so the lattice meets the first axis in multiples
-    of |det| / d, and its key is (2, |det| / d, x*a + y*m mod |det| / d, d)
-    for the canonical rows (|det| / d, 0) and (x*a + y*m mod |det| / d, d)."""
-    (a, b), (m, n) = ch1, ch2
-    det = a * n - b * m
-    if det == 0:
-        return None
-    d, x, y = g
-    axis = abs(det) // d
-    return (2, axis, (x * a + y * m) % axis, d)
-
-
 def _line_products(
     acc: dict[Key, int],
     a: int,
@@ -224,7 +201,7 @@ def _line_products(
     `acc`, keyed by term keys, for each run (s, lo, hi, w) and each n
     with lo <= n < hi, given g[n] = _xgcd(b, n).
 
-    This is `_line_product` over every pair of the runs, written out:
+    This is `_generator_product` over every pair of the runs, written out:
     det = a*n - b*s, no term where det is 0, and otherwise the key
     (2, |det| / d, x*a + y*s mod |det| / d, d) with (d, x, y) = g[n]."""
     for s, lo, hi, w in runs:
@@ -249,8 +226,26 @@ def _check_line_products(count: int, what: str, detail: str = "") -> None:
 
 @lru_cache(maxsize=1 << 14)
 def _generator_product(ch1: Character, ch2: Character) -> Key | None:
-    """`_line_product` of two characters, with their extended gcd, cached."""
-    return _line_product(ch1, ch2, _xgcd(ch1[1], ch2[1]))
+    """The key of the product of the kernels of two nonzero characters,
+    or None when the product vanishes, cached.
+
+    For the characters (a, b) and (m, n), in either sign, let det =
+    a*n - b*m.  When det is 0 the characters are parallel, the
+    intersection is one-dimensional and the product vanishes by the
+    dimension rule, so no gcd is taken.  Otherwise the intersection is
+    finite and its lattice, spanned by both characters, has index |det|.
+    With (d, x, y) = _xgcd(b, n), the gcd d of the second coordinates is
+    reached by the lattice vector x*(a, b) + y*(m, n), so the lattice
+    meets the first axis in multiples of |det| / d, and its key is
+    (2, |det| / d, x*a + y*m mod |det| / d, d) for the canonical rows
+    (|det| / d, 0) and (x*a + y*m mod |det| / d, d)."""
+    (a, b), (m, n) = ch1, ch2
+    det = a * n - b * m
+    if det == 0:
+        return None
+    d, x, y = _xgcd(b, n)
+    axis = abs(det) // d
+    return (2, axis, (x * a + y * m) % axis, d)
 
 
 def _join(parts: list[str]) -> str:

@@ -16,22 +16,21 @@ whose rows span a smaller-rank lattice) produce equal elements.
 by lattice rows, and the zero element prints as '0'.  The parser accepts a
 bare '0' back so printing and parsing round-trip.  A syntax error raises
 ElementParseError, which carries the `position` and the whole `text`.
-An integer is an optional sign and ASCII digits.  An integer of more
-than `rationals._MAX_DIGITS` digits raises a plain ValueError instead of
-an ElementParseError, whose message would echo the whole text.
+An integer is an optional sign and ASCII digits, judged and converted
+by `rationals._is_int` and `rationals._to_int`, the one home of that rule.
+An integer of more than `rationals._MAX_DIGITS` digits raises a plain
+ValueError instead of an ElementParseError, whose message would echo the
+whole text.  Each generator becomes its ring key through
+`subgroups._canonical_rows`, the one home of the lattice normal form.
 """
 
 from __future__ import annotations
 
 from .euler import EulerElementT2, Key, _from_keys, format_element
-from .rationals import _check_digits
-from .subgroups import _canonical_rows, _key, normalize_character
+from .rationals import _is_int, _to_int
+from .subgroups import _canonical_rows, _key
 
 __all__ = ["ElementParseError", "parse_element", "format_element"]
-
-# The digits of an integer: ASCII only, where str.isdigit would also take
-# other scripts' digits and superscripts.
-_DIGITS = frozenset("0123456789")
 
 
 class ElementParseError(ValueError):
@@ -71,12 +70,13 @@ class _Scanner:
         start = self.pos
         if self.peek() in ("+", "-"):
             self.pos += 1
-        if self.peek() not in _DIGITS:
+        while _is_int(self.peek(), ""):
+            self.pos += 1
+        text = self.text[start:self.pos]
+        if not _is_int(text, "+-"):
             self.pos = start
             self.fail("expected an integer")
-        while self.peek() in _DIGITS:
-            self.pos += 1
-        return int(_check_digits(self.text[start:self.pos]))
+        return _to_int(text)
 
     def integers(self, opener: str, *closers: str) -> list[int]:
         # the opener, then one integer before each closer, as in '(' m ',' n ')'
@@ -97,7 +97,7 @@ class _Scanner:
         if head == "H":
             self.pos += 1
             m, n = self.integers("(", ",", ")")
-            return (1, *normalize_character(m, n)) if m or n else (0,)
+            return _key(_canonical_rows([(m, n)]))
         if head == "F":
             self.pos += 1
             a, b, c, d = self.integers("(", ",", ";", ",", ")")
@@ -108,7 +108,7 @@ class _Scanner:
     def term(self) -> tuple[int, Key]:
         self.skip_ws()
         coeff = 1
-        if self.peek() in _DIGITS or self.peek() in ("+", "-"):
+        if self.peek() in ("+", "-") or _is_int(self.peek(), ""):
             coeff = self.integer()
             self.expect("*")
         return coeff, self.generator()

@@ -21,19 +21,19 @@ subgroups, malformed rationals and integers of more than
 cannot drift silently; a repeated field, which `json.loads` alone would
 read as its last value, raises "duplicate field 'name'".  The integers
 in "p/q" and "Zk" are ASCII digits with nothing after them: no other
-script's digits and no trailing newline.
+script's digits and no trailing newline.  `rationals._is_int` and
+`rationals._to_int` judge and convert them, and every JSON integer.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
 from .euler import EulerElementS1
-from .rationals import _check_digits, parse_rational, rational_to_json
+from .rationals import _is_int, _to_int, parse_rational, rational_to_json
 from .representations import S1Representation
 from .spectral import CriticalPointProblem, SpectralDatum
 
@@ -44,8 +44,6 @@ __all__ = [
     "problem_to_text",
     "write_problem",
 ]
-
-_SUBGROUP_RE = re.compile(r"Z([1-9][0-9]*)")
 
 # The most bytes `load_problem` reads from a problem file, far above any
 # real problem, so that a huge file or an endless one such as /dev/zero
@@ -67,7 +65,7 @@ def _no_constant(text: str) -> None:
 
 def _int(text: str) -> int:
     try:
-        return int(_check_digits(text))
+        return _to_int(text)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
 
@@ -146,12 +144,12 @@ def _parse_degree(value: Any, where: str) -> EulerElementS1:
             raise ProblemFormatError(f"{ctx}.coeff must be nonzero; omit the entry instead")
         if not isinstance(label, str):
             raise ProblemFormatError(f"{ctx}.subgroup must be a string")
-        match = _SUBGROUP_RE.fullmatch(label)
-        if label != "S1" and not match:
+        cyclic = label[:1] == "Z" and _is_int(label[1:], "") and label[1] != "0"
+        if label != "S1" and not cyclic:
             raise ProblemFormatError(
                 f"{ctx}.subgroup must be 'S1' or 'Zk' with k >= 1, got {label!r}"
             )
-        order = _int(match.group(1)) if match else 0
+        order = _int(label[1:]) if cyclic else 0
         if order in terms:
             raise ProblemFormatError(f"{ctx}: duplicate subgroup {label!r}")
         terms[order] = coeff

@@ -3,14 +3,17 @@
 Every numeric quantity in this package is an integer or a rational, and
 resonance conditions are decided by exact comparison, so floats are refused
 at every boundary instead of being converted.
+
+This module is the one home of the rule for an integer in text: `_is_int`
+says whether a text is one (ASCII digits after at most one allowed sign)
+and `_to_int` converts it under the digit limit.  `parse_rational`, the
+CLI's integer options, the "Zk" labels and JSON integers of problem files
+and the integers of the element grammar all read integers through them.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 # The most decimal digits of any integer the program reads: problem-file
 # ints, both parts of a 'p/q' string, the integer options and the integers
@@ -20,27 +23,32 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _MAX_DIGITS = 1000
 
 
-def _check_digits(text: str) -> str:
-    """Return `text`, or raise ValueError when it holds more than
-    `_MAX_DIGITS` decimal digits; called before the text is converted."""
+def _is_int(text: str, signs: str) -> bool:
+    """Whether `text` is ASCII digits after at most one sign from `signs`:
+    no space, underscore, other script's digit or trailing newline, all of
+    which int() would take."""
+    digits = text[1:] if text and text[0] in signs else text
+    return digits.isascii() and digits.isdigit()
+
+
+def _to_int(text: str) -> int:
+    """int(text), or ValueError when `text` holds more than `_MAX_DIGITS`
+    decimal digits, which is tested before the text is converted."""
     digits = sum(map(str.isdecimal, text))
     if digits > _MAX_DIGITS:
         raise ValueError(f"an integer of {digits} digits is over the limit of {_MAX_DIGITS}")
-    return text
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' with integer p and positive integer q, each of
-    at most `_MAX_DIGITS` ASCII digits and nothing else: no space,
-    underscore, other script's digit or trailing newline, all of which
-    Fraction() would take."""
-    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
+    at most `_MAX_DIGITS` ASCII digits and nothing else (see `_is_int`)."""
+    p, slash, q = text.partition("/") if isinstance(text, str) else ("", "", "")
+    if not (_is_int(p, "-") and (not slash or _is_int(q, ""))):
         raise ValueError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
-    if "/" in text and text.rsplit("/", 1)[1].lstrip("0") == "":
+    if slash and q.lstrip("0") == "":
         raise ValueError(f"malformed rational {text!r}; denominator must be positive")
-    for part in text.split("/"):
-        _check_digits(part)
-    return Fraction(text)
+    return Fraction(_to_int(p), _to_int(q) if slash else 1)
 
 
 def as_fraction(value: int | str | Fraction) -> Fraction:

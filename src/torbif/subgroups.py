@@ -28,9 +28,12 @@ codimension, then the rows' entries but the fixed 0, that is (0,),
 (1, m, n) or (2, a, b, d), in the order of (len(rows), rows).  `_key` and
 `_rows` pass between rows and keys, and `_label` spells a key, for `str`
 of a subgroup and the element formatter alike.  Subgroups and rows appear
-only at the API edge, where a caller builds one or reads `terms`.  The
-public constructor `TorusSubgroup(rows)` checks that `rows` is a
-canonical basis of int pairs and says which rule it breaks.  `_interned`
+only at the API edge, where a caller builds one or reads `terms`.
+
+`_canonical_rows` is the one home of the normal form: the public
+constructor `TorusSubgroup(rows)` checks that `rows` is a tuple of int
+pairs and then accepts it exactly when `_canonical_rows(rows) == rows`,
+and the element grammar keys its generators through it.  `_interned`
 skips that check: its callers (`kernel`, `full`, `trivial`, the normal
 form `_canonical_rows` and `EulerElementT2.terms`) hand it rows that are
 canonical by construction.  The test suite checks that the trusted
@@ -119,15 +122,7 @@ class TorusSubgroup(Frozen):
         for r in rows:
             _check_int(r[0])
             _check_int(r[1])
-        if len(rows) == 1:
-            m, n = rows[0]
-            canonical = n > 0 or (n == 0 and m > 0)
-        elif len(rows) == 2:
-            (a, z), (b, d) = rows
-            canonical = z == 0 and a > 0 and d > 0 and 0 <= b < a
-        else:
-            canonical = not rows
-        if not canonical:
+        if _canonical_rows(rows) != rows:
             raise ValueError(f"rows {rows!r} are not a canonical lattice basis")
         vars(self).update(rows=rows)
 

@@ -15,8 +15,10 @@ parser the command line once built on every call and its negative-number
 pattern, `classify`'s output from reports rebuilt for the
 sum-obstruction upgrade, an element spelled through the subgroups of its
 `terms` view, the frozen dataclasses the value types once were, the
-nested rows by which ring terms were once keyed and sorted), so each
-identity they satisfy is a differential check on the package.
+nested rows by which ring terms were once keyed and sorted, the
+rank-by-rank rule for canonical rows and the readers of integers in
+text that the package once had), so each identity they satisfy is a
+differential check on the package.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import itertools
 import json
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -55,7 +58,8 @@ from torbif import (
 )
 from torbif.cli import _cmd_classify, _cmd_example, _cmd_index, _cmd_levels, _cmd_star
 from torbif.euler import _check_coeff
-from torbif.rationals import as_fraction
+from torbif.problem_io import ProblemFormatError
+from torbif.rationals import _MAX_DIGITS, as_fraction
 from torbif.subgroups import _check_int
 
 ALPHA_POOL = (
@@ -601,6 +605,62 @@ def _twin(name, **options):
     return wrap
 
 
+def canonical_by_rank(rows) -> bool:
+    """Whether int pairs `rows` are a canonical lattice basis, by the rule
+    for each rank written out, as `TorusSubgroup` once checked it: no row,
+    one row (m, n) with n > 0 or n == 0 < m, or rows (a, 0), (b, d) with
+    a > 0, d > 0 and 0 <= b < a."""
+    if len(rows) == 1:
+        m, n = rows[0]
+        return n > 0 or (n == 0 and m > 0)
+    if len(rows) == 2:
+        (a, z), (b, d) = rows
+        return z == 0 and a > 0 and d > 0 and 0 <= b < a
+    return not rows
+
+
+# The readers of integers in text as they were before `rationals._is_int`
+# and `rationals._to_int` became the one home of that rule: patterns for
+# the rationals and the "Zk" labels of problem files, string methods for
+# the CLI's integer options, each with its own digit limit check.
+
+
+def _check_digits(text: str) -> str:
+    digits = sum(map(str.isdecimal, text))
+    if digits > _MAX_DIGITS:
+        raise ValueError(f"an integer of {digits} digits is over the limit of {_MAX_DIGITS}")
+    return text
+
+
+def parse_rational_by_pattern(text) -> Fraction:
+    if not isinstance(text, str) or not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
+        raise ValueError(f"malformed rational {text!r}; expected 'p' or 'p/q'")
+    if "/" in text and text.rsplit("/", 1)[1].lstrip("0") == "":
+        raise ValueError(f"malformed rational {text!r}; denominator must be positive")
+    for part in text.split("/"):
+        _check_digits(part)
+    return Fraction(text)
+
+
+def integer_option_by_string_methods(text: str) -> int:
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(_check_digits(text))
+
+
+def cyclic_order_by_pattern(label: str, ctx: str) -> int:
+    """The isotropy order a `deg_s1` label names, 0 for "S1", or the
+    ProblemFormatError that `problem_io` raised for it."""
+    match = re.fullmatch(r"Z([1-9][0-9]*)", label)
+    if label != "S1" and not match:
+        raise ProblemFormatError(f"{ctx}.subgroup must be 'S1' or 'Zk' with k >= 1, got {label!r}")
+    try:
+        return int(_check_digits(match.group(1))) if match else 0
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from None
+
+
 # Frozen-dataclass twins of the package's ten value types, as they were
 # declared before the types became plain classes on `torbif._frozen.Frozen`:
 # each keeps its dataclass options and its `__post_init__` (or, for the
@@ -623,15 +683,7 @@ class TorusSubgroupTwin:
         for r in rows:
             _check_int(r[0])
             _check_int(r[1])
-        if len(rows) == 1:
-            m, n = rows[0]
-            canonical = n > 0 or (n == 0 and m > 0)
-        elif len(rows) == 2:
-            (a, z), (b, d) = rows
-            canonical = z == 0 and a > 0 and d > 0 and 0 <= b < a
-        else:
-            canonical = not rows
-        if not canonical:
+        if not canonical_by_rank(rows):
             raise ValueError(f"rows {rows!r} are not a canonical lattice basis")
 
 

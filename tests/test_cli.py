@@ -719,13 +719,13 @@ def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys
     # with the closed form for the product of two lines stubbed to vanish,
     # in its pair form for star and its run form for the index, the worked
     # example's index is zero although its certificate says not
-    def vanishing_product(ch1, ch2, g):
+    def vanishing_product(ch1, ch2):
         return None
 
     def vanishing_products(acc, a, b, c, runs, g):
         return None
 
-    monkeypatch.setattr(torbif.euler, "_line_product", vanishing_product)
+    monkeypatch.setattr(torbif.euler, "_generator_product", vanishing_product)
     monkeypatch.setattr(torbif.bifurcation, "_line_products", vanishing_products)
     assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
     captured = capsys.readouterr()
@@ -734,18 +734,21 @@ def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys
 
 
 def counting_line_products(monkeypatch):
-    """Count every line product, made one pair at a time through the cache
-    of `star` or run by run by `build_report`, where each (null character,
-    n) pair of a run counts as one, and every entry of the index's gcd
-    table."""
+    """Count every line product, made one pair at a time by `star` or run
+    by run by `build_report`, where each (null character, n) pair of a run
+    counts as one, and every entry of the index's gcd table.  Returns a
+    function that reads the counts made since its last call; `star`'s
+    pair products are the misses of the `_generator_product` cache, which
+    is cleared here and at each read."""
     counts = Counter()
-    line_product = torbif.euler._line_product
     line_products = torbif.bifurcation._line_products
     xgcd = torbif.bifurcation._xgcd
 
-    def counted_product(ch1, ch2, g):
-        counts["line_product"] += 1
-        return line_product(ch1, ch2, g)
+    def read():
+        made = counts + Counter(line_product=_generator_product.cache_info().misses)
+        counts.clear()
+        _generator_product.cache_clear()
+        return made
 
     def counted_products(acc, a, b, c, runs, g):
         counts["line_product"] += sum(hi - lo for _, lo, hi, _ in runs)
@@ -755,11 +758,10 @@ def counting_line_products(monkeypatch):
         counts["gcd_table"] += 1
         return xgcd(b, n)
 
-    monkeypatch.setattr(torbif.euler, "_line_product", counted_product)
     monkeypatch.setattr(torbif.bifurcation, "_line_products", counted_products)
     monkeypatch.setattr(torbif.bifurcation, "_xgcd", counted_xgcd)
     _generator_product.cache_clear()
-    return counts
+    return read
 
 
 @settings(max_examples=40, deadline=None)
@@ -811,7 +813,7 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monk
     assert main(["index", "--problem", example_path, "--k", "6400", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,6400)\ncertificate: SameSignPath\n"
     # one null character: no pair in its degree, one product with H(1,0)
-    assert counts == {"line_product": 1, "gcd_table": 1}
+    assert counts() == {"line_product": 1, "gcd_table": 1}
     problem = CriticalPointProblem(
         spectra=(SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1, 2: 1})),),
         deg_s1=EulerElementS1.cyclic(1),
@@ -819,13 +821,11 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monk
     )
     path = tmp_path / "rotating.json"
     write_problem(problem, path)
-    counts.clear()
-    _generator_product.cache_clear()
     assert main(["index", "--problem", str(path), "--k", "250", "--alpha", "1"]) == 0
     assert capsys.readouterr().out == "-5*F(1,0;0,250)\ncertificate: SameSignPath\n"
     # 5 null characters: 5 * 4 / 2 unordered pairs and 5 products with
     # H(1,0), not one per character of the 249 modes below the level
-    assert counts == {"line_product": 5 * 4 // 2 + 5, "gcd_table": 1}
+    assert counts() == {"line_product": 5 * 4 // 2 + 5, "gcd_table": 1}
 
 
 def test_requests_build_no_subgroup(example_path, tmp_path, capsys):
@@ -946,8 +946,9 @@ def test_index_without_full_orbit_term_ignores_the_space_below(example_path, cap
     assert main(["index", "--problem", example_path, "--k", "400000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,400000)\ncertificate: SameSignPath\n"
     assert below == []
-    assert counts["line_product"] < 10
-    assert counts["gcd_table"] == 1
+    made = counts()
+    assert made["line_product"] < 10
+    assert made["gcd_table"] == 1
 
 
 def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatch):
@@ -979,8 +980,9 @@ def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatc
     assert main(["index", "--problem", str(path), "--k", "1000000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
     assert named == [(0, 1, 1000000, 1)]
-    assert counts["line_product"] <= 1
-    assert counts["gcd_table"] == 0
+    made = counts()
+    assert made["line_product"] <= 1
+    assert made["gcd_table"] == 0
 
 
 def test_classify_above_zero_sum_limit_stays_alternative(tmp_path, capsys):

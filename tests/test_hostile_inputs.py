@@ -5,7 +5,9 @@ time are capped by `resource.setrlimit` in `preexec_fn`, so the caps hold
 for the child alone.  A case passes when the child exits 0, 2, 3 or 141,
 writes at most one line to stderr, and prints no traceback; with stdout on
 a full device, a run that would succeed must exit exactly 4, with one
-`error: cannot write stdout:` line.  A case that
+`error: cannot write stdout:` line.  With stderr on a full device or
+closed, a run keeps the exit code and stdout it has when stderr can be
+written.  A case that
 the caps end (a negative exit, the signal) is a fault of the program; the
 known ones are marked `xfail(strict=True)` with the ROADMAP item that
 mends them, so the mend shows as an unexpected pass.  Besides the fixed
@@ -33,27 +35,33 @@ CPU_SECONDS = 20
 HUGE = "9" * 999
 
 
-def run_capped(argv, cpu_seconds=CPU_SECONDS, stdout=subprocess.PIPE, close_stdout=False):
-    """`python -m torbif *argv` under the caps, with fd 1 closed before the
-    start if `close_stdout`: (exit code, stderr)."""
+def run_child(argv, cpu_seconds=CPU_SECONDS, stdout=subprocess.PIPE, stderr=subprocess.PIPE, close=()):
+    """`python -m torbif *argv` under the caps, with the fds in `close`
+    closed before the start: the finished process."""
 
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
         resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds))
-        if close_stdout:
-            os.close(1)
+        for fd in close:
+            os.close(fd)
 
     src = str(Path(torbif.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "torbif", *argv],
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env=env,
         preexec_fn=cap,
         timeout=10 * cpu_seconds,
     )
+
+
+def run_capped(argv, cpu_seconds=CPU_SECONDS, stdout=subprocess.PIPE, close_stdout=False):
+    """`python -m torbif *argv` under the caps, with fd 1 closed before the
+    start if `close_stdout`: (exit code, stderr)."""
+    result = run_child(argv, cpu_seconds, stdout, close=(1,) if close_stdout else ())
     return result.returncode, result.stderr.decode("utf-8", "replace")
 
 
@@ -184,6 +192,37 @@ def test_stdout_on_a_full_device_ends_in_4(tmp_path, argv):
     if argv[0] != "-h":
         argv = argv_for(tmp_path, ONE, argv)
     assert_one_stdout_error(*run_into_full_device(argv))
+
+
+NO_POSITIVE = problem([eigenvalue(-1, [(0, 1)])], [{"subgroup": "Z1", "coeff": 1}])
+
+# name: (problem file text or None, argv after the command, expected exit);
+# each writes to stderr: an error, a usage pair, a caret or a warning
+STDERR_CASES = {
+    "levels-of-a-missing-file": (None, ["levels", "--problem", "missing.json"], 2),
+    "levels-max-k-0": (ONE, ["levels", "--max-k", "0"], 2),
+    "star-of-a-bad-factor": (None, ["star", "1*Q", "T"], 2),
+    "classify-with-no-positive-eigenvalue": (NO_POSITIVE, ["classify"], 0),
+}
+
+
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("name", list(STDERR_CASES))
+def test_unwritable_stderr_keeps_the_exit_and_stdout(tmp_path, name, stderr):
+    # the stderr lines are lost, but the exit code and stdout are those of
+    # a run whose stderr can be written
+    if stderr == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    text, argv, expected = STDERR_CASES[name]
+    argv = argv_for(tmp_path, text, argv)
+    writable = run_child(argv)
+    assert writable.returncode == expected and writable.stderr
+    if stderr == "full":
+        with open("/dev/full", "wb") as full:
+            result = run_child(argv, stderr=full)
+    else:
+        result = run_child(argv, stderr=None, close=(2,))
+    assert (result.returncode, result.stdout) == (expected, writable.stdout)
 
 
 def test_example_writes_its_file_before_141_on_a_stdout_closed_at_start(tmp_path):
