@@ -92,7 +92,6 @@ from .euler import (
     _line_products,
     element_to_json,
 )
-from .rationals import rational_to_json
 from .representations import S1Representation, deg_minus_id_t2
 from .spectral import (
     BifurcationLevel,
@@ -100,6 +99,7 @@ from .spectral import (
     InvalidLevel,
     SpectralDatum,
     _below_runs,
+    _level_json,
     resonant_space,
     validate,
 )
@@ -146,11 +146,7 @@ class BifurcationReport(Frozen):
 
     def to_dict(self) -> dict:
         return {
-            "level": {
-                "k": self.level.k,
-                "alpha": rational_to_json(self.level.alpha),
-                "lambda_sq": rational_to_json(self.level.lambda_sq),
-            },
+            "level": _level_json(self.level),
             "index": element_to_json(self.index),
             "nontrivial": self.nontrivial,
             "certificate": self.certificate.value if self.certificate else None,

@@ -63,6 +63,7 @@ from .spectral import (
     BifurcationLevel,
     CriticalPointProblem,
     InvalidLevel,
+    _level_json,
     lambda_set,
     level_from_lambda_sq,
     resonant_pairs,
@@ -90,15 +91,12 @@ def _emit_json(payload: dict) -> None:
 
 
 def _level_payload(problem: CriticalPointProblem, level: BifurcationLevel) -> dict:
-    return {
-        "k": level.k,
-        "alpha": rational_to_json(level.alpha),
-        "lambda_sq": rational_to_json(level.lambda_sq),
-        "resonances": [
-            {"n": n, "alpha": rational_to_json(alpha)}
-            for n, alpha in resonant_pairs(problem, level)
+    return dict(
+        _level_json(level),
+        resonances=[
+            {"n": n, "alpha": rational_to_json(alpha)} for n, alpha in resonant_pairs(problem, level)
         ],
-    }
+    )
 
 
 def _level_text(level: BifurcationLevel) -> str:
@@ -232,8 +230,7 @@ def _cmd_example(args: SimpleNamespace) -> int:
 
 
 class _Option(NamedTuple):
-    flag: str
-    dest: str
+    flag: str  # `--max-k` is read as `args.max_k`
     convert: Optional[Callable[[str], object]]  # None for a flag that takes no value
     default: object = None
     required: bool = False
@@ -248,14 +245,11 @@ class _Command(NamedTuple):
     positionals: tuple[tuple[str, str, str], ...] = ()  # (dest, metavar, help)
 
 
-_HELP = _Option("--help", "help", None, help="show this help message and exit")
-_JSON = _Option("--json", "json", None, False, help="emit JSON instead of text")
-_PROBLEM = _Option(
-    "--problem", "problem", str, required=True, metavar="PATH", help="problem file to read"
-)
+_HELP = _Option("--help", None, help="show this help message and exit")
+_JSON = _Option("--json", None, False, help="emit JSON instead of text")
+_PROBLEM = _Option("--problem", str, required=True, metavar="PATH", help="problem file to read")
 _MAX_K = _Option(
     "--max-k",
-    "max_k",
     _positive_int,
     5,
     metavar="N",
@@ -273,11 +267,10 @@ _COMMANDS = {
             _HELP,
             _JSON,
             _PROBLEM,
-            _Option("--k", "k", _integer, metavar="K", help="frequency numerator"),
-            _Option("--alpha", "alpha", str, metavar="RAT", help="eigenvalue, as 'p' or 'p/q'"),
+            _Option("--k", _integer, metavar="K", help="frequency numerator"),
+            _Option("--alpha", str, metavar="RAT", help="eigenvalue, as 'p' or 'p/q'"),
             _Option(
                 "--lambda-sq",
-                "lambda_sq",
                 str,
                 metavar="RAT",
                 help="squared frequency, as 'p' or 'p/q'",
@@ -432,7 +425,7 @@ def _parse_command(name: str, tokens: list[str]) -> SimpleNamespace:
     # every token is read before any is used, so an ambiguous prefix is
     # reported before any other error
     reads = [_read(token, name) for token in tokens[:cut]]
-    values = {option.dest: option.default for option in command.options if option is not _HELP}
+    values = {option.flag: option.default for option in command.options if option is not _HELP}
     given = set()
     words: list[str] = []
     extras: list[str] = []
@@ -455,7 +448,7 @@ def _parse_command(name: str, tokens: list[str]) -> SimpleNamespace:
                 _usage_error(name, f"argument {_label(option)}: {message}")
             if option is _HELP:
                 _print_help(name)
-            values[option.dest] = True
+            values[option.flag] = True
             continue
         if value is None:
             if i == cut or reads[i] != _WORD:
@@ -463,7 +456,7 @@ def _parse_command(name: str, tokens: list[str]) -> SimpleNamespace:
             value = tokens[i]
             i += 1
         try:
-            values[option.dest] = option.convert(value)
+            values[option.flag] = option.convert(value)
         except ValueError as exc:
             _usage_error(name, f"argument {option.flag}: {exc}")
         given.add(option.flag)
@@ -482,7 +475,8 @@ def _parse_command(name: str, tokens: list[str]) -> SimpleNamespace:
     if extras:
         _usage_error(name, f"unrecognized arguments: {' '.join(extras)}")
     values.update(zip((dest for dest, _, _ in command.positionals), words))
-    return SimpleNamespace(command=name, handler=command.handler, **values)
+    names = {key.lstrip("-").replace("-", "_"): value for key, value in values.items()}
+    return SimpleNamespace(command=name, handler=command.handler, **names)
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:

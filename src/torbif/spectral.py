@@ -14,11 +14,17 @@ with lambda^2 alpha.  A candidate level is a frequency whose square q
 makes q * alpha a perfect square for some positive eigenvalue alpha;
 levels are identified by q, so coincident frequencies arising from
 different eigenvalues are a single level and every comparison is
-decidable.  One integer test per positive eigenvalue decides both the
-null modes and the modes below a level: with q = qn/qd and alpha =
-an/ad, `_modes` takes (t, r) = divmod(qn*an, qd*ad) and n = isqrt(t),
-so n^2 <= q alpha < (n + 1)^2, and mode n is null exactly when r == 0
-and n*n == t; no rational is formed.  The negative space is taken just
+decidable.  Ascending eigenvalue order names a level and orders its null
+modes: the null mode n of alpha at q has n^2 = q alpha, so n grows with
+alpha, and the smallest eigenvalue resonating at q gives the smallest
+mode.  That mode and eigenvalue are the level's (k, alpha), both when
+`lambda_set` walks the eigenvalues in ascending order and when
+`level_from_lambda_sq` resolves q, and `_null_modes` lists a level's
+null modes in the same order.  One integer test per positive eigenvalue
+decides both the null modes and the modes below a level: with q =
+qn/qd and alpha = an/ad, `_modes` takes (t, r) = divmod(qn*an, qd*ad)
+and n = isqrt(t), so n^2 <= q alpha < (n + 1)^2, and mode n is null
+exactly when r == 0 and n*n == t; no rational is formed.  The negative space is taken just
 below the level, over the modes 1 <= n' < n when n is null and 1 <= n'
 <= n when it is not, which are exactly those with n'^2 < q alpha; the
 null modes form the resonant space, whose characters are made
@@ -39,7 +45,7 @@ from fractions import Fraction
 
 from ._frozen import Frozen, _at_least
 from .euler import EulerElementS1
-from .rationals import as_fraction
+from .rationals import as_fraction, rational_to_json
 from .representations import S1Representation, T2Representation, _from_characters, _signed_speeds
 
 
@@ -160,22 +166,34 @@ class BifurcationLevel(Frozen):
         return f"BifurcationLevel(k={self.k}, alpha={self.alpha})"
 
 
+def _level_json(level: BifurcationLevel) -> dict:
+    # the JSON of a level, in the key order every payload prints
+    return {
+        "k": level.k,
+        "alpha": rational_to_json(level.alpha),
+        "lambda_sq": rational_to_json(level.lambda_sq),
+    }
+
+
 def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLevel]:
     """Candidate levels k / sqrt(alpha) for k = 1..max_k over the positive
-    eigenvalues, merged by frequency through the levels' hashes and
-    sorted ascending.  Each merged level keeps the representative with the
-    smallest k.  Raises ValueError when max_k times the number of positive
+    eigenvalues, sorted ascending by frequency.  The eigenvalues are walked
+    in ascending order, k ascending for each, and each frequency keeps the
+    first candidate met: that of the smallest eigenvalue resonating there,
+    so the one with the smallest k, the level `level_from_lambda_sq`
+    returns.  With no positive eigenvalue there is nothing to walk, at any
+    max_k.  Raises ValueError when max_k times the number of positive
     eigenvalues is over `_MAX_LEVELS`, before any level is built."""
     _at_least(max_k, "max_k", 1)
-    alphas = problem.positive_alphas()
+    alphas = sorted(problem.positive_alphas())
     if max_k * len(alphas) > _MAX_LEVELS:
         raise ValueError(
             f"max_k {max_k} over {len(alphas)} positive eigenvalue(s) asks for"
             f" {max_k * len(alphas)} levels, more than the limit of {_MAX_LEVELS}"
         )
     found: dict[BifurcationLevel, None] = {}
-    for k in range(1, max_k + 1):
-        for alpha in alphas:
+    for alpha in alphas:
+        for k in range(1, max_k + 1):
             found.setdefault(BifurcationLevel(k, alpha))
     return sorted(found, key=lambda lvl: lvl.lambda_sq)
 
@@ -193,28 +211,31 @@ def _modes(problem: CriticalPointProblem, q: Fraction) -> Iterator[tuple[Spectra
             yield datum, n, not r and n * n == t
 
 
-def _resonances(problem: CriticalPointProblem, q: Fraction) -> tuple[tuple[int, Fraction], ...]:
-    # All (mode, alpha) with mode^2 == q * alpha, mode >= 1, for q > 0.
-    return tuple(sorted((n, datum.alpha) for datum, n, null in _modes(problem, q) if null))
+def _null_modes(problem: CriticalPointProblem, q: Fraction) -> list[tuple[int, SpectralDatum]]:
+    # The null modes at q > 0 as (n, datum), n ascending.  The sort never
+    # compares two data: n^2 == q * alpha fixes alpha, so two eigenvalues
+    # never share a mode at one level.
+    return sorted((n, datum) for datum, n, null in _modes(problem, q) if null)
 
 
 def resonant_pairs(
     problem: CriticalPointProblem, level: BifurcationLevel
 ) -> tuple[tuple[int, Fraction], ...]:
     """All (mode, alpha) with mode^2 == lambda_sq * alpha, mode >= 1."""
-    return _resonances(problem, level.lambda_sq)
+    return tuple((n, datum.alpha) for n, datum in _null_modes(problem, level.lambda_sq))
 
 
 def level_from_lambda_sq(
     problem: CriticalPointProblem, value: int | str | Fraction
 ) -> BifurcationLevel:
-    """Resolve a squared frequency to a level of this problem."""
+    """Resolve a squared frequency to a level of this problem, named by its
+    smallest null mode."""
     q = as_fraction(value)
-    pairs = _resonances(problem, q) if q > 0 else ()
-    if not pairs:
+    modes = _null_modes(problem, q) if q > 0 else ()
+    if not modes:
         raise InvalidLevel(f"lambda_sq = {q} is not a candidate bifurcation level")
-    n, alpha = pairs[0]
-    return BifurcationLevel(n, alpha)
+    n, datum = modes[0]
+    return BifurcationLevel(n, datum.alpha)
 
 
 def _below_runs(
@@ -260,10 +281,10 @@ def resonant_space(
     Its characters (s, n) are canonical as they are made, so the trusted
     `_from_characters` takes them with no normalizing, merging or keyed
     sort: each has n >= 1, each mode n is null for one eigenvalue, whose
-    signed speeds s are distinct, and the modes come in ascending order,
-    so sorting each mode's speeds sorts the whole by (n, s).  The test
-    suite checks it against the public constructor."""
-    modes = sorted((n, d.isotypic) for d, n, null in _modes(problem, level.lambda_sq) if null)
+    signed speeds s are distinct, and `_null_modes` lists the modes in
+    ascending order, so sorting each mode's speeds sorts the whole by
+    (n, s).  The test suite checks it against the public constructor."""
+    modes = _null_modes(problem, level.lambda_sq)
     return _from_characters(
-        tuple(((s, n), k) for n, rep in modes for s, k in sorted(_signed_speeds(rep)) if k)
+        tuple(((s, n), k) for n, d in modes for s, k in sorted(_signed_speeds(d.isotypic)) if k)
     )

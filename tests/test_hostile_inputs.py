@@ -225,6 +225,19 @@ def test_unwritable_stderr_keeps_the_exit_and_stdout(tmp_path, name, stderr):
     assert (result.returncode, result.stdout) == (expected, writable.stdout)
 
 
+@pytest.mark.parametrize("command", ["levels", "classify"])
+def test_no_positive_eigenvalue_ends_at_once_at_any_max_k(tmp_path, command):
+    # with no positive eigenvalue there are no levels to walk, however
+    # large --max-k is
+    small = run_child(argv_for(tmp_path, NO_POSITIVE, [command, "--max-k", "1"]))
+    result = run_child(argv_for(tmp_path, NO_POSITIVE, [command, "--max-k", HUGE]), cpu_seconds=2)
+    assert (result.returncode, result.stderr) == (
+        0,
+        b"warning: no positive eigenvalue, the level set is empty\n",
+    )
+    assert result.stdout == small.stdout
+
+
 def test_example_writes_its_file_before_141_on_a_stdout_closed_at_start(tmp_path):
     out = tmp_path / "example.json"
     assert run_capped(["example", str(out)], close_stdout=True) == (141, "")

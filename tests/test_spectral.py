@@ -24,7 +24,7 @@ from torbif import (
     validate,
 )
 
-from torbif.spectral import _below_runs, _resonances
+from torbif.spectral import _below_runs
 
 from oracles import (
     below_runs_by_fractions,
@@ -107,6 +107,40 @@ def test_lambda_set_merges_coincident_levels():
     assert (merged.k, merged.alpha) == (1, Fraction(1))
     with pytest.raises(ValueError):
         lambda_set(prob, 0)
+
+
+@st.composite
+def coincident_problems(draw):
+    """Eigenvalues among alpha, 4 alpha, 9 alpha / 4, 9 alpha and 2 alpha,
+    whose frequencies k / sqrt(alpha) coincide in many ways, with zero
+    and negative ones, in a drawn order; and a small max_k."""
+    alpha = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    scales = (1, 4, Fraction(9, 4), 9, 2, 0, -1)
+    chosen = draw(st.lists(st.sampled_from(scales), min_size=1, max_size=len(scales), unique=True))
+    reps = st.sampled_from(
+        (
+            S1Representation(trivial=1),
+            S1Representation(rotating={2: 1}),
+            S1Representation(trivial=2, rotating={1: 1, 3: 2}),
+        )
+    )
+    spectra = [SpectralDatum(scale * alpha, draw(reps)) for scale in chosen]
+    problem = CriticalPointProblem(spectra=spectra, deg_s1=EulerElementS1.identity())
+    return problem, draw(st.integers(1, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coincident_problems())
+def test_each_level_is_named_by_its_smallest_null_mode(case):
+    # lambda_set and level_from_lambda_sq give a level the same (k, alpha),
+    # and resonant_pairs lists the modes of resonant_space, ascending
+    problem, max_k = case
+    for level in lambda_set(problem, max_k):
+        named = level_from_lambda_sq(problem, level.lambda_sq)
+        assert (level.k, level.alpha) == (named.k, named.alpha)
+        modes = [n for n, _ in resonant_pairs(problem, level)]
+        assert modes[0] == level.k
+        assert modes == sorted({n for (_, n), _ in resonant_space(problem, level).characters})
 
 
 def test_lambda_set_empty_without_positive_eigenvalue():
@@ -323,7 +357,7 @@ def test_level_arithmetic_matches_fraction_oracles(case):
     problem, q = case
     level = BifurcationLevel(1, 1 / q)
     assert level.lambda_sq == q
-    assert _resonances(problem, q) == resonances_by_fractions(problem, q)
+    assert resonant_pairs(problem, level) == resonances_by_fractions(problem, q)
     assert _below_runs(problem, level) == below_runs_by_fractions(problem, level)
 
 
@@ -342,6 +376,6 @@ def test_level_arithmetic_at_and_next_to_a_square():
         (r * r + Fraction(1, 10**40), r, ()),
         (r * r + 1, r, ()),
     ):
-        q = target / alpha
-        assert _resonances(problem, q) == resonant
-        assert _below_runs(problem, BifurcationLevel(1, 1 / q)) == [(0, 1, modes + 1, 1)]
+        level = BifurcationLevel(1, alpha / target)
+        assert resonant_pairs(problem, level) == resonant
+        assert _below_runs(problem, level) == [(0, 1, modes + 1, 1)]
