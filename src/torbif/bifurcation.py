@@ -28,7 +28,7 @@ same at every level.  The index is never zero, and since phi and phi_i
 are additive, no nonempty subset of a valid problem's level indices sums
 to zero either.
 
-`build_report` forms the index once per level in closed form.  The
+A report forms the index once per level in closed form.  The
 degree of minus-identity on a representation is sign * (T - B1 + B1 *
 B1 / 2), with B1 the sum of k*H over its characters of multiplicity k, by
 the grading (see `representations`); on the null modes the sign is +1.
@@ -41,25 +41,31 @@ product collapses to
     n0 * (deg - T) + deg_1 * (D1 - n0 * B1b)
         = n0 * (-B1r + B1r * B1r / 2 + B1r * B1b) - D1 * B1r,
 
-and `build_report` checks phi or phi_i of it at run time, which also shows
-it nonzero.  The product deg_1 * (D1 - n0 * B1b) is one loop of line
+and each report checks phi or phi_i of it at run time, which also shows
+it nonzero.  `_reports` forms the reports of a problem's ascending
+levels in one walk (`spectral._Walk`): the classification, the runs of
+D1 and the eigenvalues' speeds are made once per problem, and each level
+reads only its own null modes; `build_report` is that walk over one
+level.  The product deg_1 * (D1 - n0 * B1b) is one loop of line
 products over runs of characters of one weight: each H(i,0) of D1 is the
-run of (i, 0) at n = 0, and below the level `spectral._below_runs` names
+run of (i, 0) at n = 0, and below the level `spectral._Walk.runs` names
 the runs of characters (s, n), lo <= n < hi, with no representation and
 no subgroup built for that space; each character below the level lies in
 one run, so it meets each null character once.  Against a null character
-(a, b), det = a*n - b*s vanishes for every n when a == s == 0, so that
-run is skipped in O(1), and otherwise for at most one n, where no term
-is made.  So the runs are split once per level into all runs and the
-runs of speed s != 0, each group with its span and its top hi: a null
-character with a != 0 meets the first group, one with a == 0 the
-second.  A null character's b is its mode, so the loop takes the
-extended gcd of (b, n) once per mode and n, in a table built only as far
-as the top of the group a null character meets.  Then
-`euler._line_products` makes that character's products with the whole
-group, run by run, with no call per product.  Every term goes into one
-dict keyed by term keys, and the index is built from it once.  The full
-three-factor product is kept as an oracle in the test suite.
+(a, b), det = a*n - b*s vanishes for every n when a == s == 0, and
+otherwise for at most one n, where no term is made.  So the runs of
+speed 0 below the level are built only when a null character has a !=
+0, and the runs are split into all runs and those of speed s != 0, each
+group with its span and its top hi: a null character with a != 0 meets
+the first group, one with a == 0 the second.  When n0 == 0 both groups
+are the runs of D1, made once per problem.  A null character's b is its
+mode, so the loop takes the extended gcd of (b, n) once per mode and n,
+in a table built per level only as far as the top of the group a null
+character meets.  Then `euler._line_products` makes that character's
+products with the whole group, run by run, with no call per product.
+Every term goes into one dict keyed by term keys, and the index is built
+from it once.  The full three-factor product is kept as an oracle in the
+test suite.
 
 The classification upgrades a nonzero index to a non-compactness
 guarantee when the critical point is unique: "c1" when n0 != 0, "c2"
@@ -80,7 +86,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ._frozen import Frozen
 from .euler import (
@@ -98,9 +104,8 @@ from .spectral import (
     CriticalPointProblem,
     InvalidLevel,
     SpectralDatum,
-    _below_runs,
     _level_json,
-    resonant_space,
+    _Walk,
     validate,
 )
 from .subgroups import _xgcd
@@ -177,88 +182,112 @@ def certify_nontrivial(
 
 
 def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> BifurcationReport:
-    """Assemble the full per-level report in one pass.
+    """Assemble the full report of one level: the walk of `_reports` over
+    that level alone."""
+    return next(_reports(problem, [level]))
+
+
+def _groups(d1: list, below: list) -> dict[bool, tuple[list, int, int]]:
+    # The runs a null character (a, b) meets, with their span and their
+    # top hi, keyed by a == 0: every run of D1 and below the level but,
+    # when a == 0, those of speed 0 below it, which are parallel to it.
+    return {
+        a_zero: (met, sum(hi - lo for _, lo, hi, _ in met), max((hi for _, _, hi, _ in met), default=0))
+        for a_zero, met in ((False, d1 + below), (True, d1 + [run for run in below if run[0]]))
+    }
+
+
+def _reports(
+    problem: CriticalPointProblem, levels: Sequence[BifurcationLevel]
+) -> Iterator[BifurcationReport]:
+    """The reports of distinct levels in ascending order, in one walk.
 
     The index is n0 * (deg - T) + deg_1 * (D1 - n0 * B1b), the closed form
     of the module docstring, with deg_1 times the runs of D1 - n0 * B1b in
-    one loop, run by run.  The space below the level enters only when
-    n0 != 0, and then only through its runs: its full degree would square
-    a sum whose length grows with k, and a run parallel to a null
-    character costs O(1).  When the c null characters need more than
-    `euler._MAX_LINE_PRODUCTS` line products, c * (c - 1) / 2 in their
-    degree, one per unordered pair, or the sum over the runs they meet in
-    the loop, `euler._check_line_products` raises ValueError before any
-    is made.  Its phi or phi_i must be -n0 or -c_i times the null-mode
-    multiplicity.  The classification is the problem-wide one;
-    the sum-obstruction upgrade needs the indices of all levels and is
-    made by the caller that has them.  A resonant level shows a positive
-    eigenvalue, so only the degree is read here: `validate` runs only at
-    the API edge, in `classify_noncompact`, `certify_nontrivial` and `cli`.
+    one loop, run by run.  The space below a level enters only when
+    n0 != 0, and then only through the runs its null characters meet: its
+    full degree would square a sum whose length grows with k, and a run
+    parallel to every null character is never built.  When the c null
+    characters need more than `euler._MAX_LINE_PRODUCTS` line products,
+    c * (c - 1) / 2 in their degree, one per unordered pair, or the sum
+    over the runs they meet in the loop, `euler._check_line_products`
+    raises ValueError before any is made.  Its phi or phi_i must be -n0 or
+    -c_i times the null-mode multiplicity.  The classification is the
+    problem-wide one, made once; the sum-obstruction upgrade needs the
+    indices of all levels and is made by the caller that has them.  A
+    resonant level shows a positive eigenvalue, so only the degree is read
+    here: `validate` runs only at the API edge, in `classify_noncompact`,
+    `certify_nontrivial` and `cli`.
     """
-    resonant = resonant_space(problem, level)
-    if not resonant:
-        raise InvalidLevel(
-            f"lambda_sq = {level.lambda_sq} resonates with no positive eigenvalue"
-        )
-    if not problem.deg_s1:
-        return BifurcationReport(
-            level=level,
-            index=EulerElementT2.zero(),
-            nontrivial=False,
-            certificate=None,
-            classification=Classification.NOT_APPLICABLE,
-        )
-    chars = len(resonant.characters)
-    _check_line_products(
-        chars * (chars - 1) // 2,
-        f"the degree on the null modes at lambda_sq = {level.lambda_sq}",
-        f" for {chars} characters",
-    )
-    n0 = problem.deg_s1.fixed
-    # D1 as runs at n = 0, then the runs below the level, weighted by -n0
-    runs = [(i, 0, 1, c) for i, c in problem.deg_s1.finite]
-    if n0:
-        runs += [(s, lo, hi, -n0 * k) for s, lo, hi, k in _below_runs(problem, level)]
-    # a null character (a, b) meets every run but, when a == 0, the runs of
-    # speed 0 below the level, which are parallel to it and skipped; so the
-    # runs it meets, their span and their top hi are keyed by a == 0
-    groups = {
-        a_zero: (met, sum(hi - lo for _, lo, hi, _ in met), max((hi for _, _, hi, _ in met), default=0))
-        for a_zero, met in ((False, runs), (True, [run for run in runs if run[0]]))
-    }
-    _check_line_products(
-        sum(groups[null[0] == 0][1] for null, _ in resonant.characters),
-        f"the index at lambda_sq = {level.lambda_sq}",
-    )
-    deg = deg_minus_id_t2(resonant)
-    acc = {key: n0 * c for key, c in deg._terms}
-    acc[(0,)] = acc.get((0,), 0) - n0
-    # _xgcd(b, n) once per null mode b and n, as far as the runs met reach
-    gcds: dict[int, list[tuple[int, int, int]]] = {}
-    for key, c in deg._terms:
-        if key[0] != 1:
+    walk = _Walk(problem)
+    deg_s1 = problem.deg_s1
+    n0 = deg_s1.fixed
+    classification = _classification(problem)
+    # D1 as runs at n = 0, of speeds i >= 1, met by every null character
+    d1 = [(i, 0, 1, c) for i, c in deg_s1.finite]
+    rotating = [s for s in walk.by_speed if s] if n0 else []
+    groups = _groups(d1, [])
+    found, first = walk.null_modes([lvl.lambda_sq for lvl in levels])
+    for p, (level, modes) in enumerate(zip(levels, found)):
+        if not modes:
+            raise InvalidLevel(
+                f"lambda_sq = {level.lambda_sq} resonates with no positive eigenvalue"
+            )
+        if not deg_s1:
+            yield BifurcationReport(
+                level=level,
+                index=EulerElementT2.zero(),
+                nontrivial=False,
+                certificate=None,
+                classification=Classification.NOT_APPLICABLE,
+            )
             continue
-        _, a, b = key
-        met, _, top = groups[a == 0]
-        g = gcds.setdefault(b, [])
-        g.extend(_xgcd(b, n) for n in range(len(g), top))
-        _line_products(acc, a, b, c, met, g)
-    if n0:
-        certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
-        phi = sum(c for key, c in acc.items() if key[0] == 1)
-    else:
-        certificate = Certificate.SAME_SIGN
-        i, coeff = problem.deg_s1.finite[0]
-        phi = sum(c for key, c in acc.items() if key[:2] == (2, i))
-    if phi != -coeff * sum(k for _, k in resonant.characters):
-        raise RuntimeError("certificate path disagrees with direct evaluation")
-    return BifurcationReport(
-        level=level,
-        index=_from_keys(acc),
-        nontrivial=True,
-        certificate=certificate,
-        classification=_classification(problem),
-    )
+        resonant = walk.resonant(modes)
+        chars = len(resonant.characters)
+        _check_line_products(
+            chars * (chars - 1) // 2,
+            f"the degree on the null modes at lambda_sq = {level.lambda_sq}",
+            f" for {chars} characters",
+        )
+        if n0:
+            # the runs of speed 0 are built only for a null character with
+            # a != 0, the one kind that meets them
+            speeds = walk.by_speed if any(a for (a, _), _ in resonant.characters) else rotating
+            runs = walk.runs(level.lambda_sq, speeds, first if p == 0 else {})
+            groups = _groups(d1, [(s, lo, hi, -n0 * k) for s, lo, hi, k in runs])
+        _check_line_products(
+            sum(groups[null[0] == 0][1] for null, _ in resonant.characters),
+            f"the index at lambda_sq = {level.lambda_sq}",
+        )
+        deg = deg_minus_id_t2(resonant)
+        acc = {key: n0 * c for key, c in deg._terms}
+        acc[(0,)] = acc.get((0,), 0) - n0
+        # _xgcd(b, n) once per null mode b and n, as far as the runs met reach
+        gcds: dict[int, list[tuple[int, int, int]]] = {}
+        for key, c in deg._terms:
+            if key[0] != 1:
+                continue
+            _, a, b = key
+            met, _, top = groups[a == 0]
+            g = gcds.setdefault(b, [])
+            g.extend(_xgcd(b, n) for n in range(len(g), top))
+            _line_products(acc, a, b, c, met, g)
+        if n0:
+            certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
+            phi = sum(c for key, c in acc.items() if key[0] == 1)
+        else:
+            certificate = Certificate.SAME_SIGN
+            i, coeff = deg_s1.finite[0]
+            phi = sum(c for key, c in acc.items() if key[:2] == (2, i))
+        if phi != -coeff * sum(k for _, k in resonant.characters):
+            raise RuntimeError("certificate path disagrees with direct evaluation")
+        yield BifurcationReport(
+            level=level,
+            index=_from_keys(acc),
+            nontrivial=True,
+            certificate=certificate,
+            classification=classification,
+        )
 
 
 def classify_noncompact(problem: CriticalPointProblem) -> Classification:

@@ -44,12 +44,14 @@ from __future__ import annotations
 import json
 import os
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, NoReturn, Optional, Sequence
 
 from .bifurcation import (
     BifurcationReport,
     Classification,
+    _reports,
     any_zero_sum_subset,
     build_report,
     classify_noncompact,
@@ -64,9 +66,9 @@ from .spectral import (
     CriticalPointProblem,
     InvalidLevel,
     _level_json,
+    _resonances,
     lambda_set,
     level_from_lambda_sq,
-    resonant_pairs,
     validate,
 )
 
@@ -90,12 +92,10 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _level_payload(problem: CriticalPointProblem, level: BifurcationLevel) -> dict:
+def _level_payload(level: BifurcationLevel, pairs: tuple[tuple[int, Fraction], ...]) -> dict:
     return dict(
         _level_json(level),
-        resonances=[
-            {"n": n, "alpha": rational_to_json(alpha)} for n, alpha in resonant_pairs(problem, level)
-        ],
+        resonances=[{"n": n, "alpha": rational_to_json(alpha)} for n, alpha in pairs],
     )
 
 
@@ -106,15 +106,14 @@ def _level_text(level: BifurcationLevel) -> str:
 def _cmd_levels(args: SimpleNamespace) -> int:
     problem = load_problem(args.problem)
     levels = lambda_set(problem, args.max_k)
+    resonances = zip(levels, _resonances(problem, levels))
     if args.json:
-        _emit_json({"levels": [_level_payload(problem, lvl) for lvl in levels]})
+        _emit_json({"levels": [_level_payload(lvl, pairs) for lvl, pairs in resonances]})
     else:
         if not levels:
             _stderr("warning: no positive eigenvalue, the level set is empty")
-        for lvl in levels:
-            res = ", ".join(
-                f"(n={n}, alpha={alpha})" for n, alpha in resonant_pairs(problem, lvl)
-            )
+        for lvl, pairs in resonances:
+            res = ", ".join(f"(n={n}, alpha={alpha})" for n, alpha in pairs)
             print(f"{_level_text(lvl)} resonances: {res}")
     return 0
 
@@ -162,7 +161,7 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     problem = load_problem(args.problem)
     levels = lambda_set(problem, args.max_k)
     headline = classify_noncompact(problem)
-    reports = [build_report(problem, lvl) for lvl in levels]
+    reports = list(_reports(problem, levels))
     upgrade = None
     if not validate(problem).ok:
         skipped = "skipped (assumptions not satisfied)"

@@ -12,7 +12,7 @@ merge like keys (through `_frozen._merged`), drop zeros and sort, so
 callers pass raw (key, multiplicity) pairs; the two types share their
 dimension and direct sum.  `_from_characters` skips all of that for a caller
 whose characters are canonical by construction, as `euler._from_keys`
-does for ring elements: `spectral.resonant_space` alone uses it.
+does for ring elements: `spectral._Walk.resonant` alone uses it.
 
 `loop_decompose` passes from a circle representation to the torus
 representation of its space of Fourier modes: the extra circle rotates the

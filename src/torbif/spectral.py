@@ -19,34 +19,48 @@ modes: the null mode n of alpha at q has n^2 = q alpha, so n grows with
 alpha, and the smallest eigenvalue resonating at q gives the smallest
 mode.  That mode and eigenvalue are the level's (k, alpha), both when
 `lambda_set` walks the eigenvalues in ascending order and when
-`level_from_lambda_sq` resolves q, and `_null_modes` lists a level's
-null modes in the same order.  One integer test per positive eigenvalue
-decides both the null modes and the modes below a level: with q =
-qn/qd and alpha = an/ad, `_modes` takes (t, r) = divmod(qn*an, qd*ad)
-and n = isqrt(t), so n^2 <= q alpha < (n + 1)^2, and mode n is null
-exactly when r == 0 and n*n == t; no rational is formed.  The negative space is taken just
-below the level, over the modes 1 <= n' < n when n is null and 1 <= n'
-<= n when it is not, which are exactly those with n'^2 < q alpha; the
-null modes form the resonant space, whose characters are made
-canonical, in order, and handed to the trusted representation
-constructor as one tuple over all its modes.  Below the level the
-characters come in runs: for one signed speed s (0 for the trivial
-part) the characters (s, n) over every eigenvalue merge into runs lo <=
-n < hi of one multiplicity, so `_below_runs` names each run in O(1) and
-only `negative_space` lists its characters.  This module alone decides
-which characters lie below a level.
+`level_from_lambda_sq` resolves q.
+
+`_Walk` holds what the levels of a problem share, built once: the
+positive eigenvalues in ascending order, the signed speeds of each
+eigenspace, sorted, and, when runs below a level are needed, the
+eigenspaces of each signed speed.  Its walk over ascending levels visits
+each eigenvalue once, at the first level q: with q = qn/qd and alpha =
+an/ad it takes (t, r) = divmod(qn*an, qd*ad) and n = isqrt(t), so n^2
+<= q alpha < (n + 1)^2 and mode n is null exactly when r == 0 and n*n
+== t; no rational is formed.  Then it steps through the later modes of
+alpha up to the last level, looking each n^2 / alpha up among the
+levels, so the null modes of every level come out in one pass, n
+ascending, and a level costs its null modes, not a scan of the
+spectrum; the walk over one level is the same test, once per
+eigenvalue.  The negative space is taken just below a level, over the
+modes 1 <= n' < n when n is null and 1 <= n' <= n when it is not, which
+are exactly those with n'^2 < q alpha; the null modes form the resonant
+space, whose characters are made canonical, in order, and handed to the
+trusted representation constructor as one tuple over all its modes.
+Below the level the characters come in runs: for one signed speed s (0
+for the trivial part) the characters (s, n) over every eigenvalue merge
+into runs lo <= n < hi of one multiplicity, so `_Walk.runs` names each
+run in O(1), for the speeds asked for only, and only `negative_space`
+lists the characters.  The counts of modes below a level that the runs
+need are known at the first level and taken with one isqrt per
+eigenvalue at a later one.  `resonant_pairs`, `level_from_lambda_sq`,
+`resonant_space` and `negative_space` are the walk over one level.
+This module alone decides which characters lie below a level.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
+from functools import cached_property
+from operator import attrgetter
 
 from ._frozen import Frozen, _at_least
 from .euler import EulerElementS1
 from .rationals import as_fraction, rational_to_json
-from .representations import S1Representation, T2Representation, _from_characters, _signed_speeds
+from .representations import S1Representation, T2Representation, _from_characters
 
 
 # The most candidate levels `lambda_set` will enumerate (max_k times the
@@ -198,31 +212,118 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
     return sorted(found, key=lambda lvl: lvl.lambda_sq)
 
 
-def _modes(problem: CriticalPointProblem, q: Fraction) -> Iterator[tuple[SpectralDatum, int, bool]]:
-    # (datum, n, null) over the positive eigenvalues alpha, for q > 0:
-    # n = isqrt(floor(q * alpha)), and whether n^2 == q * alpha, decided in
-    # integers (see the module docstring).
-    qn, qd = q.numerator, q.denominator
-    for datum in problem.spectra:
-        an, ad = datum.alpha.numerator, datum.alpha.denominator
-        if an > 0:
-            t, r = divmod(qn * an, qd * ad)
-            n = math.isqrt(t)
-            yield datum, n, not r and n * n == t
+class _Walk:
+    """The facts of a problem that all its levels share, and the ascending
+    walk over its levels (see the module docstring).
+
+    `data` holds the positive eigenvalues in ascending order, `alphas`
+    their (numerator, denominator) and `speeds[j]` the signed speeds of
+    data[j]; `by_speed`, built when the runs below a level are first
+    asked for, lists the eigenspaces of each signed speed as (j, k), j
+    ascending."""
+
+    def __init__(self, problem: CriticalPointProblem) -> None:
+        self.data = [d for d in problem.spectra if d.alpha.numerator > 0]
+        self.data.sort(key=attrgetter("alpha"))
+        self.alphas: list[tuple[int, int]] = []
+        self.speeds: list[list[tuple[int, int]]] = []
+        for d in self.data:
+            self.alphas.append((d.alpha.numerator, d.alpha.denominator))
+            # the signed speeds on a positive mode, ascending: -m, 0 for
+            # the trivial part, m
+            rep = d.isotypic
+            speeds = [(-m, k) for m, k in reversed(rep.rotating)]
+            if rep.trivial:
+                speeds.append((0, rep.trivial))
+            self.speeds.append(speeds + list(rep.rotating))
+
+    @cached_property
+    def by_speed(self) -> dict[int, list[tuple[int, int]]]:
+        by_speed: dict[int, list[tuple[int, int]]] = {}
+        for j, speeds in enumerate(self.speeds):
+            for s, k in speeds:
+                by_speed.setdefault(s, []).append((j, k))
+        return by_speed
+
+    def null_modes(self, qs: Sequence[Fraction]) -> tuple[list[list[tuple[int, int]]], dict[int, int]]:
+        """The walk over distinct positive squared frequencies `qs` in
+        ascending order: the null modes at each as (n, j), n ascending, and
+        the counts of modes below the first, which `runs` reads."""
+        found: list[list[tuple[int, int]]] = [[] for _ in qs]
+        first: dict[int, int] = {}
+        if not qs:
+            return found, first
+        isqrt, gcd = math.isqrt, math.gcd
+        # a single level has no later modes to look up
+        at = {(q.numerator, q.denominator): p for p, q in enumerate(qs)} if len(qs) > 1 else {}
+        fn, fd, ln, ld = qs[0].numerator, qs[0].denominator, qs[-1].numerator, qs[-1].denominator
+        for j, (an, ad) in enumerate(self.alphas):
+            t, r = divmod(fn * an, fd * ad)
+            n = isqrt(t)
+            if not r and n * n == t:
+                found[0].append((n, j))
+                first[j] = n - 1
+            else:
+                first[j] = n
+            # the later modes of alpha up to the last level, each looked up
+            # at n^2 / alpha = n^2 ad / an in lowest terms
+            n, top, scale = n + 1, ln * an, ld * ad
+            while n * n * scale <= top:
+                g = gcd(n * n, an)
+                p = at.get((n * n * ad // g, an // g))
+                if p is not None:
+                    found[p].append((n, j))
+                n += 1
+        return found, first
+
+    def resonant(self, modes: list[tuple[int, int]]) -> T2Representation:
+        """The representation on the null modes (n, j).  Its characters
+        (s, n) are canonical as they are made, so the trusted
+        `_from_characters` takes them with no normalizing, merging or
+        keyed sort: each has n >= 1, each mode n is null for one
+        eigenvalue, whose signed speeds are distinct and sorted, and the
+        modes come in ascending order, so the whole is sorted by (n, s)."""
+        return _from_characters(tuple(((s, n), k) for n, j in modes for s, k in self.speeds[j]))
+
+    def runs(self, q: Fraction, speeds: Iterable[int], counts: dict[int, int]) -> list[tuple[int, int, int, int]]:
+        """The characters below q of the signed speeds `speeds` (0 for the
+        trivial part) as runs (s, lo, hi, k): the characters (s, n), lo <=
+        n < hi, each of total multiplicity k.  Eigenvalue j has
+        isqrt(ceil(q * alpha) - 1) modes below q, kept in `counts`; the
+        counts ascend with alpha, so those of one speed cut its modes into
+        runs in order, each character in exactly one."""
+        qn, qd = q.numerator, q.denominator
+        isqrt = math.isqrt
+        runs = []
+        for s in speeds:
+            members = self.by_speed[s]
+            lo, weight = 1, sum(k for _, k in members)
+            for j, k in members:
+                count = counts.get(j)
+                if count is None:
+                    an, ad = self.alphas[j]
+                    count = counts[j] = isqrt((qn * an - 1) // (qd * ad))
+                if count >= lo:
+                    runs.append((s, lo, count + 1, weight))
+                    lo = count + 1
+                weight -= k
+        return runs
 
 
-def _null_modes(problem: CriticalPointProblem, q: Fraction) -> list[tuple[int, SpectralDatum]]:
-    # The null modes at q > 0 as (n, datum), n ascending.  The sort never
-    # compares two data: n^2 == q * alpha fixes alpha, so two eigenvalues
-    # never share a mode at one level.
-    return sorted((n, datum) for datum, n, null in _modes(problem, q) if null)
+def _resonances(
+    problem: CriticalPointProblem, levels: Sequence[BifurcationLevel]
+) -> Iterator[tuple[tuple[int, Fraction], ...]]:
+    # (mode, alpha) of each null mode at each of the ascending levels
+    walk = _Walk(problem)
+    for modes in walk.null_modes([lvl.lambda_sq for lvl in levels])[0]:
+        yield tuple((n, walk.data[j].alpha) for n, j in modes)
 
 
 def resonant_pairs(
     problem: CriticalPointProblem, level: BifurcationLevel
 ) -> tuple[tuple[int, Fraction], ...]:
     """All (mode, alpha) with mode^2 == lambda_sq * alpha, mode >= 1."""
-    return tuple((n, datum.alpha) for n, datum in _null_modes(problem, level.lambda_sq))
+    return next(_resonances(problem, [level]))
 
 
 def level_from_lambda_sq(
@@ -231,60 +332,27 @@ def level_from_lambda_sq(
     """Resolve a squared frequency to a level of this problem, named by its
     smallest null mode."""
     q = as_fraction(value)
-    modes = _null_modes(problem, q) if q > 0 else ()
+    walk = _Walk(problem)
+    modes = walk.null_modes([q])[0][0] if q > 0 else ()
     if not modes:
         raise InvalidLevel(f"lambda_sq = {q} is not a candidate bifurcation level")
-    n, datum = modes[0]
-    return BifurcationLevel(n, datum.alpha)
-
-
-def _below_runs(
-    problem: CriticalPointProblem, level: BifurcationLevel
-) -> list[tuple[int, int, int, int]]:
-    """The characters below the level as runs (s, lo, hi, k): the
-    characters (s, n), lo <= n < hi, each of total multiplicity k, with s
-    a signed rotation speed, or 0 for the trivial part.  Over alpha, with
-    the mode n of `_modes`, the modes below the level are 1, ..., n - 1
-    when n is null and 1, ..., n when it is not; the eigenspaces with a
-    speed s share their first modes, so they are merged and each
-    character lies in exactly one run."""
-    by_speed: dict[int, list[tuple[int, int]]] = {}
-    for datum, n, null in _modes(problem, level.lambda_sq):
-        for s, k in _signed_speeds(datum.isotypic):
-            if k:
-                by_speed.setdefault(s, []).append((n - 1 if null else n, k))
-    runs = []
-    for s, modes in by_speed.items():
-        lo, weight = 1, sum(k for _, k in modes)
-        for count, k in sorted(modes):
-            if count >= lo:
-                runs.append((s, lo, count + 1, weight))
-                lo = count + 1
-            weight -= k
-    return runs
+    n, j = modes[0]
+    return BifurcationLevel(n, walk.data[j].alpha)
 
 
 def negative_space(problem: CriticalPointProblem, level: BifurcationLevel) -> T2Representation:
     """Direct sum of the strictly negative Fourier modes of the second
     variation at the level: the modes n >= 1 with n^2 < lambda_sq * alpha."""
-    return T2Representation(
-        0,
-        [((s, n), k) for s, lo, hi, k in _below_runs(problem, level) for n in range(lo, hi)],
-    )
+    walk = _Walk(problem)
+    runs = walk.runs(level.lambda_sq, walk.by_speed, walk.null_modes([level.lambda_sq])[1])
+    return T2Representation(0, [((s, n), k) for s, lo, hi, k in runs for n in range(lo, hi)])
 
 
 def resonant_space(
     problem: CriticalPointProblem, level: BifurcationLevel
 ) -> T2Representation:
-    """Direct sum of the null Fourier modes of the second variation at the level.
-
-    Its characters (s, n) are canonical as they are made, so the trusted
-    `_from_characters` takes them with no normalizing, merging or keyed
-    sort: each has n >= 1, each mode n is null for one eigenvalue, whose
-    signed speeds s are distinct, and `_null_modes` lists the modes in
-    ascending order, so sorting each mode's speeds sorts the whole by
-    (n, s).  The test suite checks it against the public constructor."""
-    modes = _null_modes(problem, level.lambda_sq)
-    return _from_characters(
-        tuple(((s, n), k) for n, d in modes for s, k in sorted(_signed_speeds(d.isotypic)) if k)
-    )
+    """Direct sum of the null Fourier modes of the second variation at the
+    level, built canonical by the walk (see `_Walk.resonant`); the test
+    suite checks it against the public constructor."""
+    walk = _Walk(problem)
+    return walk.resonant(walk.null_modes([level.lambda_sq])[0][0])

@@ -60,6 +60,7 @@ from torbif.cli import _cmd_classify, _cmd_example, _cmd_index, _cmd_levels, _cm
 from torbif.euler import _check_coeff
 from torbif.problem_io import ProblemFormatError
 from torbif.rationals import _MAX_DIGITS, as_fraction
+from torbif.spectral import _Walk
 from torbif.subgroups import _check_int
 
 ALPHA_POOL = (
@@ -401,6 +402,51 @@ def below_runs_by_fractions(problem: CriticalPointProblem, level: BifurcationLev
                 lo = count + 1
             weight -= k
     return runs
+
+
+def modes_by_scan(problem: CriticalPointProblem, q: Fraction):
+    """(datum, n, null) over the positive eigenvalues alpha, for q > 0, in
+    the problem's order: n = isqrt(floor(q * alpha)), and whether n^2 ==
+    q * alpha, decided in integers by one divmod and isqrt per eigenvalue
+    and level, as the package once scanned the spectrum at every level."""
+    qn, qd = q.numerator, q.denominator
+    for datum in problem.spectra:
+        an, ad = datum.alpha.numerator, datum.alpha.denominator
+        if an > 0:
+            t, r = divmod(qn * an, qd * ad)
+            n = math.isqrt(t)
+            yield datum, n, not r and n * n == t
+
+
+def below_runs_by_scan(problem: CriticalPointProblem, level: BifurcationLevel):
+    """The runs (s, lo, hi, k) below the level of every signed speed, from
+    one scan of the spectrum with `modes_by_scan`: over alpha the modes
+    below the level are 1, ..., n - 1 when n is null and 1, ..., n when
+    it is not, and the eigenspaces sharing a speed are merged."""
+    by_speed = {}
+    for datum, n, null in modes_by_scan(problem, level.lambda_sq):
+        for s, k in [(0, datum.isotypic.trivial)] + [
+            (sign * m, k) for m, k in datum.isotypic.rotating for sign in (1, -1)
+        ]:
+            if k:
+                by_speed.setdefault(s, []).append((n - 1 if null else n, k))
+    runs = []
+    for s, modes in by_speed.items():
+        lo, weight = 1, sum(k for _, k in modes)
+        for count, k in sorted(modes):
+            if count >= lo:
+                runs.append((s, lo, count + 1, weight))
+                lo = count + 1
+            weight -= k
+    return runs
+
+
+def walk_runs(problem: CriticalPointProblem, level: BifurcationLevel, speeds=None):
+    """The runs that the package's walk builds below one level for the
+    signed speeds `speeds`, every speed when None."""
+    walk = _Walk(problem)
+    counts = walk.null_modes([level.lambda_sq])[1]
+    return walk.runs(level.lambda_sq, walk.by_speed if speeds is None else speeds, counts)
 
 
 def zero_sum_first_witness(base, pool, table, need_pick):

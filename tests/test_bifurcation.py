@@ -33,18 +33,24 @@ from torbif import (
     example_problem,
     exists_zero_sum_subset,
     lambda_set,
+    resonant_pairs,
     resonant_space,
     write_problem,
 )
+from torbif.bifurcation import _reports
 from torbif.cli import main
+from torbif.spectral import _resonances, _Walk
 
 from oracles import (
+    below_runs_by_fractions,
     bif_index_expanded,
     bif_index_two_sided,
     classify_output_rebuilding_reports,
     one_signed_functional,
     random_element,
     random_problem,
+    resonances_by_fractions,
+    walk_runs,
     zero_sum_first_witness,
 )
 
@@ -184,7 +190,7 @@ def test_classify_searches_once_without_witness(tmp_path, capsys, monkeypatch):
     # search, and each level's resonant factor is formed once
     prob = axis_family_problem(finite={1: 1, 2: -1})
     anchored = count_calls(monkeypatch, "exists_zero_sum_subset", [torbif.bifurcation])
-    resonant = count_calls(monkeypatch, "resonant_space", [torbif.bifurcation])
+    resonant = count_calls(monkeypatch, "resonant", [_Walk])
     payload = classify_reports(prob, tmp_path, capsys)
     assert payload["zero_sum_subset"] == {"exists": False, "witness": None}
     assert all(
@@ -192,7 +198,12 @@ def test_classify_searches_once_without_witness(tmp_path, capsys, monkeypatch):
         for r in payload["reports"]
     )
     assert anchored == []
-    assert [args[1] for args in resonant] == lambda_set(prob, 4)
+    # the walk forms the null modes' representation once per level, at
+    # each level's null modes
+    pairs = [resonant_pairs(prob, level) for level in lambda_set(prob, 4)]
+    assert [[(n, args[0].data[j].alpha) for n, j in args[1]] for args in resonant] == [
+        list(p) for p in pairs
+    ]
 
 
 def test_validate_runs_once_per_level(tmp_path, capsys, monkeypatch):
@@ -215,15 +226,15 @@ def test_classify_witness_branch(tmp_path, capsys, monkeypatch):
     levels = lambda_set(prob, 4)
     x = gen((1, 0), (0, 2)) - 3 * I
     table = dict(zip(levels, (x, -1 * x, x, gen((1, 1)))))
-    original = torbif.cli.build_report
+    original = torbif.cli._reports
 
-    def injected(problem, level):
-        report = original(problem, level)
-        return BifurcationReport(
-            level, table[level], report.nontrivial, report.certificate, report.classification
-        )
+    def injected(problem, levels):
+        for report in original(problem, levels):
+            yield BifurcationReport(
+                report.level, table[report.level], report.nontrivial, report.certificate, report.classification
+            )
 
-    monkeypatch.setattr(torbif.cli, "build_report", injected)
+    monkeypatch.setattr(torbif.cli, "_reports", injected)
     path = tmp_path / "problem.json"
     write_problem(prob, path)
     for extra in ([], ["--json"]):
@@ -429,7 +440,7 @@ def test_full_orbit_index_with_one_parallel_mode_below():
     )
     level = BifurcationLevel(4, 1)
     assert resonant_space(problem, level).characters == (((-2, 4), 1), ((2, 4), 1))
-    runs = torbif.spectral._below_runs(problem, level)
+    runs = walk_runs(problem, level)
     assert (1, 1, 6, 2) in runs
     assert (-1, 1, 6, 2) in runs
     assert build_report(problem, level).index == bif_index_expanded(problem, level)
@@ -605,3 +616,72 @@ def test_classify_prints_what_rebuilt_reports_print(seed, kind, unique, max_k, a
             argv = ["classify", "--problem", path, "--max-k", str(max_k)]
             assert main(argv + ["--json"] * as_json) == 0
     assert out.getvalue() == classify_output_rebuilding_reports(prob, max_k, as_json)
+
+
+# eigenspaces that share the speeds 1 and 2, with and without a trivial part
+WALK_REPS = (
+    S1Representation(trivial=1),
+    S1Representation(rotating={1: 1}),
+    S1Representation(trivial=1, rotating={1: 2}),
+    S1Representation(rotating={1: 1, 2: 1}),
+    S1Representation(trivial=2, rotating={2: 1}),
+)
+
+
+@st.composite
+def walk_problems(draw):
+    """A problem whose eigenvalues come from alpha, 4 alpha and 9 alpha / 4,
+    which share levels, 2 alpha and 3 alpha, zero and -alpha; a zero degree,
+    one with n0 != 0 ("c1") or with n0 == 0; and a max_k."""
+    base = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 7))))
+    pool = [base, 4 * base, base * Fraction(9, 4), 2 * base, 3 * base, Fraction(0), -base]
+    alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+    spectra = tuple(SpectralDatum(alpha, draw(st.sampled_from(WALK_REPS))) for alpha in alphas)
+    kind = draw(st.sampled_from(("zero", "c1", "c2", "alternative")))
+    degree = degree_of_kind(kind, random.Random(draw(st.integers(0, 10**6))))
+    return CriticalPointProblem(spectra, degree, draw(st.booleans())), draw(st.integers(1, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(walk_problems(), st.randoms(use_true_random=False), st.booleans())
+def test_walk_matches_the_oracles_at_every_level(case, rnd, as_json):
+    # one walk over all levels: the null modes, the runs built for the
+    # speeds the null characters meet, every report and classify's output
+    # are those of the oracles and of one level at a time, in any order
+    problem, max_k = case
+    levels = lambda_set(problem, max_k)
+    built = []
+    runs = _Walk.runs
+
+    def recording(self, q, speeds, counts):
+        made = runs(self, q, speeds, counts)
+        built.append((q, made))
+        return made
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Walk, "runs", recording)
+        reports = list(_reports(problem, levels))
+    for level, pairs in zip(levels, _resonances(problem, levels)):
+        assert pairs == resonances_by_fractions(problem, level.lambda_sq)
+    for level in levels if problem.deg_s1.fixed else ():
+        # runs of speed s != 0 meet every null character, those of speed 0
+        # only a null character (a, b) with a != 0
+        nulls = resonant_space(problem, level).characters
+        meets_zero = any(a for (a, _), _ in nulls)
+        expected = [run for run in below_runs_by_fractions(problem, level) if run[0] or meets_zero]
+        made = [run for q, made in built if q == level.lambda_sq for run in made]
+        assert sorted(made) == sorted(expected)
+    if not problem.deg_s1.fixed:
+        assert built == []
+    order = list(range(len(levels)))
+    rnd.shuffle(order)
+    for i in order:
+        assert build_report(problem, levels[i]) == reports[i]
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "problem.json")
+        write_problem(problem, path)
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            argv = ["classify", "--problem", path, "--max-k", str(max_k)]
+            assert main(argv + ["--json"] * as_json) == 0
+    assert out.getvalue() == classify_output_rebuilding_reports(problem, max_k, as_json)

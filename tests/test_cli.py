@@ -1,6 +1,7 @@
 import ast
 import io
 import json
+import math
 import os
 import re
 import random
@@ -10,6 +11,7 @@ import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -41,6 +43,7 @@ from torbif import (
 )
 from torbif.cli import main
 from torbif.euler import _generator_product
+from torbif.spectral import _Walk
 from torbif.subgroups import _interned
 
 from oracles import NEGATIVE_NUMBER, argparse_reference_parser, random_problem
@@ -884,32 +887,34 @@ def test_caches_stay_bounded(example_path, capsys):
 
 
 def counting_calls(monkeypatch, name):
-    """Record the level of every call to `torbif.bifurcation.<name>`."""
+    """Record the arguments after `self` of every call to the walk's
+    method `name`."""
     calls = []
-    original = getattr(torbif.bifurcation, name)
+    original = getattr(_Walk, name)
 
-    def counting(problem, level):
-        calls.append(level)
-        return original(problem, level)
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
 
-    monkeypatch.setattr(torbif.bifurcation, name, counting)
+    monkeypatch.setattr(_Walk, name, counting)
     return calls
 
 
 def test_one_index_evaluation_per_level(example_path, tmp_path, capsys, monkeypatch):
-    calls = counting_calls(monkeypatch, "resonant_space")
+    calls = counting_calls(monkeypatch, "resonant")
     assert main(["classify", "--problem", example_path, "--max-k", "3"]) == 0
     assert len(calls) == 3
     calls.clear()
     assert main(["index", "--problem", example_path, "--k", "2", "--alpha", "2"]) == 0
     assert len(calls) == 1
-    # a full-orbit degree needs the runs below each level, once per level
+    # a full-orbit degree needs the runs below each level, asked for once
+    # per level; the null characters (0, n) meet no run of speed 0
     problem = CriticalPointProblem(spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1))
     path = tmp_path / "fixed.json"
     write_problem(problem, path)
-    below = counting_calls(monkeypatch, "_below_runs")
+    below = counting_calls(monkeypatch, "runs")
     assert main(["classify", "--problem", str(path), "--max-k", "3"]) == 0
-    assert len(below) == 3
+    assert [speeds for _, speeds, _ in below] == [[]] * 3
     capsys.readouterr()
 
 
@@ -938,10 +943,67 @@ def test_star_calls_per_level(tmp_path, capsys, monkeypatch, deg_s1, per_level):
     assert len(calls) == per_level * len(lambda_set(problem, 3))
 
 
+def counting_integer_tests(monkeypatch):
+    """Count the eigenvalue visits of `spectral` and the modes its walk
+    steps through: an eigenvalue is visited by one `isqrt` of q * alpha
+    at a level, and each later mode of an eigenvalue is looked up with
+    one gcd.  Returns the Counter the counts go into."""
+    counts = Counter()
+
+    def isqrt(n):
+        counts["visits"] += 1
+        return math.isqrt(n)
+
+    def gcd(a, b):
+        counts["modes"] += 1
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(torbif.spectral, "math", SimpleNamespace(isqrt=isqrt, gcd=gcd))
+    return counts
+
+
+def trivial_spectrum(count, rotating=()):
+    """Eigenvalues 1..count, each with a trivial line and `rotating`."""
+    return tuple(SpectralDatum(a, S1Representation(trivial=1, rotating=rotating)) for a in range(1, count + 1))
+
+
+def test_a_level_costs_its_null_modes_not_the_eigenvalues(tmp_path, capsys, monkeypatch):
+    # deterministic counts, not timings: on eigenvalues 1..E, each a
+    # trivial line, with deg_s1 = 1*S1, every null character is (0, n),
+    # so no level needs a run below it, and the walk visits each
+    # eigenvalue once, at the first level, whatever the number of levels;
+    # doubling E doubles the visits (a scan of every eigenvalue at every
+    # level quadruples them).  Past the first level each eigenvalue's
+    # modes up to the last level are looked up one by one.
+    counts = counting_integer_tests(monkeypatch)
+    for count in (20, 40):
+        problem = CriticalPointProblem(trivial_spectrum(count), EulerElementS1(fixed=1), True)
+        path = tmp_path / f"triv_{count}.json"
+        write_problem(problem, path)
+        counts.clear()
+        assert main(["classify", "--problem", str(path), "--max-k", "3"]) == 0
+        capsys.readouterr()
+        assert counts["visits"] == count
+        levels = lambda_set(problem, 3)
+        first, last = levels[0].lambda_sq, levels[-1].lambda_sq
+        later = [n for a in range(1, count + 1) for n in range(1, 3 * count) if first * a < n * n <= last * a]
+        assert counts["modes"] == len(later)
+    # one level visits each eigenvalue at most once, also when the runs
+    # below it are needed: here the null characters (1, n), (-1, n) meet
+    # the runs of every speed
+    problem = CriticalPointProblem(trivial_spectrum(10, {1: 1}), EulerElementS1(fixed=1), True)
+    path = tmp_path / "rotating.json"
+    write_problem(problem, path)
+    counts.clear()
+    assert main(["index", "--problem", str(path), "--k", "3", "--alpha", "2"]) == 0
+    assert capsys.readouterr().out.endswith("certificate: FixedCoefficientPath\n")
+    assert counts == {"visits": 10}
+
+
 def test_index_without_full_orbit_term_ignores_the_space_below(example_path, capsys, monkeypatch):
     # the worked example's degree has no S1 term, so its index needs no
     # classes below the level: the cost does not depend on k
-    below = counting_calls(monkeypatch, "_below_runs")
+    below = counting_calls(monkeypatch, "runs")
     counts = counting_line_products(monkeypatch)
     assert main(["index", "--problem", example_path, "--k", "400000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,400000)\ncertificate: SameSignPath\n"
@@ -954,9 +1016,8 @@ def test_index_without_full_orbit_term_ignores_the_space_below(example_path, cap
 def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatch):
     # deterministic counts, not timings: with deg_s1 = 1*S1 the only run
     # below the level is the trivial one, parallel to the null character
-    # (0, k), so it is named once and skipped without a gcd; the one line
-    # product is the null character with itself in the degree on the null
-    # modes
+    # (0, k), so it is never built and needs no gcd; the one line product
+    # is the null character with itself in the degree on the null modes
     problem = CriticalPointProblem(
         spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1), unique_critical_point=True
     )
@@ -968,18 +1029,18 @@ def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatc
 
     for module in (torbif, torbif.spectral, torbif.bifurcation):
         monkeypatch.setattr(module, "negative_space", refuse, raising=False)
-    below_runs = torbif.bifurcation._below_runs
+    runs = _Walk.runs
     named = []
 
-    def recording(problem, level):
-        named.extend(below_runs(problem, level))
+    def recording(self, q, speeds, counts):
+        named.extend(runs(self, q, speeds, counts))
         return named
 
-    monkeypatch.setattr(torbif.bifurcation, "_below_runs", recording)
+    monkeypatch.setattr(_Walk, "runs", recording)
     counts = counting_line_products(monkeypatch)
     assert main(["index", "--problem", str(path), "--k", "1000000", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
-    assert named == [(0, 1, 1000000, 1)]
+    assert named == []
     made = counts()
     assert made["line_product"] <= 1
     assert made["gcd_table"] == 0

@@ -16,6 +16,7 @@ with few examples and small sizes so the draws stay fast; they stay below
 the sizes of the unbounded shapes, which the xfail cases hold.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -262,6 +263,24 @@ def test_resonance_dense_index_ends_in_exit_2(tmp_path):
         "error: the degree on the null modes at lambda_sq = 1 needs 31996000 line"
         " products for 8000 characters, more than the limit of 1000000\n",
     )
+
+
+TRIVIAL_500 = problem([eigenvalue(alpha, [(0, 1)]) for alpha in range(1, 501)], S1)
+
+
+def test_classify_over_500_eigenvalues_ends_well_inside_the_cap(tmp_path):
+    # eigenvalues 1..500, each a trivial line: scanning every eigenvalue
+    # at every level took 5.6 s of CPU here, so the 2 s cap ended it; the
+    # ascending walk over the levels prints the same bytes in under half
+    # of the cap
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    result = run_child(argv_for(tmp_path, TRIVIAL_500, ["classify", "--max-k", "10"]), cpu_seconds=2)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert hashlib.sha256(result.stdout).hexdigest() == (
+        "eb255ccdc1e2e887264b091c2f177f564b3d7e3128391d01490696697cb1ab5f"
+    )
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
 
 
 # Shapes whose total work has no bound yet: they run until the CPU cap,

@@ -24,15 +24,15 @@ from torbif import (
     validate,
 )
 
-from torbif.spectral import _below_runs
-
 from oracles import (
     below_runs_by_fractions,
+    below_runs_by_scan,
     hessian_eigenvalue,
     negative_space_by_mode,
     random_problem,
     resonances_by_fractions,
     resonant_space_by_constructor,
+    walk_runs,
 )
 
 
@@ -249,7 +249,7 @@ def test_below_runs_cover_each_character_once(seed):
     # overlapping runs, a cost the index values alone would not show
     prob = random_problem(random.Random(seed))
     for level in lambda_set(prob, 6):
-        runs = _below_runs(prob, level)
+        runs = walk_runs(prob, level)
         spans = {}
         for s, lo, hi, k in runs:
             assert lo < hi and k > 0
@@ -358,7 +358,8 @@ def test_level_arithmetic_matches_fraction_oracles(case):
     level = BifurcationLevel(1, 1 / q)
     assert level.lambda_sq == q
     assert resonant_pairs(problem, level) == resonances_by_fractions(problem, q)
-    assert _below_runs(problem, level) == below_runs_by_fractions(problem, level)
+    runs = sorted(below_runs_by_fractions(problem, level))
+    assert sorted(walk_runs(problem, level)) == sorted(below_runs_by_scan(problem, level)) == runs
 
 
 def test_level_arithmetic_at_and_next_to_a_square():
@@ -378,4 +379,4 @@ def test_level_arithmetic_at_and_next_to_a_square():
     ):
         level = BifurcationLevel(1, alpha / target)
         assert resonant_pairs(problem, level) == resonant
-        assert _below_runs(problem, level) == [(0, 1, modes + 1, 1)]
+        assert walk_runs(problem, level) == [(0, 1, modes + 1, 1)]
