@@ -24,16 +24,18 @@ mode.  That mode and eigenvalue are the level's (k, alpha), both when
 `_Walk` holds what the levels of a problem share, built once: the
 positive eigenvalues in ascending order, the signed speeds of each
 eigenspace, sorted, and, when runs below a level are needed, the
-eigenspaces of each signed speed.  Its walk over ascending levels visits
-each eigenvalue once, at the first level q: with q = qn/qd and alpha =
-an/ad it takes (t, r) = divmod(qn*an, qd*ad) and n = isqrt(t), so n^2
-<= q alpha < (n + 1)^2 and mode n is null exactly when r == 0 and n*n
-== t; no rational is formed.  Then it steps through the later modes of
-alpha up to the last level, looking each n^2 / alpha up among the
-levels, so the null modes of every level come out in one pass, n
-ascending, and a level costs its null modes, not a scan of the
-spectrum; the walk over one level is the same test, once per
-eigenvalue.  The negative space is taken just below a level, over the
+eigenspaces of each signed speed.  Its walk over ascending levels tests
+each eigenvalue at the first level q: with q = qn/qd and alpha = an/ad
+it takes (t, r) = divmod(qn*an, qd*ad) and n = isqrt(t), so n^2 <= q
+alpha < (n + 1)^2 and mode n is null exactly when r == 0 and n*n == t;
+no rational is formed.  Then it steps through the later modes of alpha
+up to the last level, looking each n^2 / alpha up among the levels, so
+the null modes of every level come out in one pass, n ascending, and a
+level costs its null modes, not a scan of the spectrum.  When an
+eigenvalue has more modes up to the last level than there are levels,
+as a large one beside a small one does, it is tested at each level
+instead, so the walk never costs more than that scan.  The walk over
+one level is the one test per eigenvalue.  The negative space is taken just below a level, over the
 modes 1 <= n' < n when n is null and 1 <= n' <= n when it is not, which
 are exactly those with n'^2 < q alpha; the null modes form the resonant
 space, whose characters are made canonical, in order, and handed to the
@@ -251,29 +253,35 @@ class _Walk:
         the counts of modes below the first, which `runs` reads."""
         found: list[list[tuple[int, int]]] = [[] for _ in qs]
         first: dict[int, int] = {}
-        if not qs:
-            return found, first
         isqrt, gcd = math.isqrt, math.gcd
-        # a single level has no later modes to look up
-        at = {(q.numerator, q.denominator): p for p, q in enumerate(qs)} if len(qs) > 1 else {}
-        fn, fd, ln, ld = qs[0].numerator, qs[0].denominator, qs[-1].numerator, qs[-1].denominator
+        fractions = [(q.numerator, q.denominator) for q in qs]
+        at = {nd: p for p, nd in enumerate(fractions)} if len(qs) > 1 else {}
         for j, (an, ad) in enumerate(self.alphas):
-            t, r = divmod(fn * an, fd * ad)
-            n = isqrt(t)
-            if not r and n * n == t:
-                found[0].append((n, j))
-                first[j] = n - 1
-            else:
-                first[j] = n
-            # the later modes of alpha up to the last level, each looked up
-            # at n^2 / alpha = n^2 ad / an in lowest terms
-            n, top, scale = n + 1, ln * an, ld * ad
-            while n * n * scale <= top:
-                g = gcd(n * n, an)
-                p = at.get((n * n * ad // g, an // g))
-                if p is not None:
+            # alpha is tested at the first level; then each of its modes up
+            # to the last level is looked up among the levels, or, when
+            # those modes outnumber the levels, alpha is tested at each
+            for p, (qn, qd) in enumerate(fractions):
+                t, r = divmod(qn * an, qd * ad)
+                n = isqrt(t)
+                null = not r and n * n == t
+                if null:
                     found[p].append((n, j))
-                n += 1
+                if p:
+                    continue
+                first[j] = n - 1 if null else n
+                if len(qs) == 1:
+                    break
+                ln, ld = fractions[-1]
+                top = isqrt(ln * an // (ld * ad))
+                if top - n < len(qs):
+                    # mode m is null at m^2 / alpha = m^2 ad / an, in
+                    # lowest terms
+                    for m in range(n + 1, top + 1):
+                        g = gcd(m * m, an)
+                        level = at.get((m * m * ad // g, an // g))
+                        if level is not None:
+                            found[level].append((m, j))
+                    break
         return found, first
 
     def resonant(self, modes: list[tuple[int, int]]) -> T2Representation:

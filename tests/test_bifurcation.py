@@ -631,10 +631,11 @@ WALK_REPS = (
 @st.composite
 def walk_problems(draw):
     """A problem whose eigenvalues come from alpha, 4 alpha and 9 alpha / 4,
-    which share levels, 2 alpha and 3 alpha, zero and -alpha; a zero degree,
-    one with n0 != 0 ("c1") or with n0 == 0; and a max_k."""
+    which share levels, 2 alpha, 3 alpha and 10^6 alpha, which has more
+    modes up to the last level than there are levels, zero and -alpha; a
+    zero degree, one with n0 != 0 ("c1") or with n0 == 0; and a max_k."""
     base = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 7))))
-    pool = [base, 4 * base, base * Fraction(9, 4), 2 * base, 3 * base, Fraction(0), -base]
+    pool = [base, 4 * base, base * Fraction(9, 4), 2 * base, 3 * base, 10**6 * base, Fraction(0), -base]
     alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
     spectra = tuple(SpectralDatum(alpha, draw(st.sampled_from(WALK_REPS))) for alpha in alphas)
     kind = draw(st.sampled_from(("zero", "c1", "c2", "alternative")))

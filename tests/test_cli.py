@@ -971,10 +971,10 @@ def test_a_level_costs_its_null_modes_not_the_eigenvalues(tmp_path, capsys, monk
     # deterministic counts, not timings: on eigenvalues 1..E, each a
     # trivial line, with deg_s1 = 1*S1, every null character is (0, n),
     # so no level needs a run below it, and the walk visits each
-    # eigenvalue once, at the first level, whatever the number of levels;
-    # doubling E doubles the visits (a scan of every eigenvalue at every
-    # level quadruples them).  Past the first level each eigenvalue's
-    # modes up to the last level are looked up one by one.
+    # eigenvalue twice, for its mode at the first level and at the last,
+    # whatever the number of levels; doubling E doubles the visits (a
+    # scan of every eigenvalue at every level quadruples them).  In
+    # between, each eigenvalue's modes are looked up one by one.
     counts = counting_integer_tests(monkeypatch)
     for count in (20, 40):
         problem = CriticalPointProblem(trivial_spectrum(count), EulerElementS1(fixed=1), True)
@@ -983,7 +983,7 @@ def test_a_level_costs_its_null_modes_not_the_eigenvalues(tmp_path, capsys, monk
         counts.clear()
         assert main(["classify", "--problem", str(path), "--max-k", "3"]) == 0
         capsys.readouterr()
-        assert counts["visits"] == count
+        assert counts["visits"] == 2 * count
         levels = lambda_set(problem, 3)
         first, last = levels[0].lambda_sq, levels[-1].lambda_sq
         later = [n for a in range(1, count + 1) for n in range(1, 3 * count) if first * a < n * n <= last * a]

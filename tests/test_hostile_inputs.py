@@ -96,6 +96,11 @@ CASES = {
         ["index", "--k", "1000000", "--alpha", "1"],
         2,
     ),
+    "classify-eigenvalues-1-and-10**200": (
+        problem([eigenvalue(1, [(0, 1)]), eigenvalue(10**200, [(0, 1)])], S1),
+        ["classify", "--max-k", "2"],
+        0,
+    ),
     "arrays-200000-deep": ("[" * 200_000 + "]" * 200_000, ["levels"], 2),
     "objects-100000-deep": ('{"a":' * 100_000 + "1" + "}" * 100_000, ["levels"], 2),
     "index-1000-speeds-at-one-eigenvalue": (SPEEDS, ["index", "--k", "1", "--alpha", "1"], 2),
