@@ -211,8 +211,10 @@ def _reports(
     characters need more than `euler._MAX_LINE_PRODUCTS` line products,
     c * (c - 1) / 2 in their degree, one per unordered pair, or the sum
     over the runs they meet in the loop, `euler._check_line_products`
-    raises ValueError before any is made.  Its phi or phi_i must be -n0 or
-    -c_i times the null-mode multiplicity.  The classification is the
+    raises ValueError before any is made, and spells its message only
+    then.  When n0 == 0 the degree's terms are not copied at all: its
+    part n0 * (deg - T) vanishes.  Its phi or phi_i must be -n0 or -c_i
+    times the null-mode multiplicity.  The classification is the
     problem-wide one, made once; the sum-obstruction upgrade needs the
     indices of all levels and is made by the caller that has them.  A
     resonant level shows a positive eigenvalue, so only the degree is read
@@ -246,8 +248,10 @@ def _reports(
         chars = len(resonant.characters)
         _check_line_products(
             chars * (chars - 1) // 2,
-            f"the degree on the null modes at lambda_sq = {level.lambda_sq}",
-            f" for {chars} characters",
+            "the degree on the null modes at lambda_sq = {} needs {count} line products"
+            " for {} characters",
+            level.lambda_sq,
+            chars,
         )
         if n0:
             # the runs of speed 0 are built only for a null character with
@@ -257,17 +261,17 @@ def _reports(
             groups = _groups(d1, [(s, lo, hi, -n0 * k) for s, lo, hi, k in runs])
         _check_line_products(
             sum(groups[null[0] == 0][1] for null, _ in resonant.characters),
-            f"the index at lambda_sq = {level.lambda_sq}",
+            "the index at lambda_sq = {} needs {count} line products",
+            level.lambda_sq,
         )
-        deg = deg_minus_id_t2(resonant)
-        acc = {key: n0 * c for key, c in deg._terms}
-        acc[(0,)] = acc.get((0,), 0) - n0
+        # deg is T, then -B1r with one term per null character, then
+        # B1r * B1r / 2 (`deg_minus_id_t2`), so n0 * (deg - T) is n0 times
+        # all but its first term, and nothing when n0 == 0
+        deg = deg_minus_id_t2(resonant)._terms
+        acc = {key: n0 * c for key, c in deg[1:]} if n0 else {}
         # _xgcd(b, n) once per null mode b and n, as far as the runs met reach
         gcds: dict[int, list[tuple[int, int, int]]] = {}
-        for key, c in deg._terms:
-            if key[0] != 1:
-                continue
-            _, a, b = key
+        for (_, a, b), c in deg[1 : chars + 1]:
             met, _, top = groups[a == 0]
             g = gcds.setdefault(b, [])
             g.extend(_xgcd(b, n) for n in range(len(g), top))

@@ -205,7 +205,9 @@ def _cmd_classify(args: SimpleNamespace) -> int:
 def _cmd_star(args: SimpleNamespace) -> int:
     factors = [parse_element(args.lhs), parse_element(args.rhs)]
     lines = [sum(key[0] == 1 for key, _ in factor._terms) for factor in factors]
-    _check_line_products(lines[0] * lines[1], f"the product of {lines[0]} and {lines[1]} line terms")
+    _check_line_products(
+        lines[0] * lines[1], "the product of {} and {} line terms needs {count} line products", *lines
+    )
     product = factors[0].star(factors[1])
     if args.json:
         _emit_json({"product": element_to_json(product), "text": format_element(product)})

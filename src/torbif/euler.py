@@ -30,9 +30,15 @@ is structural and all arithmetic is exact.  An element keeps nonzero
 (key, coefficient) pairs, each key one flat tuple of ints: (0,) for T,
 (1, m, n) for H(m,n), (2, a, b, d) for F(a,0;b,d).  Plain tuple order on
 keys is the printed order, (len(rows), rows) on canonical rows, so
-`_from_keys` builds every element from one dict with a plain sort.  Rows
-and subgroups appear only at the API edge: the public constructor,
-`terms`, `coefficient` and `generator`; the rest of the package uses keys.
+`_from_keys` builds an element from one dict by sorting its keys alone,
+with no (key, coefficient) pair compared, and reads each coefficient once
+to drop the zeros.  `_from_terms` skips even that for a caller whose terms
+are sorted and nonzero by construction, as `representations._from_characters`
+does for representations: `representations.deg_minus_id_t2` alone uses it,
+for the degree it assembles in grade order.  Rows and subgroups appear
+only at the API edge: the public constructor, `terms`, `coefficient` and
+`generator`; the rest of the package uses keys, and `subgroups._labels`
+spells all of an element's keys in one pass when it is printed.
 
 The circle's Euler ring enters only through its additive group, generated
 by the full-orbit class and the classes with finite cyclic isotropy, and
@@ -47,7 +53,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
 
 from ._frozen import Frozen, _at_least, _merged
-from .subgroups import Character, TorusSubgroup, _interned, _key, _label, _rows, _xgcd
+from .subgroups import Character, TorusSubgroup, _interned, _key, _labels, _rows, _xgcd
 
 Key = tuple[int, ...]
 _Terms = tuple[tuple[Key, int], ...]
@@ -182,10 +188,18 @@ def _split(terms: _Terms) -> tuple[int, _Terms, list[tuple[Character, int]]]:
 
 
 def _from_keys(acc: Mapping[Key, int]) -> EulerElementT2:
-    """The element with these coefficients, keyed by term keys: zeros
-    drop and the terms are sorted in plain tuple order."""
+    """The element with these coefficients, keyed by term keys: the keys
+    are sorted in plain tuple order, each coefficient is read once and
+    zeros drop."""
+    return _from_terms(tuple([(key, c) for key in sorted(acc) if (c := acc[key])]))
+
+
+def _from_terms(terms: _Terms) -> EulerElementT2:
+    """The element with these (key, coefficient) pairs, which must already
+    have distinct keys in plain tuple order and nonzero coefficients:
+    nothing is checked."""
     element = object.__new__(EulerElementT2)
-    object.__setattr__(element, "_terms", tuple(sorted([t for t in acc.items() if t[1]])))
+    object.__setattr__(element, "_terms", terms)
     return element
 
 
@@ -215,12 +229,15 @@ def _line_products(
                 acc[key] = acc.get(key, 0) + cw
 
 
-def _check_line_products(count: int, what: str, detail: str = "") -> None:
-    """Raise ValueError, before any product is made, when `what` needs
-    more than `_MAX_LINE_PRODUCTS` line products."""
+def _check_line_products(count: int, message: str, *args: object) -> None:
+    """Raise ValueError, before any product is made, when `count` line
+    products are more than `_MAX_LINE_PRODUCTS`, read at each call.  The
+    error says `message.format(*args, count=count)` and the limit; it is
+    formatted only when it is raised, so a level that keeps to the bound
+    spells no message."""
     if count > _MAX_LINE_PRODUCTS:
         raise ValueError(
-            f"{what} needs {count} line products{detail}, more than the limit of {_MAX_LINE_PRODUCTS}"
+            message.format(*args, count=count) + f", more than the limit of {_MAX_LINE_PRODUCTS}"
         )
 
 
@@ -257,12 +274,14 @@ def _join(parts: list[str]) -> str:
 
 def format_element(element: EulerElementT2) -> str:
     """Render an element in the textual grammar; the zero element is '0'."""
-    return _join([f"{c}*{_label(key)}" for key, c in element._terms])
+    terms = element._terms
+    return _join([f"{c}*{label}" for (_, c), label in zip(terms, _labels(terms))])
 
 
 def element_to_json(element: EulerElementT2) -> list[dict]:
     """The terms of an element as JSON objects {"generator": ..., "coeff": ...}."""
-    return [{"generator": _label(key), "coeff": c} for key, c in element._terms]
+    terms = element._terms
+    return [{"generator": label, "coeff": c} for (_, c), label in zip(terms, _labels(terms))]
 
 
 class EulerElementS1(Frozen):

@@ -27,8 +27,13 @@ of multiplicity k.  The grading gives H * H = 0 for one-dimensional classes
 and one product per unordered pair of characters survive.  B1 * B1
 counts each pair twice and no squares, so its coefficients are even and
 halving them is exact; `EulerElementT2.star` forms that square from each
-unordered pair once, with twice its coefficient.  The test suite compares
-the result with the plane-by-plane product.
+unordered pair once, with twice its coefficient.  The three parts lie in
+dimensions 2, 1 and 0, which is plain tuple order on term keys, and each
+is sorted with no zero term: T alone, B1 as `euler._from_keys` builds it
+and the square as `star` does, halved.  So the degree is their terms laid
+end to end in that grade order through the trusted `euler._from_terms`,
+with no dict and no sort of its own.  The test suite compares the result
+with the plane-by-plane product.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ._frozen import Frozen, _at_least, _merged
-from .euler import EulerElementT2, _from_keys
+from .euler import EulerElementT2, _from_keys, _from_terms
 from .subgroups import normalize_character
 
 CharacterKey = tuple[int, int]
@@ -147,13 +152,14 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     sign * (T - B1 + B1 * B1 / 2) (see the module docstring); B1 * B1
     counts each pair of distinct characters twice, so its coefficients
     are even, and `star` makes it from c * (c - 1) / 2 generator products
-    for c characters.  The three parts have distinct subgroups of
-    dimensions 2, 1 and 0, so the result is built from their term keys in
-    one pass."""
+    for c characters.  Its terms are T, then -B1, one term per character,
+    then B1 * B1 / 2: the three parts in grade order, each already sorted
+    and free of zeros, laid end to end with no sort."""
     sign = -1 if rep.trivial % 2 else 1
     # the kernel of a normalized character (m, n) has the key (1, m, n)
     b1 = _from_keys({(1, *ch): k for ch, k in rep.characters})
-    acc = {(0,): sign}
-    acc.update((key, -sign * k) for key, k in b1._terms)
-    acc.update((key, sign * (c // 2)) for key, c in b1.star(b1)._terms)
-    return _from_keys(acc)
+    return _from_terms(
+        (((0,), sign),)
+        + tuple([(key, -sign * k) for key, k in b1._terms])
+        + tuple([(key, sign * (c // 2)) for key, c in b1.star(b1)._terms])
+    )

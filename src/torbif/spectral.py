@@ -199,7 +199,14 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
     so the one with the smallest k, the level `level_from_lambda_sq`
     returns.  With no positive eigenvalue there is nothing to walk, at any
     max_k.  Raises ValueError when max_k times the number of positive
-    eigenvalues is over `_MAX_LEVELS`, before any level is built."""
+    eigenvalues is over `_MAX_LEVELS`, before any level is built.
+
+    Candidates merge and sort by an integer, not a `Fraction`: with M the
+    largest numerator of an eigenvalue, k^2 / alpha is keyed by the floor
+    of k^2 * M^2 / alpha.  Two distinct levels k^2 * ad / an differ by at
+    least 1 / (an * an') >= 1 / M^2, so their keys differ by at least 1 in
+    the same order, and equal levels share a key.  A level is built only
+    for each key kept."""
     _at_least(max_k, "max_k", 1)
     alphas = sorted(problem.positive_alphas())
     if max_k * len(alphas) > _MAX_LEVELS:
@@ -207,11 +214,13 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
             f"max_k {max_k} over {len(alphas)} positive eigenvalue(s) asks for"
             f" {max_k * len(alphas)} levels, more than the limit of {_MAX_LEVELS}"
         )
-    found: dict[BifurcationLevel, None] = {}
+    square = max((alpha.numerator for alpha in alphas), default=1) ** 2
+    found: dict[int, tuple[int, Fraction]] = {}
     for alpha in alphas:
+        an, scale = alpha.numerator, alpha.denominator * square
         for k in range(1, max_k + 1):
-            found.setdefault(BifurcationLevel(k, alpha))
-    return sorted(found, key=lambda lvl: lvl.lambda_sq)
+            found.setdefault(k * k * scale // an, (k, alpha))
+    return [BifurcationLevel(*found[key]) for key in sorted(found)]
 
 
 class _Walk:

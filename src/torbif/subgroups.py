@@ -26,8 +26,9 @@ compare equal.
 Ring elements keep one flat tuple of ints per term, its key: the
 codimension, then the rows' entries but the fixed 0, that is (0,),
 (1, m, n) or (2, a, b, d), in the order of (len(rows), rows).  `_key` and
-`_rows` pass between rows and keys, and `_label` spells a key, for `str`
-of a subgroup and the element formatter alike.  Subgroups and rows appear
+`_rows` pass between rows and keys, and `_labels` spells the keys of an
+element's terms in one pass, for the element formatter and, through
+`_label`, for `str` of a subgroup.  Subgroups and rows appear
 only at the API edge, where a caller builds one or reads `terms`.
 
 `_canonical_rows` is the one home of the normal form: the public
@@ -191,9 +192,17 @@ def _rows(key: tuple[int, ...]) -> tuple[Character, ...]:
 
 def _label(key: tuple[int, ...]) -> str:
     """The term with this ring key in the text grammar."""
-    if key[0] == 2:
-        return f"F({key[1]},0;{key[2]},{key[3]})"
-    return f"H({key[1]},{key[2]})" if key[0] else "T"
+    return _labels(((key, 0),))[0]
+
+
+def _labels(terms: Iterable[tuple[tuple[int, ...], int]]) -> list[str]:
+    """The labels of the keys of (key, coefficient) pairs in the text
+    grammar, in one pass with no call per term: the one spelling of T,
+    H(m,n) and F(a,0;b,d)."""
+    return [
+        f"F({k[1]},0;{k[2]},{k[3]})" if k[0] == 2 else f"H({k[1]},{k[2]})" if k[0] else "T"
+        for k, _ in terms
+    ]
 
 
 @lru_cache(maxsize=1 << 14)

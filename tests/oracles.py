@@ -15,10 +15,12 @@ parser the command line once built on every call and its negative-number
 pattern, `classify`'s output from reports rebuilt for the
 sum-obstruction upgrade, an element spelled through the subgroups of its
 `terms` view, the frozen dataclasses the value types once were, the
-nested rows by which ring terms were once keyed and sorted, the
-rank-by-rank rule for canonical rows and the readers of integers in
-text that the package once had), so each identity they satisfy is a
-differential check on the package.
+nested rows by which ring terms were once keyed and sorted, an element
+built by sorting its (key, coefficient) pairs, a label spelled from
+canonical rows by their number, the level list merged and sorted by
+`Fraction`, the rank-by-rank rule for canonical rows and the readers of
+integers in text that the package once had), so each identity they
+satisfy is a differential check on the package.
 """
 
 from __future__ import annotations
@@ -489,6 +491,33 @@ def term_key(rows):
     if len(rows) == 2:
         del flat[1]
     return (len(rows), *flat)
+
+
+def terms_by_sorting_pairs(acc):
+    """The terms `euler._from_keys` once built from a dict of
+    coefficients: its nonzero (key, coefficient) pairs, sorted as pairs."""
+    return tuple(sorted([t for t in acc.items() if t[1]]))
+
+
+def label_by_rows(rows):
+    """The text-grammar label of a subgroup, spelled from its canonical
+    rows by their number: none, one character or two rows."""
+    if not rows:
+        return "T"
+    if len(rows) == 1:
+        return "H(%d,%d)" % rows[0]
+    return "F(%d,0;%d,%d)" % (rows[0][0], *rows[1])
+
+
+def lambda_set_by_fractions(problem: CriticalPointProblem, max_k: int):
+    """The candidate levels as `lambda_set` once listed them: a level
+    built for every candidate, ascending eigenvalues and k, merged on
+    level equality and sorted by their `Fraction` lambda_sq."""
+    found = {}
+    for alpha in sorted(problem.positive_alphas()):
+        for k in range(1, max_k + 1):
+            found.setdefault(BifurcationLevel(k, alpha))
+    return sorted(found, key=lambda lvl: lvl.lambda_sq)
 
 
 def element_text_and_json(element):

@@ -408,6 +408,40 @@ def test_line_products_are_bounded(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
 
 
+def test_bound_messages_spell_a_fraction_level(tmp_path, capsys, monkeypatch):
+    # each bound at lambda_sq = 9/4 (--k 3 --alpha 4) ends in its exact
+    # one-line message, spelled only when the bound is exceeded: alpha 4
+    # with a trivial part and speed 1 has 3 null characters, 3 pairs and
+    # 16 index products; with speeds 1 and 2 it has 4 characters, 6 pairs
+    rotating = CriticalPointProblem(
+        spectra=(SpectralDatum(4, S1Representation(trivial=1, rotating={1: 1})),),
+        deg_s1=EulerElementS1(fixed=1),
+    )
+    speeds = CriticalPointProblem(
+        spectra=(SpectralDatum(4, S1Representation(rotating={1: 1, 2: 1})),),
+        deg_s1=EulerElementS1.cyclic(1),
+    )
+    cases = (
+        (rotating, 15, "the index at lambda_sq = 9/4 needs 16 line products, more than the limit of 15"),
+        (
+            speeds,
+            5,
+            "the degree on the null modes at lambda_sq = 9/4 needs 6 line products for 4 characters,"
+            " more than the limit of 5",
+        ),
+    )
+    path = tmp_path / "fraction.json"
+    for problem, limit, message in cases:
+        write_problem(problem, path)
+        monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", limit + 1)
+        assert main(["index", "--problem", str(path), "--k", "3", "--alpha", "4"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", limit)
+        for address in (["--k", "3", "--alpha", "4"], ["--lambda-sq", "9/4"]):
+            assert main(["index", "--problem", str(path), *address]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_star_line_products_are_bounded(capsys, monkeypatch):
     # 3 lines times 2 lines make 6 line products, counted before any is
     # made; the T term adds none, and the bound is read from the module,
@@ -1137,8 +1171,9 @@ def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
     # the pairwise product through intersections, with a separate negation
     # in every subtraction, built 336 elements here (and ran 1,912
     # intersections and normal forms); now each of the 21 levels builds
-    # four: B1, B1 * B1, the degree on the null modes and the index
-    assert counts["build"] == 4 * 21
+    # three: B1, B1 * B1 and the index, while the degree on the null modes
+    # lays those parts end to end in grade order with no build of its own
+    assert counts["build"] == 3 * 21
 
 
 COMMANDS = ("levels", "index", "classify", "star", "example")

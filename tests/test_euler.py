@@ -19,19 +19,21 @@ from torbif import (
     parse_element,
 )
 from torbif.euler import _from_keys, _generator_product, _line_products, element_to_json
-from torbif.subgroups import _key, _rows, _xgcd
+from torbif.subgroups import _key, _label, _labels, _rows, _xgcd
 
 from oracles import (
     NotInvertible,
     element_text_and_json,
     generator_product_by_intersection,
     invert,
+    label_by_rows,
     random_element,
     random_problem,
     random_unit,
     rows_order,
     star_by_pairs,
     term_key,
+    terms_by_sorting_pairs,
 )
 
 I = EulerElementT2.identity()
@@ -261,6 +263,34 @@ def test_keys_sort_in_the_order_of_rows(rows, coeffs):
     element = _from_keys({term_key(r): c for r, c in zip(rows, coeffs)})
     assert [key for key, _ in element._terms] == [term_key(r) for r in sorted(rows, key=rows_order)]
     assert [h.rows for h, _ in element.terms] == sorted(rows, key=rows_order)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(canonical_rows, st.integers(-3, 3) | entries | big, st.booleans()), max_size=12))
+def test_from_keys_sorts_the_keys_as_pairs_were_sorted(drawn):
+    # `_from_keys` sorts the keys alone and reads each coefficient once;
+    # zeros, drawn or left by a coefficient and its negative, still drop
+    acc = {}
+    for rows, c, cancelled in drawn:
+        key = term_key(rows)
+        acc[key] = acc.get(key, 0) + c
+        if cancelled:
+            acc[key] -= c
+    assert _from_keys(acc)._terms == terms_by_sorting_pairs(acc)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(canonical_rows, st.integers(-3, 3) | entries | big), max_size=8))
+def test_labels_spell_each_key_in_one_pass(pairs):
+    # the one-pass spelling of an element's keys is the per-key `_label`,
+    # and the label spelled from rows, in the text and in the JSON
+    element = EulerElementT2([(TorusSubgroup(rows), c) for rows, c in pairs])
+    terms = element._terms
+    labels = [label_by_rows(_rows(key)) for key, _ in terms]
+    assert _labels(terms) == [_label(key) for key, _ in terms] == labels
+    text = " + ".join(f"{c}*{label}" for (_, c), label in zip(terms, labels)).replace(" + -", " - ")
+    assert format_element(element) == (text or "0")
+    assert element_to_json(element) == [{"generator": g, "coeff": c} for (_, c), g in zip(terms, labels)]
 
 
 @settings(max_examples=300)

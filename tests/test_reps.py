@@ -114,6 +114,21 @@ def test_deg_minus_id_t2_matches_plane_by_plane_product(seed):
     assert deg_minus_id_t2(rep) == deg_minus_id_t2_expanded(rep)
 
 
+@settings(deadline=None)
+@given(st.integers(0, 10**9), st.integers(0, 3))
+def test_deg_minus_id_t2_lays_its_parts_in_grade_order(seed, trivial):
+    # T, -B1 and B1 * B1 / 2 laid end to end, with no sort, must be the
+    # canonical terms: keys strictly ascending, no zero, the oracle's
+    # terms, for odd and even trivial parts
+    drawn = random_t2_rep(random.Random(seed), max_chars=8, max_mult=30)
+    rep = T2Representation(trivial, drawn.characters)
+    terms = deg_minus_id_t2(rep)._terms
+    keys = [key for key, _ in terms]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(c for _, c in terms)
+    assert terms == deg_minus_id_t2_expanded(rep)._terms
+
+
 def test_deg_minus_id_t2_makes_one_product(monkeypatch):
     # the closed form squares B1 once, whatever the number of characters
     calls = []

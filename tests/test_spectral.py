@@ -28,6 +28,7 @@ from oracles import (
     below_runs_by_fractions,
     below_runs_by_scan,
     hessian_eigenvalue,
+    lambda_set_by_fractions,
     negative_space_by_mode,
     random_problem,
     resonances_by_fractions,
@@ -141,6 +142,34 @@ def test_each_level_is_named_by_its_smallest_null_mode(case):
         modes = [n for n, _ in resonant_pairs(problem, level)]
         assert modes[0] == level.k
         assert modes == sorted({n for (_, n), _ in resonant_space(problem, level).characters})
+
+
+huge = st.integers(10**999, 10**1000 - 1)
+
+
+@st.composite
+def level_lists(draw):
+    """Eigenvalues whose levels coincide in many ways, around a base alpha
+    with small or 1,000-digit numerator and denominator, with other
+    positive, zero and negative ones, some of 1,000 digits, in a drawn
+    order; and a max_k."""
+    base = Fraction(draw(st.integers(1, 12) | huge), draw(st.integers(1, 12) | huge))
+    scales = (1, 4, Fraction(9, 4), 9, 2, Fraction(1, 4), Fraction(25, 9))
+    chosen = draw(st.lists(st.sampled_from(scales), min_size=1, max_size=len(scales), unique=True))
+    others = st.fractions(-3, 50, max_denominator=12) | huge.map(Fraction) | huge.map(lambda n: Fraction(-n))
+    alphas = {scale * base for scale in chosen} | set(draw(st.lists(others, max_size=3)))
+    spectra = [SpectralDatum(a, S1Representation(trivial=1)) for a in draw(st.permutations(sorted(alphas)))]
+    return CriticalPointProblem(spectra=spectra, deg_s1=EulerElementS1.identity()), draw(st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_lists())
+def test_lambda_set_orders_its_integer_keys_as_fractions(case):
+    # merged and sorted by exact integer keys, the levels and the (k,
+    # alpha) naming each are those of a merge and sort by Fraction
+    problem, max_k = case
+    named = [(lvl.k, lvl.alpha, lvl.lambda_sq) for lvl in lambda_set(problem, max_k)]
+    assert named == [(lvl.k, lvl.alpha, lvl.lambda_sq) for lvl in lambda_set_by_fractions(problem, max_k)]
 
 
 def test_lambda_set_empty_without_positive_eigenvalue():
