@@ -43,29 +43,51 @@ product collapses to
 
 and each report checks phi or phi_i of it at run time, which also shows
 it nonzero.  `_reports` forms the reports of a problem's ascending
-levels in one walk (`spectral._Walk`): the classification, the runs of
-D1 and the eigenvalues' speeds are made once per problem, and each level
-reads only its own null modes; `build_report` is that walk over one
-level.  The product deg_1 * (D1 - n0 * B1b) is one loop of line
-products over runs of characters of one weight: each H(i,0) of D1 is the
-run of (i, 0) at n = 0, and below the level `spectral._Walk.runs` names
-the runs of characters (s, n), lo <= n < hi, with no representation and
-no subgroup built for that space; each character below the level lies in
-one run, so it meets each null character once.  Against a null character
-(a, b), det = a*n - b*s vanishes for every n when a == s == 0, and
-otherwise for at most one n, where no term is made.  So the runs of
-speed 0 below the level are built only when a null character has a !=
-0, and the runs are split into all runs and those of speed s != 0, each
-group with its span and its top hi: a null character with a != 0 meets
-the first group, one with a == 0 the second.  When n0 == 0 both groups
-are the runs of D1, made once per problem.  A null character's b is its
-mode, so the loop takes the extended gcd of (b, n) once per mode and n,
-in a table built per level only as far as the top of the group a null
+levels in one walk (`spectral._Walk`): the classification and the
+eigenvalues' speeds are made once per problem, and each level reads only
+its own null modes; `build_report` is that walk over one level.
+
+The product deg_1 * D1 needs no loop and no gcd: a null character (a, b)
+has b >= 1, so its product with H(i,0) is F(i,0;a mod i,b), one term per
+null character and class of D1 (`euler._cyclic_products`).  When
+n0 == 0 that is all: the level makes no other line product.  The
+product -n0 * deg_1 * B1b is one loop of line products over runs of
+characters of one weight: below the level `spectral._Walk.runs` names the
+runs of characters (s, n), lo <= n < hi, with no representation and no
+subgroup built for that space; each character below the level lies in
+one run, so it meets each null character once.
+
+The loop makes half of those products and reads the other half off them,
+by the reflection sigma: (z, w) -> (conj z, w) of the torus, which maps
+the character (m, n) to (-m, n).  The null modes and the space below are
+the loop space of a real representation of the circle, so each holds
+(m, n) and (-m, n) with one multiplicity: a null character (a, b) and
+(-a, b) have one coefficient in deg_1, and the runs of speeds s and -s
+are the same runs.  sigma maps the kernels of (a, b) and (s, n) to those
+of (-a, b) and (-s, n), so it maps the product of the first pair, the
+key (2, A, B, D), to that of the second, the key (2, A, -B mod A, D):
+the determinant a*n - b*s changes sign and the extended gcd of (b, n)
+stays.  So a null character with a > 0 meets the runs of speed s >= 0,
+one with a <= 0 only those of speed s > 0, and each pair visited writes
+its key and its mirror key (`euler._line_products`).  Every product is
+written exactly once.  A pair (a, b) x (s, n) is visited when a > 0 and
+s >= 0, or when a <= 0 and s > 0.  Otherwise either a == s == 0, and the
+pair is parallel and zero, or its mirror (-a, b) x (-s, n) is visited:
+-a > 0 and -s >= 0 when a < 0 and s <= 0, and -a <= 0 and -s > 0 when
+a >= 0 and s < 0.  A pair is its own mirror only when a == s == 0, so
+no product is written twice.  Only runs of speed s >= 0 are built, those
+of speed 0 only when a null character has a > 0: against (a, b), det =
+a*n - b*s vanishes for every n when a == s == 0, and otherwise for at
+most one n, where no term is made.  A null character's b is its mode,
+so the loop takes the extended gcd of (b, n) once per mode and n, in a
+table built per level only as far as the top of the runs a null
 character meets.  Then `euler._line_products` makes that character's
-products with the whole group, run by run, with no call per product.
-Every term goes into one dict keyed by term keys, and the index is built
-from it once.  The full three-factor product is kept as an oracle in the
-test suite.
+products with those runs, run by run, with no call per product.  Every
+term goes into one dict keyed by term keys, and the index is built from
+it once; phi and phi_i are read from the one slice of its sorted terms
+that they count.  The full three-factor product is kept as an oracle in
+the test suite, and a property test checks that the index is fixed by
+sigma.
 
 The classification upgrades a nonzero index to a non-compactness
 guarantee when the critical point is unique: "c1" when n0 != 0, "c2"
@@ -85,6 +107,7 @@ walk is exponential only on tables that callers pass in.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -94,6 +117,7 @@ from .euler import (
     EulerElementT2,
     Key,
     _check_line_products,
+    _cyclic_products,
     _from_keys,
     _line_products,
     element_to_json,
@@ -187,14 +211,10 @@ def build_report(problem: CriticalPointProblem, level: BifurcationLevel) -> Bifu
     return next(_reports(problem, [level]))
 
 
-def _groups(d1: list, below: list) -> dict[bool, tuple[list, int, int]]:
-    # The runs a null character (a, b) meets, with their span and their
-    # top hi, keyed by a == 0: every run of D1 and below the level but,
-    # when a == 0, those of speed 0 below it, which are parallel to it.
-    return {
-        a_zero: (met, sum(hi - lo for _, lo, hi, _ in met), max((hi for _, _, hi, _ in met), default=0))
-        for a_zero, met in ((False, d1 + below), (True, d1 + [run for run in below if run[0]]))
-    }
+def _reach(runs: list) -> tuple[list, int, int]:
+    # runs (s, lo, hi, k) with their span, the characters they hold, and
+    # the top hi of their modes
+    return runs, sum(hi - lo for _, lo, hi, _ in runs), max((hi for _, _, hi, _ in runs), default=0)
 
 
 def _reports(
@@ -203,32 +223,39 @@ def _reports(
     """The reports of distinct levels in ascending order, in one walk.
 
     The index is n0 * (deg - T) + deg_1 * (D1 - n0 * B1b), the closed form
-    of the module docstring, with deg_1 times the runs of D1 - n0 * B1b in
-    one loop, run by run.  The space below a level enters only when
-    n0 != 0, and then only through the runs its null characters meet: its
-    full degree would square a sum whose length grows with k, and a run
-    parallel to every null character is never built.  When the c null
-    characters need more than `euler._MAX_LINE_PRODUCTS` line products,
-    c * (c - 1) / 2 in their degree, one per unordered pair, or the sum
-    over the runs they meet in the loop, `euler._check_line_products`
-    raises ValueError before any is made, and spells its message only
-    then.  When n0 == 0 the degree's terms are not copied at all: its
-    part n0 * (deg - T) vanishes.  Its phi or phi_i must be -n0 or -c_i
-    times the null-mode multiplicity.  The classification is the
-    problem-wide one, made once; the sum-obstruction upgrade needs the
-    indices of all levels and is made by the caller that has them.  A
-    resonant level shows a positive eigenvalue, so only the degree is read
-    here: `validate` runs only at the API edge, in `classify_noncompact`,
-    `certify_nontrivial` and `cli`.
+    of the module docstring: deg_1 * D1 term by term in closed form, and
+    deg_1 times the runs of -n0 * B1b of speed s >= 0 in one loop, run by
+    run, each pair with its mirror image.  The space below a level enters
+    only when n0 != 0, and then only through the runs its null characters
+    meet: its full degree would square a sum whose length grows with k,
+    and a run parallel to every null character is never built.  When the
+    c null characters need more than `euler._MAX_LINE_PRODUCTS` line
+    products, c * (c - 1) / 2 in their degree, one per unordered pair, or
+    in the index the keys written, one per class of D1 and two per pair
+    visited in a run, `euler._check_line_products` raises ValueError
+    before any is made, and spells its message only then; by the
+    reflection that count is the number of pairs of a null character with
+    a class of D1 or a character below.  When n0 == 0 the degree's terms
+    are not copied at all: its part n0 * (deg - T) vanishes, and no run
+    and no gcd is made.  Its phi or phi_i must be -n0 or -c_i times the
+    null-mode multiplicity.  The classification is the problem-wide one,
+    made once; the sum-obstruction upgrade needs the indices of all levels
+    and is made by the caller that has them.  A resonant level shows a
+    positive eigenvalue, so only the degree is read here: `validate` runs
+    only at the API edge, in `classify_noncompact`, `certify_nontrivial`
+    and `cli`.
     """
     walk = _Walk(problem)
     deg_s1 = problem.deg_s1
-    n0 = deg_s1.fixed
+    n0, d1 = deg_s1.fixed, deg_s1.finite
     classification = _classification(problem)
-    # D1 as runs at n = 0, of speeds i >= 1, met by every null character
-    d1 = [(i, 0, 1, c) for i, c in deg_s1.finite]
-    rotating = [s for s in walk.by_speed if s] if n0 else []
-    groups = _groups(d1, [])
+    # the speeds s >= 0 and s > 0 of the runs below a level; those of -s
+    # are their mirror images
+    nonnegative = [s for s in walk.by_speed if s >= 0] if n0 else []
+    positive = [s for s in nonnegative if s]
+    # the runs below a level that a null character (a, b) meets, keyed by
+    # a > 0, with their span and their top hi
+    met = {True: _reach([]), False: _reach([])}
     found, first = walk.null_modes([lvl.lambda_sq for lvl in levels])
     for p, (level, modes) in enumerate(zip(levels, found)):
         if not modes:
@@ -255,12 +282,12 @@ def _reports(
         )
         if n0:
             # the runs of speed 0 are built only for a null character with
-            # a != 0, the one kind that meets them
-            speeds = walk.by_speed if any(a for (a, _), _ in resonant.characters) else rotating
+            # a > 0, the one kind that meets them
+            speeds = nonnegative if any(a > 0 for (a, _), _ in resonant.characters) else positive
             runs = walk.runs(level.lambda_sq, speeds, first if p == 0 else {})
-            groups = _groups(d1, [(s, lo, hi, -n0 * k) for s, lo, hi, k in runs])
+            met = {True: _reach(runs), False: _reach([run for run in runs if run[0]])}
         _check_line_products(
-            sum(groups[null[0] == 0][1] for null, _ in resonant.characters),
+            chars * len(d1) + 2 * sum(met[null[0] > 0][1] for null, _ in resonant.characters),
             "the index at lambda_sq = {} needs {count} line products",
             level.lambda_sq,
         )
@@ -272,22 +299,27 @@ def _reports(
         # _xgcd(b, n) once per null mode b and n, as far as the runs met reach
         gcds: dict[int, list[tuple[int, int, int]]] = {}
         for (_, a, b), c in deg[1 : chars + 1]:
-            met, _, top = groups[a == 0]
-            g = gcds.setdefault(b, [])
-            g.extend(_xgcd(b, n) for n in range(len(g), top))
-            _line_products(acc, a, b, c, met, g)
+            _cyclic_products(acc, a, b, c, d1)
+            group, _, top = met[a > 0]
+            if group:
+                g = gcds.setdefault(b, [])
+                g.extend(_xgcd(b, n) for n in range(len(g), top))
+                _line_products(acc, a, b, -n0 * c, group, g)
+        index = _from_keys(acc)
         if n0:
-            certificate, coeff = Certificate.FIXED_COEFFICIENT, n0
-            phi = sum(c for key, c in acc.items() if key[0] == 1)
+            certificate, coeff, block = Certificate.FIXED_COEFFICIENT, n0, ((1,), (2,))
         else:
             certificate = Certificate.SAME_SIGN
-            i, coeff = deg_s1.finite[0]
-            phi = sum(c for key, c in acc.items() if key[:2] == (2, i))
-        if phi != -coeff * sum(k for _, k in resonant.characters):
+            i, coeff = d1[0]
+            block = ((2, i), (2, i + 1))
+        # the terms phi or phi_i counts are one slice of the sorted terms,
+        # since a key prefix sorts before every key it begins
+        start, stop = (bisect_left(index._terms, (prefix,)) for prefix in block)
+        if sum(c for _, c in index._terms[start:stop]) != -coeff * sum(k for _, k in resonant.characters):
             raise RuntimeError("certificate path disagrees with direct evaluation")
         yield BifurcationReport(
             level=level,
-            index=_from_keys(acc),
+            index=index,
             nontrivial=True,
             certificate=certificate,
             classification=classification,

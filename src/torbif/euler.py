@@ -19,12 +19,18 @@ the key of the product.  It has two forms.  The pair form, the cached
 it takes a gcd.  The run form `_line_products` serves the bifurcation
 index: it multiplies one line against whole runs of characters (s, n),
 lo <= n < hi, with the products written inline, and takes the run's
-weight and b*s once per run, so no call is made per product.  There are
-two because `star` still forms B1r * B1r on the index's path (see
+weight and b*s once per run, so no call is made per product.  It writes
+mirror pairs: with each product of the kernels of (a, b) and (s, n) it
+writes that of (-a, b) and (-s, n), the image under the reflection
+(m, n) -> (-m, n), whose key it reads off the first (see `bifurcation`).
+The product of a line with a class H(i,0) needs neither form: it is
+F(i,0;a mod i,b) in closed form (`_cyclic_products`).  There are two
+forms because `star` still forms B1r * B1r on the index's path (see
 ROADMAP item 2), as a square that makes each unordered pair of distinct
 lines once; once that product joins the index's loop, `star` leaves
-that path and the pair form serves only API callers.  A property test
-ties the run form to the pair form.
+that path and the pair form serves only API callers.  Property tests
+tie the run form, on each pair and its mirror, and the closed form to
+the pair form.
 Elements are canonically sorted sparse integer combinations, so equality
 is structural and all arithmetic is exact.  An element keeps nonzero
 (key, coefficient) pairs, each key one flat tuple of ints: (0,) for T,
@@ -60,10 +66,10 @@ _Terms = tuple[tuple[Key, int], ...]
 
 # The most line products made at one level by `bifurcation.build_report`,
 # for the unordered pairs of null characters in their degree and again for
-# the loop over runs, or for one product by `torbif star`, so that a huge
-# --k, many speeds or long factors end in an error, not in minutes of
-# work.  Each of them counts its products first and passes the count to
-# `_check_line_products`.
+# the index's products with D1 and the runs below, or for one product by
+# `torbif star`, so that a huge --k, many speeds or long factors end in an
+# error, not in minutes of work.  Each of them counts its products first
+# and passes the count to `_check_line_products`.
 _MAX_LINE_PRODUCTS = 1_000_000
 
 
@@ -211,13 +217,16 @@ def _line_products(
     runs: Iterable[tuple[int, int, int, int]],
     g: Sequence[tuple[int, int, int]],
 ) -> None:
-    """Add c * w times the product of the kernels of (a, b) and (s, n) into
-    `acc`, keyed by term keys, for each run (s, lo, hi, w) and each n
-    with lo <= n < hi, given g[n] = _xgcd(b, n).
+    """Add c * w times the product of the kernels of (a, b) and (s, n), and
+    c * w times that of their mirror images (-a, b) and (-s, n), into
+    `acc`, keyed by term keys, for each run (s, lo, hi, w) and each n with
+    lo <= n < hi, given g[n] = _xgcd(b, n).
 
-    This is `_generator_product` over every pair of the runs, written out:
-    det = a*n - b*s, no term where det is 0, and otherwise the key
-    (2, |det| / d, x*a + y*s mod |det| / d, d) with (d, x, y) = g[n]."""
+    This is `_generator_product` over every pair of the runs and over its
+    mirror image, written out: det = a*n - b*s, no term where det is 0,
+    and otherwise the key (2, |det| / d, r, d) with (d, x, y) = g[n] and
+    r = x*a + y*s mod |det| / d.  The mirror pair has -det and the same
+    extended gcd, so its key is (2, |det| / d, -r mod |det| / d, d)."""
     for s, lo, hi, w in runs:
         cw, bs = c * w, b * s
         for n in range(lo, hi):
@@ -225,8 +234,21 @@ def _line_products(
             if det:
                 d, x, y = g[n]
                 axis = abs(det) // d
-                key = (2, axis, (x * a + y * s) % axis, d)
+                r = (x * a + y * s) % axis
+                key, mirror = (2, axis, r, d), (2, axis, -r % axis, d)
                 acc[key] = acc.get(key, 0) + cw
+                acc[mirror] = acc.get(mirror, 0) + cw
+
+
+def _cyclic_products(acc: dict[Key, int], a: int, b: int, c: int, finite: Iterable[tuple[int, int]]) -> None:
+    """Add c * c_i times the product of the kernels of (a, b) and (i, 0)
+    into `acc`, keyed by term keys, for each (i, c_i) of `finite`, given
+    b >= 1: in closed form, H(i,0) * H(a,b) = F(i,0;a mod i,b), with no
+    gcd taken.  This is `_generator_product((a, b), (i, 0))`, whose det is
+    -b*i and whose extended gcd _xgcd(b, 0) is (b, 1, 0)."""
+    for i, ci in finite:
+        key = (2, i, a % i, b)
+        acc[key] = acc.get(key, 0) + c * ci
 
 
 def _check_line_products(count: int, message: str, *args: object) -> None:

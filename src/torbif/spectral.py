@@ -157,7 +157,9 @@ class BifurcationLevel(Frozen):
     Identity is the square of the frequency, stored once as `lambda_sq`:
     two levels are equal exactly when their `lambda_sq` values are equal,
     so coincident levels coming from different eigenvalues compare equal,
-    and the hash is hash(lambda_sq).
+    and the hash is hash(lambda_sq), taken at the first call and kept: a
+    `Fraction`'s hash takes a modular inverse, and `classify` keys each
+    level in several dicts.
     """
 
     _fields = ("k", "alpha", "lambda_sq")
@@ -176,7 +178,10 @@ class BifurcationLevel(Frozen):
         return self.lambda_sq == other.lambda_sq
 
     def __hash__(self) -> int:
-        return hash(self.lambda_sq)
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash(self.lambda_sq)
+        return value
 
     def __repr__(self) -> str:
         return f"BifurcationLevel(k={self.k}, alpha={self.alpha})"

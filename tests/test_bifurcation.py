@@ -3,6 +3,7 @@ import json
 import os
 import random
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -427,6 +428,68 @@ def test_full_orbit_index_matches_three_factor_product(problem):
         assert build_report(problem, level).index == bif_index_expanded(problem, level)
 
 
+def mirror(element):
+    """The image of an element under the reflection (z, w) -> (conj z, w)
+    of the torus, which maps each character (m, n) to (-m, n)."""
+    return EulerElementT2(
+        (TorusSubgroup.from_characters([(-m, n) for m, n in subgroup.rows]), c)
+        for subgroup, c in element.terms
+    )
+
+
+def test_mirror_maps_a_product_to_the_product_of_the_mirrors():
+    # the kernels of (3, 1) and (1, 2) meet in F(5,0;3,1), and those of
+    # (-3, 1) and (-1, 2) in its mirror image F(5,0;2,1)
+    for first, second in (((2, 3), (1, 1)), ((1, 2), (1, 0)), ((3, 1), (1, 2)), ((4, 3), (-2, 5))):
+        product = gen(first).star(gen(second))
+        mirrored = gen((-first[0], first[1])).star(gen((-second[0], second[1])))
+        assert mirror(product) == mirrored
+        assert mirror(mirrored) == product
+    assert gen((3, 1)).star(gen((1, 2))) == gen((5, 0), (3, 1))
+    assert mirror(gen((5, 0), (3, 1))) == gen((5, 0), (2, 1))
+
+
+# eigenspaces with trivial parts of either parity and speeds 1 to 3
+REFLECTION_REPS = st.builds(
+    S1Representation,
+    trivial=st.integers(0, 2),
+    rotating=st.dictionaries(st.integers(1, 3), st.integers(1, 2), max_size=3),
+).filter(lambda rep: rep.dim)
+
+
+@st.composite
+def reflection_problems(draw):
+    """A problem whose eigenvalues come from alpha, 4 alpha and 9 alpha / 4,
+    which share levels, 2 alpha, zero and -alpha; a nonzero degree with
+    n0 == 0 or n0 != 0 and classes H(i,0) of orders 1 to 4; and a max_k."""
+    base = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 7))))
+    pool = [base, 4 * base, base * Fraction(9, 4), 2 * base, Fraction(0), -base]
+    alphas = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    if not any(alpha > 0 for alpha in alphas):
+        alphas.append(base * Fraction(9, 4))
+    spectra = tuple(SpectralDatum(alpha, draw(REFLECTION_REPS)) for alpha in alphas)
+    fixed = draw(st.sampled_from((0, 0, 1, -1, 2)))
+    finite = draw(st.dictionaries(st.integers(1, 4), st.integers(-2, 2), max_size=3))
+    if not fixed and not any(finite.values()):
+        finite[draw(st.integers(1, 4))] = draw(st.sampled_from((1, -1)))
+    return CriticalPointProblem(spectra, EulerElementS1(fixed, finite), draw(st.booleans())), draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@example(case=(shared_speeds_problem(EulerElementS1(2, {1: -1, 2: 1, 4: 3})), 4))
+@example(case=(axis_family_problem({1: 1, 3: -2}), 4))
+@given(reflection_problems())
+def test_index_matches_the_oracle_and_the_reflection(case):
+    # the index, whose line products are made for half the pairs and
+    # mirrored, is the full three-factor product and is fixed by the
+    # reflection (m, n) -> (-m, n), with n0 == 0 and n0 != 0
+    problem, max_k = case
+    for level in lambda_set(problem, max_k):
+        index = bif_index(problem, level)
+        assert index == bif_index_expanded(problem, level)
+        assert mirror(index) == index
+
+
 def test_full_orbit_index_with_one_parallel_mode_below():
     # at k = 4 over alpha = 1 the null characters are (2, 4) and (-2, 4);
     # the run of speed 1, from alpha = 2, has the modes n = 1..5, and
@@ -551,6 +614,47 @@ def test_index_hashes_no_level_fraction(tmp_path, capsys, monkeypatch):
     assert '"zero_sum_subset": {\n    "exists": false' in out
 
 
+def test_zero_sum_check_hashes_each_level_once(tmp_path, capsys, monkeypatch):
+    # 12 levels of an Alternative problem with a unique critical point:
+    # classify keys the levels in the indices it hands the zero-sum check,
+    # and the check keys them again in its table and its walk, yet each
+    # level's lambda_sq is hashed once; the check still adds in the ring
+    problem = CriticalPointProblem(
+        spectra=(
+            SpectralDatum(2, S1Representation(trivial=1, rotating={1: 1})),
+            SpectralDatum(3, S1Representation(rotating={2: 1})),
+        ),
+        deg_s1=EulerElementS1(0, {1: 1, 2: -1}),
+        unique_critical_point=True,
+    )
+    path = str(tmp_path / "problem.json")
+    write_problem(problem, path)
+    levels = []
+    enumerate_levels = torbif.cli.lambda_set
+
+    def recording(problem, max_k):
+        levels.extend(enumerate_levels(problem, max_k))
+        return list(levels)
+
+    monkeypatch.setattr(torbif.cli, "lambda_set", recording)
+    adds = count_calls(monkeypatch, "__add__", [EulerElementT2])
+    hashed = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    assert main(["classify", "--problem", path, "--max-k", "6"]) == 0
+    monkeypatch.undo()
+    assert len(levels) == 12
+    times = Counter(id(q) for q in hashed)
+    assert [times[id(level.lambda_sq)] for level in levels] == [1] * 12
+    assert adds
+    assert capsys.readouterr().out.endswith("zero-sum subsets among computed levels: none\n")
+
+
 def test_classify_builds_one_report_per_level(tmp_path, capsys, monkeypatch):
     # an Alternative problem with a unique critical point and 4 levels, so
     # every level is upgraded to sum_obstruction; the upgrade is printed
@@ -665,11 +769,15 @@ def test_walk_matches_the_oracles_at_every_level(case, rnd, as_json):
     for level, pairs in zip(levels, _resonances(problem, levels)):
         assert pairs == resonances_by_fractions(problem, level.lambda_sq)
     for level in levels if problem.deg_s1.fixed else ():
-        # runs of speed s != 0 meet every null character, those of speed 0
-        # only a null character (a, b) with a != 0
+        # only runs of speed s >= 0 are built, those of speed -s being
+        # their mirror images: runs of speed s > 0 meet every null
+        # character, those of speed 0 only a null character (a, b) with
+        # a > 0
         nulls = resonant_space(problem, level).characters
-        meets_zero = any(a for (a, _), _ in nulls)
-        expected = [run for run in below_runs_by_fractions(problem, level) if run[0] or meets_zero]
+        meets_zero = any(a > 0 for (a, _), _ in nulls)
+        expected = [
+            run for run in below_runs_by_fractions(problem, level) if run[0] > 0 or (run[0] == 0 and meets_zero)
+        ]
         made = [run for q, made in built if q == level.lambda_sq for run in made]
         assert sorted(made) == sorted(expected)
     if not problem.deg_s1.fixed:

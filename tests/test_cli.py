@@ -754,16 +754,21 @@ def test_index_breaking_phi_is_an_internal_error(tmp_path, capsys, monkeypatch, 
 
 def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys, monkeypatch):
     # with the closed form for the product of two lines stubbed to vanish,
-    # in its pair form for star and its run form for the index, the worked
-    # example's index is zero although its certificate says not
+    # in its pair form for star, its run form and its form against a class
+    # H(i,0) for the index, the worked example's index is zero although its
+    # certificate says not
     def vanishing_product(ch1, ch2):
         return None
 
     def vanishing_products(acc, a, b, c, runs, g):
         return None
 
+    def vanishing_cyclic_products(acc, a, b, c, finite):
+        return None
+
     monkeypatch.setattr(torbif.euler, "_generator_product", vanishing_product)
     monkeypatch.setattr(torbif.bifurcation, "_line_products", vanishing_products)
+    monkeypatch.setattr(torbif.bifurcation, "_cyclic_products", vanishing_cyclic_products)
     assert main(["index", "--problem", example_path, "--k", "1", "--alpha", "2"]) == 5
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -771,14 +776,17 @@ def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys
 
 
 def counting_line_products(monkeypatch):
-    """Count every line product, made one pair at a time by `star` or run
-    by run by `build_report`, where each (null character, n) pair of a run
-    counts as one, and every entry of the index's gcd table.  Returns a
-    function that reads the counts made since its last call; `star`'s
-    pair products are the misses of the `_generator_product` cache, which
-    is cleared here and at each read."""
+    """Count every line product, made one pair at a time by `star`, or
+    by `build_report` as the keys it writes: run by run, where each
+    (null character, n) pair of a run writes two, its own and its
+    mirror's, and in closed form, one per null character and class of D1.
+    Count every entry of the index's gcd table too.  Returns a function
+    that reads the counts made since its last call; `star`'s pair
+    products are the misses of the `_generator_product` cache, which is
+    cleared here and at each read."""
     counts = Counter()
     line_products = torbif.bifurcation._line_products
+    cyclic_products = torbif.bifurcation._cyclic_products
     xgcd = torbif.bifurcation._xgcd
 
     def read():
@@ -788,14 +796,19 @@ def counting_line_products(monkeypatch):
         return made
 
     def counted_products(acc, a, b, c, runs, g):
-        counts["line_product"] += sum(hi - lo for _, lo, hi, _ in runs)
+        counts["line_product"] += 2 * sum(hi - lo for _, lo, hi, _ in runs)
         return line_products(acc, a, b, c, runs, g)
+
+    def counted_cyclic_products(acc, a, b, c, finite):
+        counts["line_product"] += len(finite)
+        return cyclic_products(acc, a, b, c, finite)
 
     def counted_xgcd(b, n):
         counts["gcd_table"] += 1
         return xgcd(b, n)
 
     monkeypatch.setattr(torbif.bifurcation, "_line_products", counted_products)
+    monkeypatch.setattr(torbif.bifurcation, "_cyclic_products", counted_cyclic_products)
     monkeypatch.setattr(torbif.bifurcation, "_xgcd", counted_xgcd)
     _generator_product.cache_clear()
     return read
@@ -804,26 +817,33 @@ def counting_line_products(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**9))
 def test_line_product_bound_is_exact(seed):
-    # the bound counts exactly the (null character, n) pairs that the loop
-    # visits: with the limit at that count the level is formed, and one
-    # below it the request exits 2 naming the count, unless the pairs of
-    # null characters in their degree are over the limit first
+    # the bound counts exactly the keys that the index writes, two for each
+    # (null character, n) pair that the loop visits and one for each null
+    # character and class of D1: with the limit at that count the level is
+    # formed, and one below it the request exits 2 naming the count, unless
+    # the pairs of null characters in their degree are over the limit first
     rng = random.Random(seed)
     problem = random_problem(rng)
     level = rng.choice(lambda_set(problem, 4))
     chars = len(torbif.resonant_space(problem, level).characters)
     line_products = torbif.bifurcation._line_products
+    cyclic_products = torbif.bifurcation._cyclic_products
     visited = []
 
     def counted(acc, a, b, c, runs, g):
-        visited.append(sum(hi - lo for _, lo, hi, _ in runs))
+        visited.append(2 * sum(hi - lo for _, lo, hi, _ in runs))
         return line_products(acc, a, b, c, runs, g)
+
+    def counted_cyclic(acc, a, b, c, finite):
+        visited.append(len(finite))
+        return cyclic_products(acc, a, b, c, finite)
 
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "problem.json")
         write_problem(problem, path)
         argv = ["index", "--problem", path, "--k", str(level.k), "--alpha", str(level.alpha)]
         patch.setattr(torbif.bifurcation, "_line_products", counted)
+        patch.setattr(torbif.bifurcation, "_cyclic_products", counted_cyclic)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             assert main(argv) == 0
@@ -845,12 +865,12 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monk
     # full-orbit term, so neither index meets a character below the level;
     # the line products are the unordered pairs of distinct null characters
     # in the degree on the null modes and one per null character and class
-    # of D1, and the gcd table holds the one null mode at n = 0
+    # of D1, in closed form, so no gcd table is made
     counts = counting_line_products(monkeypatch)
     assert main(["index", "--problem", example_path, "--k", "6400", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,6400)\ncertificate: SameSignPath\n"
     # one null character: no pair in its degree, one product with H(1,0)
-    assert counts() == {"line_product": 1, "gcd_table": 1}
+    assert counts() == Counter(line_product=1, gcd_table=0)
     problem = CriticalPointProblem(
         spectra=(SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1, 2: 1})),),
         deg_s1=EulerElementS1.cyclic(1),
@@ -862,7 +882,7 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monk
     assert capsys.readouterr().out == "-5*F(1,0;0,250)\ncertificate: SameSignPath\n"
     # 5 null characters: 5 * 4 / 2 unordered pairs and 5 products with
     # H(1,0), not one per character of the 249 modes below the level
-    assert counts() == {"line_product": 5 * 4 // 2 + 5, "gcd_table": 1}
+    assert counts() == Counter(line_product=5 * 4 // 2 + 5, gcd_table=0)
 
 
 def test_requests_build_no_subgroup(example_path, tmp_path, capsys):
@@ -1044,7 +1064,7 @@ def test_index_without_full_orbit_term_ignores_the_space_below(example_path, cap
     assert below == []
     made = counts()
     assert made["line_product"] < 10
-    assert made["gcd_table"] == 1
+    assert made["gcd_table"] == 0
 
 
 def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatch):

@@ -18,7 +18,7 @@ from torbif import (
     normalize_character,
     parse_element,
 )
-from torbif.euler import _from_keys, _generator_product, _line_products, element_to_json
+from torbif.euler import _cyclic_products, _from_keys, _generator_product, _line_products, element_to_json
 from torbif.subgroups import _key, _label, _labels, _rows, _xgcd
 
 from oracles import (
@@ -167,16 +167,39 @@ def runs_against_a_line(draw):
 @given(runs_against_a_line(), st.dictionaries(st.sampled_from([(2, 1, 0, 1), (2, 2, 1, 1)]), entries))
 def test_line_products_match_the_pair_form(case, start):
     # the run form adds to the dict what the pair form gives on every pair
-    # of the runs, weighted by c * w, with no term where det is 0
+    # of the runs and on its mirror image, (-a, b) against (-s, n), each
+    # weighted by c * w, with no term where det is 0
     a, b, c, runs, g = case
     expected = dict(start)
     for s, lo, hi, w in runs:
         for n in range(lo, hi):
-            rows = _generator_product((a, b), (s, n))
-            if rows is not None:
-                expected[rows] = expected.get(rows, 0) + c * w
+            for pair in (((a, b), (s, n)), ((-a, b), (-s, n))):
+                rows = _generator_product(*pair)
+                if rows is not None:
+                    expected[rows] = expected.get(rows, 0) + c * w
     acc = dict(start)
     _line_products(acc, a, b, c, runs, g)
+    assert acc == expected
+
+
+@settings(max_examples=500)
+@given(
+    entries,
+    st.one_of(st.integers(1, 12), st.integers(1, 10**6)),
+    entries,
+    st.dictionaries(st.one_of(st.integers(1, 12), st.integers(1, 10**6)), entries, max_size=4),
+    st.dictionaries(st.sampled_from([(2, 1, 0, 1), (2, 2, 1, 1), (2, 3, 2, 5)]), entries),
+)
+def test_cyclic_products_match_the_pair_form(a, b, c, finite, start):
+    # the closed form F(i,0;a mod i,b) for a line (a, b) with b >= 1 against
+    # each class H(i,0) adds to the dict what the pair form gives, weighted
+    # by c * c_i
+    expected = dict(start)
+    for i, ci in finite.items():
+        key = _generator_product((a, b), (i, 0))
+        expected[key] = expected.get(key, 0) + c * ci
+    acc = dict(start)
+    _cyclic_products(acc, a, b, c, sorted(finite.items()))
     assert acc == expected
 
 
