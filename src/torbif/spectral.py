@@ -44,8 +44,10 @@ Below the level the characters come in runs: for one signed speed s (0
 for the trivial part) the characters (s, n) over every eigenvalue merge
 into runs lo <= n < hi of one multiplicity, so `_Walk.runs` names each
 run in O(1), for the speeds asked for only, and only `negative_space`
-lists the characters.  The counts of modes below a level that the runs
-need are known at the first level and taken with one isqrt per
+lists the characters.  The runs of speeds s and -s are the same runs,
+so the bifurcation index asks for the speeds s >= 0 only, and
+`negative_space` for all.  The counts of modes below a level that the
+runs need are known at the first level and taken with one isqrt per
 eigenvalue at a later one.  `resonant_pairs`, `level_from_lambda_sq`,
 `resonant_space` and `negative_space` are the walk over one level.
 This module alone decides which characters lie below a level.

@@ -512,9 +512,9 @@ def test_full_orbit_index_with_one_parallel_mode_below():
 def test_index_with_null_modes_on_two_modes(monkeypatch):
     # at lambda_sq = 1, alpha 1 resonates on mode 1 and alpha 4 on mode 2,
     # so the null characters have two second coordinates and the index
-    # takes one gcd table for each; the finite terms of deg_s1 enter as
-    # runs at n = 0 and its S1 term brings the characters of mode 1 of
-    # alpha 4 below the level
+    # takes one gcd table for each, indexed from n = 0; the finite terms
+    # of deg_s1 enter in closed form and its S1 term brings the characters
+    # of mode 1 of alpha 4 below the level
     problem = CriticalPointProblem(
         spectra=(
             SpectralDatum(1, S1Representation(trivial=1, rotating={1: 1})),
