@@ -117,6 +117,7 @@ from .euler import (
     EulerElementT2,
     Key,
     _check_line_products,
+    _check_square_products,
     _cyclic_products,
     _from_keys,
     _line_products,
@@ -230,20 +231,23 @@ def _reports(
     meet: its full degree would square a sum whose length grows with k,
     and a run parallel to every null character is never built.  When the
     c null characters need more than `euler._MAX_LINE_PRODUCTS` line
-    products, c * (c - 1) / 2 in their degree, one per unordered pair, or
-    in the index the keys written, one per class of D1 and two per pair
-    visited in a run, `euler._check_line_products` raises ValueError
-    before any is made, and spells its message only then; by the
-    reflection that count is the number of pairs of a null character with
-    a class of D1 or a character below.  When n0 == 0 the degree's terms
-    are not copied at all: its part n0 * (deg - T) vanishes, and no run
-    and no gcd is made.  Its phi or phi_i must be -n0 or -c_i times the
-    null-mode multiplicity.  The classification is the problem-wide one,
-    made once; the sum-obstruction upgrade needs the indices of all levels
-    and is made by the caller that has them.  A resonant level shows a
-    positive eigenvalue, so only the degree is read here: `validate` runs
-    only at the API edge, in `classify_noncompact`, `certify_nontrivial`
-    and `cli`.
+    products, in their degree one per unordered pair of non-parallel
+    characters, c * (c - 1) / 2 less c_g * (c_g - 1) / 2 for each group of
+    c_g characters of one primitive direction, as `star` makes them
+    (`euler._check_square_products`), or in the index the keys written,
+    one per class of D1 and two per pair visited in a run,
+    `euler._check_line_products` raises ValueError before any is made,
+    and spells its message only then; by the reflection the index's count
+    is the number of pairs of a null character with a class of D1 or a
+    character below.  When n0 == 0 the degree's terms are not copied at
+    all: its part n0 * (deg - T) vanishes, and no run and no gcd is made.
+    Its phi or phi_i must be -n0 or -c_i times the null-mode
+    multiplicity.  The classification is the problem-wide one, made once;
+    the sum-obstruction upgrade needs the indices of all levels and is
+    made by the caller that has them.  A resonant level shows a positive
+    eigenvalue, so only the degree is read here: `validate` runs only at
+    the API edge, in `classify_noncompact`, `certify_nontrivial` and
+    `cli`.
     """
     walk = _Walk(problem)
     deg_s1 = problem.deg_s1
@@ -273,8 +277,8 @@ def _reports(
             continue
         resonant = walk.resonant(modes)
         chars = len(resonant.characters)
-        _check_line_products(
-            chars * (chars - 1) // 2,
+        _check_square_products(
+            resonant.characters,
             "the degree on the null modes at lambda_sq = {} needs {count} line products"
             " for {} characters",
             level.lambda_sq,
@@ -296,13 +300,14 @@ def _reports(
         # all but its first term, and nothing when n0 == 0
         deg = deg_minus_id_t2(resonant)._terms
         acc = {key: n0 * c for key, c in deg[1:]} if n0 else {}
-        # _xgcd(b, n) once per null mode b and n, as far as the runs met reach
-        gcds: dict[int, list[tuple[int, int, int]]] = {}
+        # _xgcd(b, n) once per null mode b and n >= 1, as far as the runs met
+        # reach; no run starts below n = 1, so index 0 holds a placeholder
+        gcds: dict[int, list] = {}
         for (_, a, b), c in deg[1 : chars + 1]:
             _cyclic_products(acc, a, b, c, d1)
             group, _, top = met[a > 0]
             if group:
-                g = gcds.setdefault(b, [])
+                g = gcds.setdefault(b, [None])
                 g.extend(_xgcd(b, n) for n in range(len(g), top))
                 _line_products(acc, a, b, -n0 * c, group, g)
         index = _from_keys(acc)

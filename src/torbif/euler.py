@@ -14,7 +14,12 @@ three.  So `star` splits each operand by dimension once: the full-torus
 term scales the other operand, and only pairs of two lines reach the
 closed form for the product of two lines, which works on their raw
 characters and the extended gcd of their second coordinates and returns
-the key of the product.  It has two forms.  The pair form, the cached
+the key of the product.  Parallel lines multiply to zero, so `star`
+groups each operand's lines by primitive direction (`_by_direction`) and
+pairs only lines of two groups.  Two lines (a, n) and (m, n) of one mode
+need no gcd, since the extended gcd of (n, n) is (n, 0, 1): their
+product F(|a-m|,0;m mod |a-m|,n) is written inline.  Other pairs take
+the closed form, which has two forms.  The pair form, the cached
 `_generator_product`, serves `star`; it tests for parallel lines before
 it takes a gcd.  The run form `_line_products` serves the bifurcation
 index: it multiplies one line against whole runs of characters (s, n),
@@ -26,11 +31,12 @@ writes that of (-a, b) and (-s, n), the image under the reflection
 The product of a line with a class H(i,0) needs neither form: it is
 F(i,0;a mod i,b) in closed form (`_cyclic_products`).  There are two
 forms because `star` still forms B1r * B1r on the index's path (see
-ROADMAP item 2), as a square that makes each unordered pair of distinct
-lines once; once that product joins the index's loop, `star` leaves
-that path and the pair form serves only API callers.  Property tests
-tie the run form, on each pair and its mirror, and the closed form to
-the pair form.
+ROADMAP item 2), as a square that makes each unordered pair of
+non-parallel lines once; once that product joins the index's loop,
+`star` leaves that path and the pair form serves only API callers.
+Property tests tie the run form, on each pair and its mirror, and the
+closed forms to the pair form, and `star` to the product of every pair
+of terms through their intersection.
 Elements are canonically sorted sparse integer combinations, so equality
 is structural and all arithmetic is exact.  An element keeps nonzero
 (key, coefficient) pairs, each key one flat tuple of ints: (0,) for T,
@@ -55,8 +61,10 @@ isotropy of order k goes to the kernel of the character (k, 0).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from functools import lru_cache
+from math import gcd
 
 from ._frozen import Frozen, _at_least, _merged
 from .subgroups import Character, TorusSubgroup, _interned, _key, _labels, _rows, _xgcd
@@ -151,27 +159,49 @@ class EulerElementT2(Frozen):
         Each operand is split by dimension once.  Its full-torus term, the
         identity, scales the other operand; of the remaining pairs only
         line x line has total dimension 2, so every other pair is zero by
-        the grading and only line pairs reach the generator product.  The
-        product is commutative, so a square `x.star(x)` takes each unordered
-        pair of distinct lines once, with twice its coefficient, and skips a
-        line times itself, which is parallel and so zero: c * (c - 1) / 2
-        generator products for c lines, not c * c.  All terms go into one
-        dict keyed by term keys, and the result is built once from it by
-        `_from_keys`."""
+        the grading and only line pairs reach the generator product.  Two
+        parallel lines multiply to zero, so the lines of each operand are
+        grouped by primitive direction (`_by_direction`) and only pairs
+        across two groups are visited.  The product is commutative, so a
+        square `x.star(x)` takes each unordered pair of groups once, with
+        twice its coefficient: c * (c - 1) / 2 minus the sum of
+        c_g * (c_g - 1) / 2 over the groups, for c lines and c_g in group g.
+        Two lines (a, n) and (m, n) of one mode have the extended gcd
+        (n, 0, 1) of (n, n), so their product is F(|a - m|,0;m mod |a - m|,n)
+        and its key is written inline; other pairs go through
+        `_generator_product`.  The lines are read as their term keys
+        (1, a, b), one block of the sorted terms, with no character built.
+        All terms go into one dict keyed by term keys, and the result is
+        built once from it by `_from_keys`."""
         if not isinstance(other, EulerElementT2):
             raise TypeError(f"cannot multiply EulerElementT2 by {type(other).__name__}")
         t1, below1, lines1 = _split(self._terms)
-        t2, _, lines2 = _split(other._terms)
+        t2, _, lines2 = (t1, below1, lines1) if other is self else _split(other._terms)
         acc: dict[Key, int] = {key: t1 * c for key, c in other._terms} if t1 else {}
         if t2:
             for key, c in below1:
                 acc[key] = acc.get(key, 0) + t2 * c
-        for i, (ch1, c1) in enumerate(lines1):
+        groups = _by_direction(lines1)
+        if other is self:
+            flat = [line for group in groups.values() for line in group]
+            end = 0
+        else:
+            others = _by_direction(lines2)
+        for d, group in groups.items():
             if other is self:
-                c1, lines2 = 2 * c1, lines1[i + 1 :]
-            for ch2, c2 in lines2:
-                key = _generator_product(ch1, ch2)
-                if key is not None:
+                # a group meets the groups after it, with twice its coefficient
+                end += len(group)
+                partners, scale = flat[end:], 2
+            else:
+                partners, scale = [line for d2, g2 in others.items() if d2 != d for line in g2], 1
+            for (_, a, b), c1 in group:
+                c1 *= scale
+                for (_, m, n), c2 in partners:
+                    if b == n:
+                        axis = abs(a - m)
+                        key = (2, axis, m % axis, n)
+                    else:
+                        key = _generator_product((a, b), (m, n))
                     acc[key] = acc.get(key, 0) + c1 * c2
         return _from_keys(acc)
 
@@ -185,12 +215,27 @@ class EulerElementT2(Frozen):
         return format_element(self)
 
 
-def _split(terms: _Terms) -> tuple[int, _Terms, list[tuple[Character, int]]]:
-    """The coefficient of T, the terms below T and the (character,
-    coefficient) pairs of the line terms of an element's sorted terms."""
+def _split(terms: _Terms) -> tuple[int, _Terms, _Terms]:
+    """The coefficient of T, the terms below T and the line terms of an
+    element's sorted terms: the line terms are those below T whose keys
+    begin with 1, one block since keys sort in plain tuple order."""
     t = terms[0][1] if terms and terms[0][0] == (0,) else 0
     below = terms[1:] if t else terms
-    return t, below, [(key[1:], c) for key, c in below if key[0] == 1]
+    return t, below, below[: bisect_left(below, ((2,),))]
+
+
+def _by_direction(lines: Iterable[tuple[Key, int]]) -> dict[Character, list[tuple[Key, int]]]:
+    """The line terms (key, coefficient) of `lines`, each key (1, a, b) for
+    the normalized character (a, b) (n > 0, or n == 0 and m > 0), grouped
+    by its primitive direction (a/g, b/g), g = gcd(a, b), in order of
+    first appearance: two lines are parallel exactly when they fall in one
+    group."""
+    groups: dict[Character, list[tuple[Key, int]]] = {}
+    for line in lines:
+        _, a, b = line[0]
+        g = gcd(a, b)
+        groups.setdefault((a // g, b // g), []).append(line)
+    return groups
 
 
 def _from_keys(acc: Mapping[Key, int]) -> EulerElementT2:
@@ -261,6 +306,21 @@ def _check_line_products(count: int, message: str, *args: object) -> None:
         raise ValueError(
             message.format(*args, count=count) + f", more than the limit of {_MAX_LINE_PRODUCTS}"
         )
+
+
+def _check_square_products(lines: Sequence[tuple[Character, int]], message: str, *args: object) -> None:
+    """`_check_line_products` for the square of the sum of c * H over
+    these (character, c) lines, which `star` makes from one product per
+    unordered pair of non-parallel lines: c * (c - 1) / 2 for c lines, less
+    c_g * (c_g - 1) / 2 for each group of c_g lines of one direction
+    (`_by_direction`).  The lines are grouped only when all c * (c - 1) / 2
+    pairs are over the bound, so a square that keeps to it costs no
+    grouping here."""
+    count = len(lines) * (len(lines) - 1) // 2
+    if count > _MAX_LINE_PRODUCTS:
+        groups = _by_direction([((1, *ch), c) for ch, c in lines]).values()
+        count -= sum(len(g) * (len(g) - 1) // 2 for g in groups)
+    _check_line_products(count, message, *args)
 
 
 @lru_cache(maxsize=1 << 14)

@@ -27,7 +27,8 @@ of multiplicity k.  The grading gives H * H = 0 for one-dimensional classes
 and one product per unordered pair of characters survive.  B1 * B1
 counts each pair twice and no squares, so its coefficients are even and
 halving them is exact; `EulerElementT2.star` forms that square from each
-unordered pair once, with twice its coefficient.  The three parts lie in
+unordered pair once, with twice its coefficient, and skips the pairs of
+parallel characters, whose product is zero.  The three parts lie in
 dimensions 2, 1 and 0, which is plain tuple order on term keys, and each
 is sorted with no zero term: T alone, B1 as `euler._from_keys` builds it
 and the square as `star` does, halved.  So the degree is their terms laid
@@ -151,10 +152,12 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     """Equivariant degree of minus-identity on the unit ball of `rep`, as
     sign * (T - B1 + B1 * B1 / 2) (see the module docstring); B1 * B1
     counts each pair of distinct characters twice, so its coefficients
-    are even, and `star` makes it from c * (c - 1) / 2 generator products
-    for c characters.  Its terms are T, then -B1, one term per character,
-    then B1 * B1 / 2: the three parts in grade order, each already sorted
-    and free of zeros, laid end to end with no sort."""
+    are even, and `star` makes it from one generator product per
+    unordered pair of non-parallel characters: c * (c - 1) / 2 for c
+    characters, less c_g * (c_g - 1) / 2 for each group of c_g characters
+    of one primitive direction.  Its terms are T, then -B1, one term per
+    character, then B1 * B1 / 2: the three parts in grade order, each
+    already sorted and free of zeros, laid end to end with no sort."""
     sign = -1 if rep.trivial % 2 else 1
     # the kernel of a normalized character (m, n) has the key (1, m, n)
     b1 = _from_keys({(1, *ch): k for ch, k in rep.characters})

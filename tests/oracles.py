@@ -250,6 +250,18 @@ def star_by_pairs(x, y):
     )
 
 
+def cross_direction_pairs(lines, others=None):
+    """The pairs of non-parallel characters, (a, b) and (m, n) with
+    a*n != b*m, by brute force: each unordered pair of `lines` once when
+    `others` is None, otherwise each pair of a line of `lines` with one
+    of `others`."""
+    if others is None:
+        pairs = [(p, q) for i, p in enumerate(lines) for q in lines[i + 1 :]]
+    else:
+        pairs = [(p, q) for p in lines for q in others]
+    return [(p, q) for p, q in pairs if p[0] * q[1] != p[1] * q[0]]
+
+
 class NotInvertible(ValueError):
     """Inversion was attempted on an element whose identity coefficient is not +-1."""
 

@@ -47,6 +47,7 @@ from oracles import (
     bif_index_expanded,
     bif_index_two_sided,
     classify_output_rebuilding_reports,
+    cross_direction_pairs,
     one_signed_functional,
     random_element,
     random_problem,
@@ -490,6 +491,66 @@ def test_index_matches_the_oracle_and_the_reflection(case):
         assert mirror(index) == index
 
 
+@st.composite
+def parallel_problems(draw):
+    """A problem whose eigenvalues j*j*base, for up to five j in 1..6,
+    resonate at the level BifurcationLevel(1, base) on the mode j, each
+    with a trivial part, the speeds j*s for shared speeds s and maybe one
+    speed of its own: the null characters (0, j) are all parallel, and so
+    are the (j*s, j) and the (-j*s, j) over j; a nonzero degree with
+    n0 == 0 or n0 != 0; and that level."""
+    base = draw(st.sampled_from((Fraction(1), Fraction(2), Fraction(1, 3))))
+    shared = draw(st.lists(st.integers(1, 3), max_size=2, unique=True))
+    spectra = []
+    for j in draw(st.lists(st.integers(1, 6), min_size=1, max_size=5, unique=True)):
+        rotating = {j * s: 1 for s in shared}
+        rotating.update(draw(st.dictionaries(st.integers(1, 4), st.integers(1, 2), max_size=1)))
+        trivial = draw(st.integers(1, 2))
+        spectra.append(SpectralDatum(j * j * base, S1Representation(trivial=trivial, rotating=rotating)))
+    fixed = draw(st.sampled_from((0, 0, 1, -2)))
+    finite = draw(st.dictionaries(st.integers(1, 4), st.integers(-2, 2), max_size=2))
+    if not fixed and not any(finite.values()):
+        finite[draw(st.integers(1, 4))] = draw(st.sampled_from((1, -1)))
+    return CriticalPointProblem(tuple(spectra), EulerElementS1(fixed, finite)), BifurcationLevel(1, base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_problems())
+def test_index_with_many_parallel_null_characters_matches_the_oracle(case):
+    # the degree on the null modes skips every pair of parallel null
+    # characters, of one mode or of several, and writes the pairs of one
+    # mode in closed form; the index is still the full three-factor
+    # product, with n0 == 0 and n0 != 0
+    problem, level = case
+    assert bif_index(problem, level) == bif_index_expanded(problem, level)
+
+
+@settings(max_examples=60, deadline=None)
+@given(parallel_problems())
+def test_degree_bound_counts_the_non_parallel_pairs(case):
+    # the bound on the degree on the null modes counts the unordered pairs
+    # of non-parallel null characters, as a brute force over all pairs
+    # counts them: with the limit at that count the degree passes it, and
+    # one below it the level is refused with that count
+    problem, level = case
+    chars = [ch for ch, _ in resonant_space(problem, level).characters]
+    pairs = len(cross_direction_pairs(chars))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", pairs)
+        try:
+            build_report(problem, level)
+        except ValueError as error:
+            assert str(error).startswith(f"the index at lambda_sq = {level.lambda_sq} needs ")
+        if pairs:
+            patch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", pairs - 1)
+            with pytest.raises(ValueError) as raised:
+                build_report(problem, level)
+            assert str(raised.value) == (
+                f"the degree on the null modes at lambda_sq = {level.lambda_sq} needs {pairs} line"
+                f" products for {len(chars)} characters, more than the limit of {pairs - 1}"
+            )
+
+
 def test_full_orbit_index_with_one_parallel_mode_below():
     # at k = 4 over alpha = 1 the null characters are (2, 4) and (-2, 4);
     # the run of speed 1, from alpha = 2, has the modes n = 1..5, and
@@ -512,7 +573,8 @@ def test_full_orbit_index_with_one_parallel_mode_below():
 def test_index_with_null_modes_on_two_modes(monkeypatch):
     # at lambda_sq = 1, alpha 1 resonates on mode 1 and alpha 4 on mode 2,
     # so the null characters have two second coordinates and the index
-    # takes one gcd table for each, indexed from n = 0; the finite terms
+    # takes one gcd table for each, filled from n = 1, since no run below a
+    # level starts at n = 0; the finite terms
     # of deg_s1 enter in closed form and its S1 term brings the characters
     # of mode 1 of alpha 4 below the level
     problem = CriticalPointProblem(
@@ -533,7 +595,7 @@ def test_index_with_null_modes_on_two_modes(monkeypatch):
 
     monkeypatch.setattr(torbif.bifurcation, "_xgcd", recording)
     assert build_report(problem, level).index == bif_index_expanded(problem, level)
-    assert sorted(gcds) == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    assert sorted(gcds) == [(1, 1), (2, 1)]
     for level in lambda_set(problem, 4):
         assert build_report(problem, level).index == bif_index_expanded(problem, level)
 

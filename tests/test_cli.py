@@ -46,7 +46,7 @@ from torbif.euler import _generator_product
 from torbif.spectral import _Walk
 from torbif.subgroups import _interned
 
-from oracles import NEGATIVE_NUMBER, argparse_reference_parser, random_problem
+from oracles import NEGATIVE_NUMBER, argparse_reference_parser, cross_direction_pairs, random_problem
 
 
 def module_env():
@@ -776,18 +776,30 @@ def test_same_sign_certificate_is_checked_against_the_index(example_path, capsys
 
 
 def counting_line_products(monkeypatch):
-    """Count every line product, made one pair at a time by `star`, or
+    """Count every line product made, one pair at a time by `star`, or
     by `build_report` as the keys it writes: run by run, where each
     (null character, n) pair of a run writes two, its own and its
     mirror's, and in closed form, one per null character and class of D1.
     Count every entry of the index's gcd table too.  Returns a function
-    that reads the counts made since its last call; `star`'s pair
-    products are the misses of the `_generator_product` cache, which is
-    cleared here and at each read."""
+    that reads the counts made since its last call.  `star` makes the
+    product of two non-parallel lines of one mode in closed form, counted
+    here from its operands, and every other product of non-parallel lines
+    through the `_generator_product` cache, counted as that cache's
+    misses; the cache is cleared here and at each read, so a lookup that
+    makes nothing is not counted."""
     counts = Counter()
     line_products = torbif.bifurcation._line_products
     cyclic_products = torbif.bifurcation._cyclic_products
     xgcd = torbif.bifurcation._xgcd
+    star = EulerElementT2.star
+
+    def lines(element):
+        return [key[1:] for key, _ in element._terms if key[0] == 1]
+
+    def counted_star(self, other):
+        pairs = cross_direction_pairs(lines(self), None if other is self else lines(other))
+        counts["line_product"] += sum(1 for (_, b), (_, n) in pairs if b == n)
+        return star(self, other)
 
     def read():
         made = counts + Counter(line_product=_generator_product.cache_info().misses)
@@ -810,6 +822,7 @@ def counting_line_products(monkeypatch):
     monkeypatch.setattr(torbif.bifurcation, "_line_products", counted_products)
     monkeypatch.setattr(torbif.bifurcation, "_cyclic_products", counted_cyclic_products)
     monkeypatch.setattr(torbif.bifurcation, "_xgcd", counted_xgcd)
+    monkeypatch.setattr(EulerElementT2, "star", counted_star)
     _generator_product.cache_clear()
     return read
 
@@ -821,11 +834,12 @@ def test_line_product_bound_is_exact(seed):
     # (null character, n) pair that the loop visits and one for each null
     # character and class of D1: with the limit at that count the level is
     # formed, and one below it the request exits 2 naming the count, unless
-    # the pairs of null characters in their degree are over the limit first
+    # the pairs of non-parallel null characters in their degree are over the
+    # limit first
     rng = random.Random(seed)
     problem = random_problem(rng)
     level = rng.choice(lambda_set(problem, 4))
-    chars = len(torbif.resonant_space(problem, level).characters)
+    pairs = len(cross_direction_pairs([ch for ch, _ in torbif.resonant_space(problem, level).characters]))
     line_products = torbif.bifurcation._line_products
     cyclic_products = torbif.bifurcation._cyclic_products
     visited = []
@@ -848,12 +862,12 @@ def test_line_product_bound_is_exact(seed):
         with redirect_stdout(out), redirect_stderr(err):
             assert main(argv) == 0
             count = sum(visited)
-            patch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", max(count, chars * (chars - 1) // 2))
+            patch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", max(count, pairs))
             assert main(argv) == 0
             patch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", count - 1)
             assert main(argv) == 2
     assert out.getvalue().count("certificate: ") == 2
-    if chars * (chars - 1) // 2 <= count - 1:
+    if pairs <= count - 1:
         assert err.getvalue().endswith(
             f"error: the index at lambda_sq = {level.lambda_sq} needs {count} line"
             f" products, more than the limit of {count - 1}\n"
@@ -863,9 +877,9 @@ def test_line_product_bound_is_exact(seed):
 def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monkeypatch):
     # deterministic counters, not timings: neither degree here has a
     # full-orbit term, so neither index meets a character below the level;
-    # the line products are the unordered pairs of distinct null characters
-    # in the degree on the null modes and one per null character and class
-    # of D1, in closed form, so no gcd table is made
+    # the line products are the unordered pairs of non-parallel null
+    # characters in the degree on the null modes and one per null character
+    # and class of D1, both in closed form, so no gcd table is made
     counts = counting_line_products(monkeypatch)
     assert main(["index", "--problem", example_path, "--k", "6400", "--alpha", "2"]) == 0
     assert capsys.readouterr().out == "-1*F(1,0;0,6400)\ncertificate: SameSignPath\n"
@@ -880,8 +894,9 @@ def test_harmonic_index_cost_is_linear_in_k(example_path, tmp_path, capsys, monk
     write_problem(problem, path)
     assert main(["index", "--problem", str(path), "--k", "250", "--alpha", "1"]) == 0
     assert capsys.readouterr().out == "-5*F(1,0;0,250)\ncertificate: SameSignPath\n"
-    # 5 null characters: 5 * 4 / 2 unordered pairs and 5 products with
-    # H(1,0), not one per character of the 249 modes below the level
+    # 5 null characters of mode 250, no two parallel: 5 * 4 / 2 unordered
+    # pairs and 5 products with H(1,0), not one per character of the 249
+    # modes below the level
     assert counts() == Counter(line_product=5 * 4 // 2 + 5, gcd_table=0)
 
 
@@ -1070,8 +1085,9 @@ def test_index_without_full_orbit_term_ignores_the_space_below(example_path, cap
 def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatch):
     # deterministic counts, not timings: with deg_s1 = 1*S1 the only run
     # below the level is the trivial one, parallel to the null character
-    # (0, k), so it is never built and needs no gcd; the one line product
-    # is the null character with itself in the degree on the null modes
+    # (0, k), so it is never built and needs no gcd; the one null
+    # character has no pair in the degree on the null modes, so the level
+    # makes no line product
     problem = CriticalPointProblem(
         spectra=example_problem().spectra, deg_s1=EulerElementS1(fixed=1), unique_critical_point=True
     )
@@ -1096,7 +1112,7 @@ def test_full_orbit_index_cost_does_not_grow_with_k(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().out == "-1*H(0,1000000)\ncertificate: FixedCoefficientPath\n"
     assert named == []
     made = counts()
-    assert made["line_product"] <= 1
+    assert made["line_product"] == 0
     assert made["gcd_table"] == 0
 
 

@@ -203,6 +203,40 @@ def test_cyclic_products_match_the_pair_form(a, b, c, finite, start):
     assert acc == expected
 
 
+@st.composite
+def direction_heavy_elements(draw):
+    """An element whose lines meet every case of the grouping by direction:
+    a few characters, each with lines of its own mode and parallel
+    multiples (k*a, k*b), lines of mode 0, and maybe T and a finite class."""
+    chars = []
+    for a, b in draw(st.lists(characters, min_size=1, max_size=3)):
+        chars.append((a, b))
+        chars.extend((m, b) for m in draw(st.lists(entries, max_size=3)))
+        chars.extend((k * a, k * b) for k in draw(st.lists(st.integers(-4, 4).filter(bool), max_size=3)))
+    chars.extend((m, 0) for m in draw(st.lists(st.integers(1, 9), max_size=2)))
+    terms = [(TorusSubgroup.kernel(*ch), draw(small)) for ch in chars if ch != (0, 0)]
+    terms.append((TorusSubgroup.full(), draw(small)))
+    terms.append((TorusSubgroup.from_characters([(2, 0), (1, 3)]), draw(small)))
+    return EulerElementT2(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(direction_heavy_elements(), direction_heavy_elements())
+def test_star_by_direction_matches_pairwise_product(x, y):
+    # pairs inside a direction group are never visited and pairs of one
+    # mode are written in closed form; the oracle intersects every pair of
+    # terms, squares and equal copies included
+    assert x.star(y) == star_by_pairs(x, y)
+    assert y.star(x) == star_by_pairs(y, x)
+    assert x.star(x) == x.star(EulerElementT2(x.terms)) == star_by_pairs(x, x)
+    lines = [h for h, _ in x.terms if h.dim == 1]
+    for h1 in lines:
+        for h2 in lines:
+            meet = generator_product_by_intersection(h1, h2)
+            expected = EulerElementT2.zero() if meet is None else EulerElementT2.generator(meet)
+            assert EulerElementT2.generator(h1).star(EulerElementT2.generator(h2)) == expected
+
+
 @settings(max_examples=300)
 @given(st.integers(0, 10**9))
 def test_star_matches_pairwise_product(seed):

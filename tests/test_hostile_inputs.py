@@ -18,9 +18,11 @@ the sizes of the unbounded shapes, which the xfail cases hold.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import torbif
+
+from oracles import bif_index_expanded
 
 resource = pytest.importorskip("resource")
 
@@ -250,24 +254,48 @@ def test_example_writes_its_file_before_141_on_a_stdout_closed_at_start(tmp_path
     assert out.read_text(encoding="utf-8") == torbif.problem_to_text(torbif.example_problem())
 
 
-def resonance_dense(count, degree):
-    """`count` eigenvalues j^2, j = 1..count, each trivial of multiplicity
-    one: at lambda_sq = 1 each has a null mode, j."""
-    return problem([eigenvalue(j * j, [(0, 1)]) for j in range(1, count + 1)], degree)
+def resonance_dense(count, degree, isotypic=((0, 1),)):
+    """`count` eigenvalues j^2, j = 1..count, each with the (speed,
+    multiplicity) pairs `isotypic`, by default trivial of multiplicity one:
+    at lambda_sq = 1 each has a null mode, j."""
+    return problem([eigenvalue(j * j, isotypic) for j in range(1, count + 1)], degree)
 
 
 Z1 = [{"subgroup": "Z1", "coeff": 1}]
 
 
 def test_resonance_dense_index_ends_in_exit_2(tmp_path):
-    # 8,000 null characters need 31,996,000 line products in their degree;
-    # finding them is one integer test per eigenvalue, well inside 2 s
-    argv = argv_for(tmp_path, resonance_dense(8000, Z1), ["index", "--lambda-sq", "1"])
+    # eigenvalues j^2, j = 1..1,000, each with a trivial part and speed 1,
+    # have the 3,000 null characters (0, j), (1, j) and (-1, j); the 1,000
+    # of the direction (0, 1) are parallel and every other pair is not, so
+    # their degree needs 3000 * 2999 / 2 - 1000 * 999 / 2 = 3,999,000 line
+    # products and is refused before any, well inside 2 s
+    text = resonance_dense(1000, Z1, [(0, 1), (1, 1)])
+    argv = argv_for(tmp_path, text, ["index", "--lambda-sq", "1"])
     assert run_capped(argv, cpu_seconds=2) == (
         2,
-        "error: the degree on the null modes at lambda_sq = 1 needs 31996000 line"
-        " products for 8000 characters, more than the limit of 1000000\n",
+        "error: the degree on the null modes at lambda_sq = 1 needs 3999000 line"
+        " products for 3000 characters, more than the limit of 1000000\n",
     )
+
+
+@pytest.mark.parametrize(
+    "count, degree, certificate", [(8000, Z1, "SameSignPath"), (2000, S1, "FixedCoefficientPath")]
+)
+def test_parallel_resonance_dense_index_ends_in_exit_0(tmp_path, count, degree, certificate):
+    # `count` null characters (0, j), all parallel: their degree has
+    # count * (count - 1) / 2 unordered pairs (31,996,000 for 8,000) and
+    # needs no line product, so the level is formed; with Z1 the index is
+    # one closed-form product per null character against H(1,0), and with
+    # S1 the trivial runs below are parallel too and never built.  Finding
+    # the null characters is one integer test per eigenvalue, well inside
+    # 2 s, and the index is the three-factor oracle's
+    argv = argv_for(tmp_path, resonance_dense(count, degree), ["index", "--lambda-sq", "1"])
+    result = run_child(argv, cpu_seconds=2)
+    assert (result.returncode, result.stderr) == (0, b"")
+    index = bif_index_expanded(torbif.load_problem(argv[2]), torbif.BifurcationLevel(1, 1))
+    assert len(index.terms) == count
+    assert result.stdout.decode() == f"{index}\ncertificate: {certificate}\n"
 
 
 TRIVIAL_500 = problem([eigenvalue(alpha, [(0, 1)]) for alpha in range(1, 501)], S1)
@@ -369,18 +397,24 @@ def test_drawn_hostile_input_ends_in_a_documented_exit(tmp_path_factory, run):
 # Draws of `index --lambda-sq` on resonance-dense problems, with stdout a
 # pipe, a full device or closed at start.  The exit is known in advance:
 # 3 with no null mode, 2 when the null modes' degree needs more than 10^6
-# line products, and otherwise success, which a full device turns into 4
-# and a closed stdout into 141.  Up to 150 null modes, or from 1,500 on,
-# so the draws skip the costly middle that ROADMAP item 2 owns.
+# line products, one per unordered pair of non-parallel null characters,
+# and otherwise success, which a full device turns into 4 and a closed
+# stdout into 141.  Up to 3,000 null modes.
 @st.composite
 def resonance_dense_runs(draw):
     """(problem file text, argv, stdout, expected exit)."""
-    count = draw(st.integers(1, 150) | st.integers(1500, 3000))
+    count = draw(st.integers(1, 3000))
     q = draw(st.sampled_from(["1", "4", "2"]))
     degree = draw(st.sampled_from([Z1, S1, S1 + [{"subgroup": "Z2", "coeff": -1}]]))
     argv = ["index", "--lambda-sq", q] + draw(st.sampled_from([[], ["--json"]]))
-    null = 0 if q == "2" else count
-    code = 3 if not null else 2 if null * (null - 1) // 2 > 10**6 else 0
+    # the null characters are (0, j) at q = 1, (0, 2j) at q = 4 and none at
+    # q = 2; the unordered pairs across two primitive directions are the
+    # pairs less those inside each group of parallel characters
+    step = {"1": 1, "4": 2}.get(q, 0)
+    null = [(0, step * j) for j in range(1, count + 1)] if step else []
+    groups = Counter((a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in null).values()
+    cross = len(null) * (len(null) - 1) // 2 - sum(c * (c - 1) // 2 for c in groups)
+    code = 3 if not null else 2 if cross > 10**6 else 0
     stdout = draw(st.sampled_from(["pipe", "full", "closed"]))
     if code == 0:
         code = {"pipe": 0, "full": 4, "closed": 141}[stdout]

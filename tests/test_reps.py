@@ -18,6 +18,7 @@ from torbif import (
 from torbif.euler import _generator_product
 
 from oracles import (
+    cross_direction_pairs,
     deg_minus_id_s1,
     deg_minus_id_t2_expanded,
     nondegenerate_orbit_degree,
@@ -138,16 +139,26 @@ def test_deg_minus_id_t2_makes_one_product(monkeypatch):
     assert len(degree.project(0).terms) > 0
 
 
-@given(st.integers(0, 10**9))
-def test_deg_minus_id_t2_looks_up_each_unordered_pair_once(seed):
-    # B1 * B1 is a square, so c characters make c * (c - 1) / 2 generator
-    # products, hits and misses together, not c * c
-    rep = random_t2_rep(random.Random(seed), max_chars=8)
-    chars = len(rep.characters)
-    _generator_product.cache_clear()
-    deg_minus_id_t2(rep)
-    info = _generator_product.cache_info()
-    assert info.hits + info.misses == chars * (chars - 1) // 2
+@given(st.integers(0, 10**9), st.lists(st.integers(-4, 4).filter(bool), max_size=4))
+def test_deg_minus_id_t2_makes_each_cross_direction_pair_once(seed, multiples):
+    # B1 * B1 is a square, so it makes one product per unordered pair of
+    # non-parallel characters, not c * c, and none for a parallel pair: in
+    # closed form for two characters of one mode, counted from the
+    # operands, and otherwise as a miss of the pair form's cache, which no
+    # pair hits; a representation of parallel characters makes none
+    rng = random.Random(seed)
+    rep = random_t2_rep(rng, max_chars=8)
+    a, b = random_character(rng)
+    parallel = T2Representation(characters={(k * a, k * b): 1 for k in multiples})
+    for rep in (rep, rep + parallel, parallel):
+        chars = [ch for ch, _ in rep.characters]
+        pairs = cross_direction_pairs(chars)
+        _generator_product.cache_clear()
+        deg_minus_id_t2(rep)
+        info = _generator_product.cache_info()
+        assert info.hits == 0
+        assert info.misses + sum(1 for (_, b), (_, n) in pairs if b == n) == len(pairs)
+    assert pairs == []
 
 
 @given(st.integers(0, 10**9))
