@@ -12,7 +12,9 @@ import pulls in `inspect` and `ast` and whose decorator compiles methods
 for each class, both at every start of the command line.
 
 The subclasses' constructors share a range check, `_at_least`, and a
-multiset merge, `_merged`.
+multiset merge, `_merged`.  `_trusted` is the one constructor for values
+already known to pass those checks, such as a problem file's fields after
+`problem_io` has read them: it stores the fields and runs no `__init__`.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ def _merged(items: Iterable | Mapping, key: Callable, check: Callable) -> dict:
         k = key(k)
         merged[k] = merged.get(k, 0) + check(v)
     return merged
+
+
+def _trusted(cls: type, **fields: object):
+    """An instance of `cls` with these fields, which must already be what
+    its constructor would store: nothing is checked, merged or sorted."""
+    instance = object.__new__(cls)
+    vars(instance).update(fields)
+    return instance
 
 
 class Frozen:

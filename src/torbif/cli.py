@@ -57,7 +57,7 @@ from .bifurcation import (
     classify_noncompact,
     example_problem,
 )
-from .euler import _check_line_products, element_to_json, format_element
+from .euler import _by_direction, _check_line_products, _split, element_to_json, format_element
 from .grammar import ElementParseError, parse_element
 from .problem_io import load_problem, write_problem
 from .rationals import _is_int, _to_int, parse_rational, rational_to_json
@@ -204,10 +204,11 @@ def _cmd_classify(args: SimpleNamespace) -> int:
 
 def _cmd_star(args: SimpleNamespace) -> int:
     factors = [parse_element(args.lhs), parse_element(args.rhs)]
-    lines = [sum(key[0] == 1 for key, _ in factor._terms) for factor in factors]
-    _check_line_products(
-        lines[0] * lines[1], "the product of {} and {} line terms needs {count} line products", *lines
-    )
+    # `star` pairs only lines of two primitive directions
+    left, right = [_by_direction(_split(factor._terms)[2]) for factor in factors]
+    lines = [sum(map(len, groups.values())) for groups in (left, right)]
+    pairs = lines[0] * lines[1] - sum(len(group) * len(right.get(d, ())) for d, group in left.items())
+    _check_line_products(pairs, "the product of {} and {} line terms needs {count} line products", *lines)
     product = factors[0].star(factors[1])
     if args.json:
         _emit_json({"product": element_to_json(product), "text": format_element(product)})

@@ -45,8 +45,8 @@ keys is the printed order, (len(rows), rows) on canonical rows, so
 `_from_keys` builds an element from one dict by sorting its keys alone,
 with no (key, coefficient) pair compared, and reads each coefficient once
 to drop the zeros.  `_from_terms` skips even that for a caller whose terms
-are sorted and nonzero by construction, as `representations._from_characters`
-does for representations: `representations.deg_minus_id_t2` alone uses it,
+are sorted and nonzero by construction, as `_frozen._trusted` does for
+the other value types: `representations.deg_minus_id_t2` alone uses it,
 for the degree it assembles in grade order.  Rows and subgroups appear
 only at the API edge: the public constructor, `terms`, `coefficient` and
 `generator`; the rest of the package uses keys, and `subgroups._labels`

@@ -23,6 +23,18 @@ read as its last value, raises "duplicate field 'name'".  The integers
 in "p/q" and "Zk" are ASCII digits with nothing after them: no other
 script's digits and no trailing newline.  `rationals._is_int` and
 `rationals._to_int` judge and convert them, and every JSON integer.
+
+`parse_problem` reads the decoded JSON in one pass and checks each rule
+once, in a fixed order: the fields of an object, then each value in
+field order, an entry's duplicate after its own values, and the spectra
+before the degree and the flag.  A field's place, such as
+`spectra[0].isotypic[1].m`, is spelled only in the message of the error
+it raises, so a valid file formats no text.  Eigenvalues are told apart
+by (numerator, denominator), with no `Fraction` hash.  The values that
+pass are built through `_frozen._trusted`, so the public constructors of
+`S1Representation`, `SpectralDatum`, `EulerElementS1` and
+`CriticalPointProblem`, which check a caller's values, do not check them
+again.
 """
 
 from __future__ import annotations
@@ -32,6 +44,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
+from ._frozen import _trusted
 from .euler import EulerElementS1
 from .rationals import _is_int, _to_int, parse_rational, rational_to_json
 from .representations import S1Representation
@@ -80,80 +93,82 @@ def _object(pairs: list[tuple[str, Any]]) -> dict:
     return fields
 
 
-def _require_object(value: Any, keys: tuple[str, ...], where: str) -> dict:
-    if not isinstance(value, dict):
+def _spell(path: tuple) -> str:
+    # the place of a field from its field names and list positions, such
+    # as spectra[0].isotypic[1].m
+    return "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path)[1:]
+
+
+def _fields(value: Any, keys: tuple[str, ...], *path: str | int) -> list:
+    """The values of `keys` in `value`, an object with exactly those fields."""
+    if type(value) is dict and value.keys() == set(keys):
+        return [value[key] for key in keys]
+    where = _spell(path)
+    if type(value) is not dict:
         raise ProblemFormatError(f"{where} must be an object")
     unknown = set(value) - set(keys)
     if unknown:
         raise ProblemFormatError(f"{where} has unknown fields {sorted(unknown)}")
-    missing = set(keys) - set(value)
-    if missing:
-        raise ProblemFormatError(f"{where} is missing fields {sorted(missing)}")
+    raise ProblemFormatError(f"{where} is missing fields {sorted(set(keys) - set(value))}")
+
+
+def _integer(value: Any, *path: str | int) -> int:
+    if type(value) is not int:
+        raise ProblemFormatError(f"{_spell(path)} must be an integer, got {value!r}")
     return value
 
 
-def _require_int(value: Any, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ProblemFormatError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _parse_alpha(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ProblemFormatError(f"{where} must be a rational, got {value!r}")
-    if isinstance(value, int):
+def _alpha(value: Any, pos: int) -> Fraction:
+    if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
+    if type(value) is str:
         try:
             return parse_rational(value)
         except ValueError as exc:
-            raise ProblemFormatError(f"{where}: {exc}") from exc
-    raise ProblemFormatError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
+            raise ProblemFormatError(f"spectra[{pos}].alpha: {exc}") from exc
+    kind = "a rational" if type(value) is bool else "an integer or a 'p/q' string"
+    raise ProblemFormatError(f"spectra[{pos}].alpha must be {kind}, got {value!r}")
 
 
-def _parse_isotypic(value: Any, where: str) -> S1Representation:
-    if not isinstance(value, list) or not value:
-        raise ProblemFormatError(f"{where} must be a non-empty list")
+def _isotypic(value: Any, pos: int) -> S1Representation:
+    if type(value) is not list or not value:
+        raise ProblemFormatError(f"spectra[{pos}].isotypic must be a non-empty list")
     speeds: dict[int, int] = {}
-    for pos, entry in enumerate(value):
-        ctx = f"{where}[{pos}]"
-        record = _require_object(entry, ("m", "k"), ctx)
-        m = _require_int(record["m"], f"{ctx}.m")
-        k = _require_int(record["k"], f"{ctx}.k")
+    for at, entry in enumerate(value):
+        path = ("spectra", pos, "isotypic", at)
+        m, k = _fields(entry, ("m", "k"), *path)
+        _integer(m, *path, "m")
+        _integer(k, *path, "k")
         if m < 0:
-            raise ProblemFormatError(f"{ctx}.m must be >= 0")
+            raise ProblemFormatError(f"{_spell(path)}.m must be >= 0")
         if k < 1:
-            raise ProblemFormatError(f"{ctx}.k must be >= 1")
+            raise ProblemFormatError(f"{_spell(path)}.k must be >= 1")
         if m in speeds:
-            raise ProblemFormatError(f"{ctx}: duplicate speed m={m}")
+            raise ProblemFormatError(f"{_spell(path)}: duplicate speed m={m}")
         speeds[m] = k
-    return S1Representation(speeds.pop(0, 0), speeds)
+    return _trusted(S1Representation, trivial=speeds.pop(0, 0), rotating=tuple(sorted(speeds.items())))
 
 
-def _parse_degree(value: Any, where: str) -> EulerElementS1:
-    if not isinstance(value, list):
-        raise ProblemFormatError(f"{where} must be a list")
+def _degree(value: Any) -> EulerElementS1:
+    if type(value) is not list:
+        raise ProblemFormatError("deg_s1 must be a list")
     # coefficients keyed by isotropy order, with 0 for S1
     terms: dict[int, int] = {}
     for pos, entry in enumerate(value):
-        ctx = f"{where}[{pos}]"
-        record = _require_object(entry, ("subgroup", "coeff"), ctx)
-        label = record["subgroup"]
-        coeff = _require_int(record["coeff"], f"{ctx}.coeff")
-        if coeff == 0:
-            raise ProblemFormatError(f"{ctx}.coeff must be nonzero; omit the entry instead")
-        if not isinstance(label, str):
-            raise ProblemFormatError(f"{ctx}.subgroup must be a string")
-        cyclic = label[:1] == "Z" and _is_int(label[1:], "") and label[1] != "0"
-        if label != "S1" and not cyclic:
-            raise ProblemFormatError(
-                f"{ctx}.subgroup must be 'S1' or 'Zk' with k >= 1, got {label!r}"
-            )
+        label, coeff = _fields(entry, ("subgroup", "coeff"), "deg_s1", pos)
+        _integer(coeff, "deg_s1", pos, "coeff")
+        cyclic = type(label) is str and label[:1] == "Z" and _is_int(label[1:], "") and label[1] != "0"
+        if not coeff:
+            raise ProblemFormatError(f"deg_s1[{pos}].coeff must be nonzero; omit the entry instead")
+        if type(label) is not str:
+            raise ProblemFormatError(f"deg_s1[{pos}].subgroup must be a string")
+        if not (cyclic or label == "S1"):
+            raise ProblemFormatError(f"deg_s1[{pos}].subgroup must be 'S1' or 'Zk' with k >= 1, got {label!r}")
         order = _int(label[1:]) if cyclic else 0
         if order in terms:
-            raise ProblemFormatError(f"{ctx}: duplicate subgroup {label!r}")
+            raise ProblemFormatError(f"deg_s1[{pos}]: duplicate subgroup {label!r}")
         terms[order] = coeff
-    return EulerElementS1(terms.pop(0, 0), terms)
+    return _trusted(EulerElementS1, fixed=terms.pop(0, 0), finite=tuple(sorted(terms.items())))
 
 
 def parse_problem(text: str) -> CriticalPointProblem:
@@ -170,27 +185,22 @@ def parse_problem(text: str) -> CriticalPointProblem:
         raise ProblemFormatError(f"not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ProblemFormatError("not valid JSON: nested too deeply") from exc
-    top = _require_object(
-        payload, ("spectra", "deg_s1", "unique_critical_point"), "problem"
-    )
-    spectra_raw = top["spectra"]
-    if not isinstance(spectra_raw, list) or not spectra_raw:
+    spectra, degree, unique = _fields(payload, ("spectra", "deg_s1", "unique_critical_point"), "problem")
+    if type(spectra) is not list or not spectra:
         raise ProblemFormatError("spectra must be a non-empty list")
     data = []
-    alphas: set[Fraction] = set()
-    for pos, entry in enumerate(spectra_raw):
-        ctx = f"spectra[{pos}]"
-        record = _require_object(entry, ("alpha", "isotypic"), ctx)
-        alpha = _parse_alpha(record["alpha"], f"{ctx}.alpha")
-        if alpha in alphas:
-            raise ProblemFormatError(f"{ctx}: duplicate eigenvalue alpha = {alpha}")
-        alphas.add(alpha)
-        data.append(SpectralDatum(alpha, _parse_isotypic(record["isotypic"], f"{ctx}.isotypic")))
-    degree = _parse_degree(top["deg_s1"], "deg_s1")
-    unique = top["unique_critical_point"]
-    if not isinstance(unique, bool):
+    alphas: set[tuple[int, int]] = set()
+    for pos, entry in enumerate(spectra):
+        value, isotypic = _fields(entry, ("alpha", "isotypic"), "spectra", pos)
+        alpha = _alpha(value, pos)
+        if (alpha.numerator, alpha.denominator) in alphas:
+            raise ProblemFormatError(f"spectra[{pos}]: duplicate eigenvalue alpha = {alpha}")
+        alphas.add((alpha.numerator, alpha.denominator))
+        data.append(_trusted(SpectralDatum, alpha=alpha, isotypic=_isotypic(isotypic, pos)))
+    deg_s1 = _degree(degree)
+    if type(unique) is not bool:
         raise ProblemFormatError("unique_critical_point must be a bool")
-    return CriticalPointProblem(tuple(data), degree, unique)
+    return _trusted(CriticalPointProblem, spectra=tuple(data), deg_s1=deg_s1, unique_critical_point=unique)
 
 
 def load_problem(path: str | Path) -> CriticalPointProblem:

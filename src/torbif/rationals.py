@@ -34,7 +34,7 @@ def _is_int(text: str, signs: str) -> bool:
 def _to_int(text: str) -> int:
     """int(text), or ValueError when `text` holds more than `_MAX_DIGITS`
     decimal digits, which is tested before the text is converted."""
-    digits = sum(map(str.isdecimal, text))
+    digits = sum(map(str.isdecimal, text)) if len(text) > _MAX_DIGITS else 0
     if digits > _MAX_DIGITS:
         raise ValueError(f"an integer of {digits} digits is over the limit of {_MAX_DIGITS}")
     return int(text)

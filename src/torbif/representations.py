@@ -10,9 +10,9 @@ representation is a frozen multiset of irreducibles.  The constructors
 are the normalizers: they check multiplicities, apply that convention,
 merge like keys (through `_frozen._merged`), drop zeros and sort, so
 callers pass raw (key, multiplicity) pairs; the two types share their
-dimension and direct sum.  `_from_characters` skips all of that for a caller
-whose characters are canonical by construction, as `euler._from_keys`
-does for ring elements: `spectral._Walk.resonant` alone uses it.
+dimension and direct sum.  A caller whose values are canonical by
+construction skips all of that through `_frozen._trusted`, as
+`spectral._Walk.resonant` and `problem_io` do.
 
 `loop_decompose` passes from a circle representation to the torus
 representation of its space of Fourier modes: the extra circle rotates the
@@ -115,15 +115,6 @@ class T2Representation(_Representation):
             parts.append(f"R[{self.trivial},(0,0)]")
         parts.extend(f"R[{k},({m},{n})]" for (m, n), k in self.characters)
         return " + ".join(parts) if parts else "0"
-
-
-def _from_characters(characters: tuple[tuple[CharacterKey, int], ...]) -> T2Representation:
-    """The representation with no trivial part and these (character,
-    multiplicity) pairs, which must already be normalized, distinct, of
-    positive multiplicity and sorted by (n, m): nothing is checked."""
-    rep = object.__new__(T2Representation)
-    vars(rep).update(trivial=0, characters=characters)
-    return rep
 
 
 def _signed_speeds(rep: S1Representation) -> list[tuple[int, int]]:

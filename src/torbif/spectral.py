@@ -51,6 +51,13 @@ runs need are known at the first level and taken with one isqrt per
 eigenvalue at a later one.  `resonant_pairs`, `level_from_lambda_sq`,
 `resonant_space` and `negative_space` are the walk over one level.
 This module alone decides which characters lie below a level.
+
+Rationals are signed, sorted and told apart by integers: a sign is that
+of the numerator, eigenvalues sort by an exact integer key (`_ascending`)
+and levels by that of `lambda_set`, and two eigenvalues are equal when
+their (numerator, denominator) pairs are.  So the levels of a request make
+no `Fraction` comparison or hash, whose first use in a fresh interpreter
+goes through an abstract base class check and costs more than the level.
 """
 
 from __future__ import annotations
@@ -59,12 +66,11 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 
-from ._frozen import Frozen, _at_least
+from ._frozen import Frozen, _at_least, _trusted
 from .euler import EulerElementS1
 from .rationals import as_fraction, rational_to_json
-from .representations import S1Representation, T2Representation, _from_characters
+from .representations import S1Representation, T2Representation
 
 
 # The most candidate levels `lambda_set` will enumerate (max_k times the
@@ -121,8 +127,7 @@ class CriticalPointProblem(Frozen):
             raise ValueError("a problem needs at least one spectral datum")
         if not all(isinstance(d, SpectralDatum) for d in spectra):
             raise TypeError("spectra must contain SpectralDatum entries")
-        alphas = [d.alpha for d in spectra]
-        if len(set(alphas)) != len(alphas):
+        if len({(d.alpha.numerator, d.alpha.denominator) for d in spectra}) != len(spectra):
             raise ValueError("duplicate eigenvalues; merge their eigenspaces first")
         if not isinstance(deg_s1, EulerElementS1):
             raise TypeError("deg_s1 must be an EulerElementS1")
@@ -135,7 +140,7 @@ class CriticalPointProblem(Frozen):
         return sum(d.isotypic.dim for d in self.spectra)
 
     def positive_alphas(self) -> tuple[Fraction, ...]:
-        return tuple(d.alpha for d in self.spectra if d.alpha > 0)
+        return tuple(d.alpha for d in self.spectra if d.alpha.numerator > 0)
 
     def eigenspace(self, alpha: Fraction) -> S1Representation:
         for d in self.spectra:
@@ -148,7 +153,7 @@ def validate(problem: CriticalPointProblem) -> AssumptionReport:
     """Check the two assumptions every certificate below relies on:
     a positive eigenvalue exists and the equivariant degree is nonzero."""
     return AssumptionReport(
-        positive_eigenvalue=any(d.alpha > 0 for d in problem.spectra),
+        positive_eigenvalue=any(d.alpha.numerator > 0 for d in problem.spectra),
         nonzero_degree=bool(problem.deg_s1),
     )
 
@@ -169,7 +174,7 @@ class BifurcationLevel(Frozen):
     def __init__(self, k: int, alpha: int | str | Fraction) -> None:
         _at_least(k, "k", 1)
         alpha = as_fraction(alpha)
-        if alpha <= 0:
+        if alpha.numerator <= 0:
             raise ValueError(f"alpha must be positive, got {alpha}")
         # k^2 / alpha in one constructor call; alpha > 0 keeps the sign
         vars(self).update(k=k, alpha=alpha, lambda_sq=Fraction(k * k * alpha.denominator, alpha.numerator))
@@ -198,6 +203,18 @@ def _level_json(level: BifurcationLevel) -> dict:
     }
 
 
+def _ascending(problem: CriticalPointProblem) -> list[SpectralDatum]:
+    """The data of the positive eigenvalues in ascending order, sorted by an
+    integer, not a `Fraction`: with D the largest denominator, alpha =
+    an / ad is keyed by the floor of an * D^2 / ad.  Two distinct
+    eigenvalues differ by at least 1 / (ad * ad') >= 1 / D^2, so their keys
+    differ in the same order."""
+    data = [d for d in problem.spectra if d.alpha.numerator > 0]
+    square = max((d.alpha.denominator for d in data), default=1) ** 2
+    data.sort(key=lambda d: d.alpha.numerator * square // d.alpha.denominator)
+    return data
+
+
 def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLevel]:
     """Candidate levels k / sqrt(alpha) for k = 1..max_k over the positive
     eigenvalues, sorted ascending by frequency.  The eigenvalues are walked
@@ -215,7 +232,7 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
     the same order, and equal levels share a key.  A level is built only
     for each key kept."""
     _at_least(max_k, "max_k", 1)
-    alphas = sorted(problem.positive_alphas())
+    alphas = [d.alpha for d in _ascending(problem)]
     if max_k * len(alphas) > _MAX_LEVELS:
         raise ValueError(
             f"max_k {max_k} over {len(alphas)} positive eigenvalue(s) asks for"
@@ -241,8 +258,7 @@ class _Walk:
     ascending."""
 
     def __init__(self, problem: CriticalPointProblem) -> None:
-        self.data = [d for d in problem.spectra if d.alpha.numerator > 0]
-        self.data.sort(key=attrgetter("alpha"))
+        self.data = _ascending(problem)
         self.alphas: list[tuple[int, int]] = []
         self.speeds: list[list[tuple[int, int]]] = []
         for d in self.data:
@@ -302,12 +318,13 @@ class _Walk:
 
     def resonant(self, modes: list[tuple[int, int]]) -> T2Representation:
         """The representation on the null modes (n, j).  Its characters
-        (s, n) are canonical as they are made, so the trusted
-        `_from_characters` takes them with no normalizing, merging or
-        keyed sort: each has n >= 1, each mode n is null for one
-        eigenvalue, whose signed speeds are distinct and sorted, and the
-        modes come in ascending order, so the whole is sorted by (n, s)."""
-        return _from_characters(tuple(((s, n), k) for n, j in modes for s, k in self.speeds[j]))
+        (s, n) are canonical as they are made, so `_trusted` takes them
+        with no normalizing, merging or keyed sort: each has n >= 1, each
+        mode n is null for one eigenvalue, whose signed speeds are distinct
+        and sorted, and the modes come in ascending order, so the whole is
+        sorted by (n, s)."""
+        characters = tuple(((s, n), k) for n, j in modes for s, k in self.speeds[j])
+        return _trusted(T2Representation, trivial=0, characters=characters)
 
     def runs(self, q: Fraction, speeds: Iterable[int], counts: dict[int, int]) -> list[tuple[int, int, int, int]]:
         """The characters below q of the signed speeds `speeds` (0 for the
@@ -357,7 +374,7 @@ def level_from_lambda_sq(
     smallest null mode."""
     q = as_fraction(value)
     walk = _Walk(problem)
-    modes = walk.null_modes([q])[0][0] if q > 0 else ()
+    modes = walk.null_modes([q])[0][0] if q.numerator > 0 else ()
     if not modes:
         raise InvalidLevel(f"lambda_sq = {q} is not a candidate bifurcation level")
     n, j = modes[0]

@@ -18,8 +18,9 @@ sum-obstruction upgrade, an element spelled through the subgroups of its
 nested rows by which ring terms were once keyed and sorted, an element
 built by sorting its (key, coefficient) pairs, a label spelled from
 canonical rows by their number, the level list merged and sorted by
-`Fraction`, the rank-by-rank rule for canonical rows and the readers of
-integers in text that the package once had), so each identity they
+`Fraction`, the rank-by-rank rule for canonical rows, the readers of
+integers in text that the package once had and its problem-file reader
+before it read each field once), so each identity they
 satisfy is a differential check on the package.
 """
 
@@ -61,7 +62,7 @@ from torbif import (
 from torbif.cli import _cmd_classify, _cmd_example, _cmd_index, _cmd_levels, _cmd_star
 from torbif.euler import _check_coeff
 from torbif.problem_io import ProblemFormatError
-from torbif.rationals import _MAX_DIGITS, as_fraction
+from torbif.rationals import _MAX_DIGITS, _is_int, _to_int, as_fraction, parse_rational
 from torbif.spectral import _Walk
 from torbif.subgroups import _check_int
 
@@ -951,3 +952,142 @@ VALUE_TYPE_TWINS = {
         BifurcationReportTwin,
     )
 }
+
+
+# The problem-file reader as it was before `problem_io.parse_problem` read
+# each field once and built its values through `_frozen._trusted`: a
+# context string for every field it reads, the public constructors, which
+# check every value again, and a duplicate check on `Fraction` hashes.
+
+
+def _ref_no_float(text: str) -> None:
+    raise ProblemFormatError(f"floats are not accepted, got {text!r}; use 'p/q' strings")
+
+
+def _ref_no_constant(text: str) -> None:
+    raise ProblemFormatError(f"non-finite numbers are not accepted, got {text!r}")
+
+
+def _ref_int(text: str) -> int:
+    try:
+        return _to_int(text)
+    except ValueError as exc:
+        raise ProblemFormatError(str(exc)) from None
+
+
+def _ref_object(pairs):
+    fields = {}
+    for name, value in pairs:
+        if name in fields:
+            raise ProblemFormatError(f"duplicate field {name!r}")
+        fields[name] = value
+    return fields
+
+
+def _ref_require_object(value, keys, where):
+    if not isinstance(value, dict):
+        raise ProblemFormatError(f"{where} must be an object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ProblemFormatError(f"{where} has unknown fields {sorted(unknown)}")
+    missing = set(keys) - set(value)
+    if missing:
+        raise ProblemFormatError(f"{where} is missing fields {sorted(missing)}")
+    return value
+
+
+def _ref_require_int(value, where):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ProblemFormatError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _ref_parse_alpha(value, where):
+    if isinstance(value, bool):
+        raise ProblemFormatError(f"{where} must be a rational, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return parse_rational(value)
+        except ValueError as exc:
+            raise ProblemFormatError(f"{where}: {exc}") from exc
+    raise ProblemFormatError(f"{where} must be an integer or a 'p/q' string, got {value!r}")
+
+
+def _ref_parse_isotypic(value, where):
+    if not isinstance(value, list) or not value:
+        raise ProblemFormatError(f"{where} must be a non-empty list")
+    speeds = {}
+    for pos, entry in enumerate(value):
+        ctx = f"{where}[{pos}]"
+        record = _ref_require_object(entry, ("m", "k"), ctx)
+        m = _ref_require_int(record["m"], f"{ctx}.m")
+        k = _ref_require_int(record["k"], f"{ctx}.k")
+        if m < 0:
+            raise ProblemFormatError(f"{ctx}.m must be >= 0")
+        if k < 1:
+            raise ProblemFormatError(f"{ctx}.k must be >= 1")
+        if m in speeds:
+            raise ProblemFormatError(f"{ctx}: duplicate speed m={m}")
+        speeds[m] = k
+    return S1Representation(speeds.pop(0, 0), speeds)
+
+
+def _ref_parse_degree(value, where):
+    if not isinstance(value, list):
+        raise ProblemFormatError(f"{where} must be a list")
+    terms = {}
+    for pos, entry in enumerate(value):
+        ctx = f"{where}[{pos}]"
+        record = _ref_require_object(entry, ("subgroup", "coeff"), ctx)
+        label = record["subgroup"]
+        coeff = _ref_require_int(record["coeff"], f"{ctx}.coeff")
+        if coeff == 0:
+            raise ProblemFormatError(f"{ctx}.coeff must be nonzero; omit the entry instead")
+        if not isinstance(label, str):
+            raise ProblemFormatError(f"{ctx}.subgroup must be a string")
+        cyclic = label[:1] == "Z" and _is_int(label[1:], "") and label[1] != "0"
+        if label != "S1" and not cyclic:
+            raise ProblemFormatError(f"{ctx}.subgroup must be 'S1' or 'Zk' with k >= 1, got {label!r}")
+        order = _ref_int(label[1:]) if cyclic else 0
+        if order in terms:
+            raise ProblemFormatError(f"{ctx}: duplicate subgroup {label!r}")
+        terms[order] = coeff
+    return EulerElementS1(terms.pop(0, 0), terms)
+
+
+def parse_problem_reference(text: str) -> CriticalPointProblem:
+    """Parse a problem file's contents as `problem_io.parse_problem` once
+    did, with the same checks in the same order and the same messages."""
+    try:
+        payload = json.loads(
+            text,
+            object_pairs_hook=_ref_object,
+            parse_int=_ref_int,
+            parse_float=_ref_no_float,
+            parse_constant=_ref_no_constant,
+        )
+    except json.JSONDecodeError as exc:
+        raise ProblemFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemFormatError("not valid JSON: nested too deeply") from exc
+    top = _ref_require_object(payload, ("spectra", "deg_s1", "unique_critical_point"), "problem")
+    spectra_raw = top["spectra"]
+    if not isinstance(spectra_raw, list) or not spectra_raw:
+        raise ProblemFormatError("spectra must be a non-empty list")
+    data = []
+    alphas = set()
+    for pos, entry in enumerate(spectra_raw):
+        ctx = f"spectra[{pos}]"
+        record = _ref_require_object(entry, ("alpha", "isotypic"), ctx)
+        alpha = _ref_parse_alpha(record["alpha"], f"{ctx}.alpha")
+        if alpha in alphas:
+            raise ProblemFormatError(f"{ctx}: duplicate eigenvalue alpha = {alpha}")
+        alphas.add(alpha)
+        data.append(SpectralDatum(alpha, _ref_parse_isotypic(record["isotypic"], f"{ctx}.isotypic")))
+    degree = _ref_parse_degree(top["deg_s1"], "deg_s1")
+    unique = top["unique_critical_point"]
+    if not isinstance(unique, bool):
+        raise ProblemFormatError("unique_critical_point must be a bool")
+    return CriticalPointProblem(tuple(data), degree, unique)

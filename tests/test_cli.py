@@ -10,6 +10,7 @@ import sys
 import tempfile
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -463,6 +464,26 @@ def test_star_line_products_are_bounded(capsys, monkeypatch):
             "error: the product of 3 and 2 line terms needs 6 line products,"
             " more than the limit of 5\n",
         )
+
+
+def test_star_bound_counts_only_non_parallel_pairs(capsys, monkeypatch):
+    # parallel lines multiply to zero and `star` never pairs them: lines of
+    # the directions (0, 1) and (1, 1) on each side make 2 line products of
+    # 4 pairs, and all-parallel factors make none, even under a bound of 0
+    lhs, rhs = "1*H(0,1) + 1*H(1,1)", "1*H(0,2) + 1*H(2,2)"
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 2)
+    assert main(["star", lhs, rhs]) == 0
+    assert capsys.readouterr().out == "1*F(2,0;0,1) + 1*F(2,0;1,1)\n"
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 1)
+    assert main(["star", lhs, rhs]) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: the product of 2 and 2 line terms needs 2 line products, more than the limit of 1\n",
+    )
+    monkeypatch.setattr(torbif.euler, "_MAX_LINE_PRODUCTS", 0)
+    parallel = [" + ".join(f"H(0,{n})" for n in range(1, 1 + count)) for count in (1001, 1000)]
+    assert main(["star", *parallel]) == 0
+    assert capsys.readouterr() == ("0\n", "")
 
 
 def test_null_mode_pairs_are_bounded(tmp_path, capsys, monkeypatch):
@@ -922,6 +943,40 @@ def test_requests_build_no_subgroup(example_path, tmp_path, capsys):
     assert capsys.readouterr().out
     info = _interned.cache_info()
     assert (info.hits, info.misses) == (0, 0)
+
+
+def test_index_requests_compare_and_hash_no_fraction(tmp_path, capsys, monkeypatch):
+    # a fresh interpreter pays an abstract base class check at its first
+    # Fraction comparison, so an index request, from reading the problem to
+    # printing the report, signs, sorts and deduplicates its rationals by
+    # their integers; both ways of naming the level and --json are covered
+    problem = CriticalPointProblem(
+        spectra=(
+            SpectralDatum(Fraction(3, 2), S1Representation(trivial=2, rotating={1: 1})),
+            SpectralDatum(0, S1Representation(trivial=1, rotating={1: 1})),
+        ),
+        deg_s1=EulerElementS1(1, {2: -1}),
+        unique_critical_point=True,
+    )
+    path = str(tmp_path / "problem.json")
+    write_problem(problem, path)
+    calls = Counter()
+    for name in ("_richcmp", "__eq__", "__hash__"):
+        original = getattr(Fraction, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    for json_flag in ([], ["--json"]):
+        for level in (["--k", "4", "--alpha", "3/2"], ["--lambda-sq", "32/3"]):
+            assert main(["index", *json_flag, "--problem", path, *level]) == 0
+    monkeypatch.undo()
+    assert calls == Counter()
+    out = capsys.readouterr().out
+    assert out.count("certificate: FixedCoefficientPath\n") == 2
+    assert out.count('"lambda_sq": "32/3"') == 2
 
 
 def test_star_builds_no_subgroup(capsys):

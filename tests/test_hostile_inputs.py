@@ -123,6 +123,13 @@ CASES = {
         ],
         2,
     ),
+    # every pair of lines is parallel, so the product is 0 with no line
+    # product made, though the factors hold 1,001 and 1,000 lines
+    "star-of-1001-by-1000-parallel-lines": (
+        None,
+        ["star", " + ".join(f"H(0,{n})" for n in range(1, 1002)), " + ".join(f"H(0,{n})" for n in range(1, 1001))],
+        0,
+    ),
     "star-with-999-digit-coefficients": (
         None,
         ["star", f"{HUGE}*H(1,1) + {HUGE}*T", f"{HUGE}*H(2,1) - {HUGE}*T"],

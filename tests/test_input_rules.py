@@ -4,8 +4,9 @@ Which subgroup rows are canonical is decided by the lattice normal form
 `subgroups._canonical_rows`, and what an integer in text looks like by
 `rationals._is_int` and `rationals._to_int`.  The rules they replace are
 kept in `oracles`: the rank-by-rank canonical test, the pattern-based
-`parse_rational` and "Zk" label reader, and the CLI's string-method
-integer reader.  Old and new must give the same value, or raise the same
+`parse_rational` and "Zk" label reader, the CLI's string-method
+integer reader, and the problem-file reader that read every field through
+the public constructors.  Old and new must give the same value, or raise the same
 exception type with the same message, on every input drawn here.
 """
 
@@ -13,11 +14,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torbif import EulerElementS1, TorusSubgroup, parse_problem
+from torbif import EulerElementS1, TorusSubgroup, parse_problem, problem_to_text
 from torbif.cli import _integer
 from torbif.rationals import parse_rational
 
@@ -25,7 +28,9 @@ from oracles import (
     canonical_by_rank,
     cyclic_order_by_pattern,
     integer_option_by_string_methods,
+    parse_problem_reference,
     parse_rational_by_pattern,
+    random_problem,
 )
 
 # Pieces of text near the integer rule: signs, ASCII digits, digits of
@@ -122,3 +127,77 @@ def test_rows_up_to_two_pairs_are_judged_as_by_rank():
 @given(st.tuples(*[st.tuples(st.integers(-4, 4), st.integers(-4, 4))] * 3))
 def test_three_rows_are_judged_as_by_rank(rows):
     assert_rows_judged_by_rank(rows)
+
+
+# Values that a corruption writes over one field of a valid problem: a
+# float and non-finite numbers, bools, integers written as strings, a
+# negative speed or zero multiplicity, 1,001-digit integers, malformed and
+# non-ASCII labels and rationals, and values of the wrong shape.
+CORRUPT_VALUES = [
+    2.5, float("nan"), True, False, "1", "-3", 0, -1, 10**1000, -(10**1000), "1/" + "1" * 1001,
+    "Z0", "Z1\n", "Z٣", "٣/2", "2\n", "3/2", "S1", "Z2", None, [], {}, [{"m": 0, "k": 1}],
+]
+
+
+def places(node):
+    """Every (container, key) of a payload: object fields and list items, at
+    any depth, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    found = []
+    for key, value in items:
+        found.append((node, key))
+        found.extend(places(value))
+    return found
+
+
+def corruptions(payload, rng):
+    """Texts of the valid problem `payload`, of it with every list shuffled,
+    and of single-field corruptions of it, each drawn by `rng`: a value
+    overwritten, a field dropped, added or repeated, and an entry of a list
+    repeated, which duplicates a speed, a subgroup or an eigenvalue (spelled
+    anew as a fraction); last, two values of one object overwritten, so that
+    the order of two failing checks of one entry shows."""
+    yield json.dumps(payload)
+    for edit in ("shuffle", "value", "drop", "unknown", "repeat", "entry", "two values"):
+        copy = json.loads(json.dumps(payload))
+        spots = places(copy)
+        objects = [value for node, key in spots if isinstance(value := node[key], dict)] + [copy]
+        lists = [value for node, key in spots if isinstance(value := node[key], list) and value]
+        if edit == "shuffle":
+            for entries in lists:
+                rng.shuffle(entries)
+        elif edit == "value":
+            node, key = rng.choice(spots)
+            node[key] = rng.choice(CORRUPT_VALUES + ([str(node[key])] if type(node[key]) is int else []))
+        elif edit == "two values":
+            obj = rng.choice(objects)
+            for key in rng.sample(list(obj), 2):
+                obj[key] = rng.choice([-1, 0, 2.5, True, "1", None, 10**1000, "Z0"])
+        elif edit == "drop":
+            del (obj := rng.choice(objects))[rng.choice(list(obj))]
+        elif edit == "unknown":
+            rng.choice(objects)["weight"] = 1
+        elif edit == "repeat":
+            obj = rng.choice(objects)
+            obj["REPEATED"] = rng.choice(CORRUPT_VALUES)
+            yield json.dumps(copy).replace('"REPEATED"', json.dumps(rng.choice(list(obj)[:-1])))
+            continue
+        else:
+            entries = rng.choice(lists)
+            entry = json.loads(json.dumps(rng.choice(entries)))
+            if isinstance(entry, dict) and "alpha" in entry:
+                alpha = Fraction(entry["alpha"])
+                entry["alpha"] = f"{3 * alpha.numerator}/{3 * alpha.denominator}"
+            entries.insert(rng.randrange(len(entries) + 1), entry)
+        yield json.dumps(copy)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+@example(0)
+def test_problems_read_as_by_the_reference_reader(seed):
+    rng = random.Random(seed)
+    payload = json.loads(problem_to_text(random_problem(rng)))
+    for text in corruptions(payload, rng):
+        read = outcome(parse_problem, text)
+        assert read == outcome(parse_problem_reference, text), text

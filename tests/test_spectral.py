@@ -24,6 +24,8 @@ from torbif import (
     validate,
 )
 
+from torbif.spectral import _ascending
+
 from oracles import (
     below_runs_by_fractions,
     below_runs_by_scan,
@@ -170,6 +172,15 @@ def test_lambda_set_orders_its_integer_keys_as_fractions(case):
     problem, max_k = case
     named = [(lvl.k, lvl.alpha, lvl.lambda_sq) for lvl in lambda_set(problem, max_k)]
     assert named == [(lvl.k, lvl.alpha, lvl.lambda_sq) for lvl in lambda_set_by_fractions(problem, max_k)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_lists())
+def test_positive_eigenvalues_sort_by_an_integer_key_as_fractions(case):
+    # the order the walk and lambda_set read the eigenvalues in, keyed by
+    # integers, is that of their Fractions, also with 1,000-digit parts
+    problem, _ = case
+    assert [d.alpha for d in _ascending(problem)] == sorted(problem.positive_alphas())
 
 
 def test_lambda_set_empty_without_positive_eigenvalue():
