@@ -97,11 +97,13 @@ of the enumerated levels' indices contains the level, which by the
 argument above is every level.  Otherwise the global alternative stands
 unsharpened.  `torbif classify` still runs `any_zero_sum_subset` as a
 runtime check of that argument and fails if it finds a subset.  The
-search walks the subsets depth first in ascending lambda_sq and drops a
-partial sum as soon as one of its terms has no later index holding that
-generator with the opposite sign.  On level indices that cuts each
-"include" branch as soon as it is entered, one addition per level; the
-walk is exponential only on tables that callers pass in.
+search walks the subsets depth first in ascending lambda_sq, sorted by
+the exact integer key of `spectral._sorted_by` with no `Fraction`
+comparison, and drops a partial sum as soon as one of its terms has no
+later index holding that generator with the opposite sign.  On level
+indices that cuts each "include" branch as soon as it is entered, one
+addition per level; the walk is exponential only on tables that callers
+pass in.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ from .spectral import (
     InvalidLevel,
     SpectralDatum,
     _level_json,
+    _sorted_by,
     _Walk,
     validate,
 )
@@ -429,12 +432,11 @@ def exists_zero_sum_subset(
     if anchor not in pool:
         raise ValueError("anchor must be one of the supplied levels")
     table = _index_table(problem, pool, indices)
-    others = sorted((lvl for lvl in pool if lvl != anchor), key=lambda l: l.lambda_sq)
+    others = _sorted_by((lvl for lvl in pool if lvl != anchor), lambda l: l.lambda_sq)
     combo = _zero_sum_dfs(table[anchor], others, table)
     if combo is None:
         return False, None
-    witness = tuple(sorted((anchor,) + combo, key=lambda l: l.lambda_sq))
-    return True, witness
+    return True, tuple(_sorted_by((anchor,) + combo, lambda l: l.lambda_sq))
 
 
 def any_zero_sum_subset(
@@ -447,7 +449,7 @@ def any_zero_sum_subset(
     Equivalent to asking `exists_zero_sum_subset` with every possible
     anchor, since a zero-sum subset contains each of its own members.
     """
-    pool = sorted(levels, key=lambda l: l.lambda_sq)
+    pool = _sorted_by(levels, lambda l: l.lambda_sq)
     table = _index_table(problem, pool, indices)
     return _zero_sum_dfs(EulerElementT2.zero(), pool, table) or None
 

@@ -100,7 +100,8 @@ def _level_payload(level: BifurcationLevel, pairs: tuple[tuple[int, Fraction], .
 
 
 def _level_text(level: BifurcationLevel) -> str:
-    return f"k={level.k} alpha={level.alpha} lambda_sq={level.lambda_sq}"
+    # alpha and lambda_sq spelled from their integers, as in JSON
+    return f"k={level.k} alpha={rational_to_json(level.alpha)} lambda_sq={rational_to_json(level.lambda_sq)}"
 
 
 def _cmd_levels(args: SimpleNamespace) -> int:
@@ -113,7 +114,7 @@ def _cmd_levels(args: SimpleNamespace) -> int:
         if not levels:
             _stderr("warning: no positive eigenvalue, the level set is empty")
         for lvl, pairs in resonances:
-            res = ", ".join(f"(n={n}, alpha={alpha})" for n, alpha in pairs)
+            res = ", ".join(f"(n={n}, alpha={rational_to_json(alpha)})" for n, alpha in pairs)
             print(f"{_level_text(lvl)} resonances: {res}")
     return 0
 

@@ -18,7 +18,10 @@ the key of the product.  Parallel lines multiply to zero, so `star`
 groups each operand's lines by primitive direction (`_by_direction`) and
 pairs only lines of two groups.  Two lines (a, n) and (m, n) of one mode
 need no gcd, since the extended gcd of (n, n) is (n, 0, 1): their
-product F(|a-m|,0;m mod |a-m|,n) is written inline.  Other pairs take
+product F(|a-m|,0;m mod |a-m|,n) is written inline.  When all the lines
+of a square share one mode n >= 1, no two of them are parallel (det =
+(a - m) * n), so `star` pairs them term by term with no grouping; lines of
+mode 0 all have the direction (1, 0) and square to zero.  Other pairs take
 the closed form, which has two forms.  The pair form, the cached
 `_generator_product`, serves `star`; it tests for parallel lines before
 it takes a gcd.  The run form `_line_products` serves the bifurcation
@@ -49,8 +52,9 @@ are sorted and nonzero by construction, as `_frozen._trusted` does for
 the other value types: `representations.deg_minus_id_t2` alone uses it,
 for the degree it assembles in grade order.  Rows and subgroups appear
 only at the API edge: the public constructor, `terms`, `coefficient` and
-`generator`; the rest of the package uses keys, and `subgroups._labels`
-spells all of an element's keys in one pass when it is printed.
+`generator`; the rest of the package uses keys, and `subgroups._spelled`
+spells all of an element's terms in one pass, one f-string of coefficient
+and label per term, when it is printed.
 
 The circle's Euler ring enters only through its additive group, generated
 by the full-orbit class and the classes with finite cyclic isotropy, and
@@ -67,7 +71,7 @@ from functools import lru_cache
 from math import gcd
 
 from ._frozen import Frozen, _at_least, _merged
-from .subgroups import Character, TorusSubgroup, _interned, _key, _labels, _rows, _xgcd
+from .subgroups import Character, TorusSubgroup, _interned, _key, _labels, _rows, _spelled, _xgcd
 
 Key = tuple[int, ...]
 _Terms = tuple[tuple[Key, int], ...]
@@ -133,6 +137,10 @@ class EulerElementT2(Frozen):
     def __add__(self, other: "EulerElementT2") -> "EulerElementT2":
         if not isinstance(other, EulerElementT2):
             return NotImplemented
+        if not self._terms:
+            # elements are immutable; the zero-sum search adds each level's
+            # index to zero
+            return other
         acc = dict(self._terms)
         for key, c in other._terms:
             acc[key] = acc.get(key, 0) + c
@@ -169,8 +177,12 @@ class EulerElementT2(Frozen):
         Two lines (a, n) and (m, n) of one mode have the extended gcd
         (n, 0, 1) of (n, n), so their product is F(|a - m|,0;m mod |a - m|,n)
         and its key is written inline; other pairs go through
-        `_generator_product`.  The lines are read as their term keys
-        (1, a, b), one block of the sorted terms, with no character built.
+        `_generator_product`.  A square whose lines all share one mode
+        n >= 1, as the degree on the null modes of one eigenvalue does, is
+        not grouped: det = (a - m) * n, so each group would hold one line,
+        and each pair of distinct terms is visited once, in term order.
+        The lines are read as their term keys (1, a, b), one block of the
+        sorted terms, with no character built.
         All terms go into one dict keyed by term keys, and the result is
         built once from it by `_from_keys`."""
         if not isinstance(other, EulerElementT2):
@@ -181,6 +193,16 @@ class EulerElementT2(Frozen):
         if t2:
             for key, c in below1:
                 acc[key] = acc.get(key, 0) + t2 * c
+        if other is self and len(modes := {key[2] for key, _ in lines1}) == 1 and 0 not in modes:
+            # lines (a, n) and (m, n) of one mode n >= 1 have det (a - m) * n,
+            # so no two distinct terms are parallel
+            for i, ((_, a, n), c1) in enumerate(lines1):
+                c1 *= 2
+                for (_, m, _), c2 in lines1[i + 1 :]:
+                    axis = abs(a - m)
+                    key = (2, axis, m % axis, n)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            return _from_keys(acc)
         groups = _by_direction(lines1)
         if other is self:
             flat = [line for group in groups.values() for line in group]
@@ -356,8 +378,7 @@ def _join(parts: list[str]) -> str:
 
 def format_element(element: EulerElementT2) -> str:
     """Render an element in the textual grammar; the zero element is '0'."""
-    terms = element._terms
-    return _join([f"{c}*{label}" for (_, c), label in zip(terms, _labels(terms))])
+    return _join(_spelled(element._terms))
 
 
 def element_to_json(element: EulerElementT2) -> list[dict]:

@@ -30,11 +30,14 @@ halving them is exact; `EulerElementT2.star` forms that square from each
 unordered pair once, with twice its coefficient, and skips the pairs of
 parallel characters, whose product is zero.  The three parts lie in
 dimensions 2, 1 and 0, which is plain tuple order on term keys, and each
-is sorted with no zero term: T alone, B1 as `euler._from_keys` builds it
-and the square as `star` does, halved.  So the degree is their terms laid
-end to end in that grade order through the trusted `euler._from_terms`,
-with no dict and no sort of its own.  The test suite compares the result
-with the plane-by-plane product.
+is sorted with no zero term: T alone, B1 as one sorted list of its
+characters' terms, since a representation's characters are distinct
+with nonzero multiplicities, and the square as `star` builds it, halved.
+So the degree is their terms laid end to end in that grade order through
+the trusted `euler._from_terms`, with no dict and no sort of its own, and
+a degree builds one element through `euler._from_keys`, the square: with
+its index, a report of `bifurcation` builds two per level.  The test
+suite compares the result with the plane-by-plane product.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from ._frozen import Frozen, _at_least, _merged
-from .euler import EulerElementT2, _from_keys, _from_terms
+from .euler import EulerElementT2, _from_terms
 from .subgroups import normalize_character
 
 CharacterKey = tuple[int, int]
@@ -150,8 +153,10 @@ def deg_minus_id_t2(rep: T2Representation) -> EulerElementT2:
     character, then B1 * B1 / 2: the three parts in grade order, each
     already sorted and free of zeros, laid end to end with no sort."""
     sign = -1 if rep.trivial % 2 else 1
-    # the kernel of a normalized character (m, n) has the key (1, m, n)
-    b1 = _from_keys({(1, *ch): k for ch, k in rep.characters})
+    # the kernel of a normalized character (m, n) has the key (1, m, n);
+    # the characters are distinct with nonzero multiplicities, so B1 is
+    # their terms sorted by key, with no merge
+    b1 = _from_terms(tuple(sorted([((1, *ch), k) for ch, k in rep.characters])))
     return _from_terms(
         (((0,), sign),)
         + tuple([(key, -sign * k) for key, k in b1._terms])

@@ -53,17 +53,21 @@ eigenvalue at a later one.  `resonant_pairs`, `level_from_lambda_sq`,
 This module alone decides which characters lie below a level.
 
 Rationals are signed, sorted and told apart by integers: a sign is that
-of the numerator, eigenvalues sort by an exact integer key (`_ascending`)
-and levels by that of `lambda_set`, and two eigenvalues are equal when
-their (numerator, denominator) pairs are.  So the levels of a request make
-no `Fraction` comparison or hash, whose first use in a fresh interpreter
-goes through an abstract base class check and costs more than the level.
+of the numerator, eigenvalues sort by the exact integer key of
+`_sorted_by` (through `_ascending`), levels by that of `lambda_set`, and
+by that of `_sorted_by` again in the zero-sum searches of `bifurcation`,
+and two eigenvalues are equal when their (numerator, denominator) pairs
+are.  So the levels of a request make no `Fraction` comparison, whose
+first use in a fresh interpreter goes through an abstract base class
+check and costs more than the level; an `index` request makes no
+`Fraction` hash either, and a `classify` request one per level, for its
+dict of indices.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -203,16 +207,22 @@ def _level_json(level: BifurcationLevel) -> dict:
     }
 
 
+def _sorted_by(items: Iterable, value: Callable[..., Fraction]) -> list:
+    """`items` in ascending order of the rationals value(item), sorted by an
+    integer, not a `Fraction`: with D the largest denominator, p / q is
+    keyed by the floor of p * D^2 / q.  Two distinct values differ by at
+    least 1 / (q * q') >= 1 / D^2, so their keys differ in the same order,
+    and equal values share a key, so the order is the stable sort's by
+    value."""
+    items = list(items)
+    square = max((value(x).denominator for x in items), default=1) ** 2
+    items.sort(key=lambda x: value(x).numerator * square // value(x).denominator)
+    return items
+
+
 def _ascending(problem: CriticalPointProblem) -> list[SpectralDatum]:
-    """The data of the positive eigenvalues in ascending order, sorted by an
-    integer, not a `Fraction`: with D the largest denominator, alpha =
-    an / ad is keyed by the floor of an * D^2 / ad.  Two distinct
-    eigenvalues differ by at least 1 / (ad * ad') >= 1 / D^2, so their keys
-    differ in the same order."""
-    data = [d for d in problem.spectra if d.alpha.numerator > 0]
-    square = max((d.alpha.denominator for d in data), default=1) ** 2
-    data.sort(key=lambda d: d.alpha.numerator * square // d.alpha.denominator)
-    return data
+    """The data of the positive eigenvalues in ascending order of alpha."""
+    return _sorted_by((d for d in problem.spectra if d.alpha.numerator > 0), lambda d: d.alpha)
 
 
 def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLevel]:
@@ -230,7 +240,9 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
     of k^2 * M^2 / alpha.  Two distinct levels k^2 * ad / an differ by at
     least 1 / (an * an') >= 1 / M^2, so their keys differ by at least 1 in
     the same order, and equal levels share a key.  A level is built only
-    for each key kept."""
+    for each key kept, through `_frozen._trusted` from its (k, alpha): k >= 1
+    and alpha is a positive eigenvalue, so it stores the fields that
+    `BifurcationLevel(k, alpha)` stores, in that order, with no check."""
     _at_least(max_k, "max_k", 1)
     alphas = [d.alpha for d in _ascending(problem)]
     if max_k * len(alphas) > _MAX_LEVELS:
@@ -244,7 +256,10 @@ def lambda_set(problem: CriticalPointProblem, max_k: int) -> list[BifurcationLev
         an, scale = alpha.numerator, alpha.denominator * square
         for k in range(1, max_k + 1):
             found.setdefault(k * k * scale // an, (k, alpha))
-    return [BifurcationLevel(*found[key]) for key in sorted(found)]
+    return [
+        _trusted(BifurcationLevel, k=k, alpha=a, lambda_sq=Fraction(k * k * a.denominator, a.numerator))
+        for k, a in map(found.__getitem__, sorted(found))
+    ]
 
 
 class _Walk:

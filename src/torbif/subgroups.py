@@ -26,9 +26,10 @@ compare equal.
 Ring elements keep one flat tuple of ints per term, its key: the
 codimension, then the rows' entries but the fixed 0, that is (0,),
 (1, m, n) or (2, a, b, d), in the order of (len(rows), rows).  `_key` and
-`_rows` pass between rows and keys, and `_labels` spells the keys of an
-element's terms in one pass, for the element formatter and, through
-`_label`, for `str` of a subgroup.  Subgroups and rows appear
+`_rows` pass between rows and keys, and `_spelled` spells an element's
+terms in one pass, each as one string of coefficient and label, for the
+element formatter; `_labels` takes the labels off those strings, for
+JSON and, through `_label`, for `str` of a subgroup.  Subgroups and rows appear
 only at the API edge, where a caller builds one or reads `terms`.
 
 `_canonical_rows` is the one home of the normal form: the public
@@ -195,14 +196,20 @@ def _label(key: tuple[int, ...]) -> str:
     return _labels(((key, 0),))[0]
 
 
-def _labels(terms: Iterable[tuple[tuple[int, ...], int]]) -> list[str]:
-    """The labels of the keys of (key, coefficient) pairs in the text
-    grammar, in one pass with no call per term: the one spelling of T,
-    H(m,n) and F(a,0;b,d)."""
+def _spelled(terms: Iterable[tuple[tuple[int, ...], int]]) -> list[str]:
+    """Each (key, coefficient) pair as one string 'c*label' in the text
+    grammar, in one pass with one f-string and no call per term: the one
+    spelling of T, H(m,n) and F(a,0;b,d)."""
     return [
-        f"F({k[1]},0;{k[2]},{k[3]})" if k[0] == 2 else f"H({k[1]},{k[2]})" if k[0] else "T"
-        for k, _ in terms
+        f"{c}*F({k[1]},0;{k[2]},{k[3]})" if k[0] == 2 else f"{c}*H({k[1]},{k[2]})" if k[0] else f"{c}*T"
+        for k, c in terms
     ]
+
+
+def _labels(terms: Iterable[tuple[tuple[int, ...], int]]) -> list[str]:
+    """The labels of the keys of (key, coefficient) pairs: each spelled
+    term after its '*', which no coefficient holds."""
+    return [text.partition("*")[2] for text in _spelled(terms)]
 
 
 @lru_cache(maxsize=1 << 14)

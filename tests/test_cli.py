@@ -979,6 +979,60 @@ def test_index_requests_compare_and_hash_no_fraction(tmp_path, capsys, monkeypat
     assert out.count('"lambda_sq": "32/3"') == 2
 
 
+def test_classify_requests_compare_no_fraction(tmp_path, capsys, monkeypatch):
+    # the classify counterpart: the levels come from `lambda_set` sorted and
+    # distinct, the zero-sum check orders them by an exact integer key and
+    # the report lines spell alpha and lambda_sq from their integers, so a
+    # request makes no Fraction comparison; its one hash per level is the
+    # key of the indices dict, which the level keeps.  An Alternative
+    # problem with a unique critical point (the check runs and upgrades
+    # every level) and a c1 problem with coincident levels, text and --json
+    problems = {
+        "alternative": CriticalPointProblem(
+            spectra=(
+                SpectralDatum(Fraction(1, 2), S1Representation(trivial=1, rotating={3: 1})),
+                SpectralDatum(0, S1Representation(trivial=1, rotating={1: 1})),
+            ),
+            deg_s1=EulerElementS1(0, {1: 1, 2: -1}),
+            unique_critical_point=True,
+        ),
+        "c1": CriticalPointProblem(
+            spectra=(
+                SpectralDatum(6, S1Representation(rotating={2: 1})),
+                SpectralDatum(Fraction(3, 2), S1Representation(trivial=2, rotating={1: 1})),
+            ),
+            deg_s1=EulerElementS1(1, {2: -1}),
+            unique_critical_point=True,
+        ),
+    }
+    for name, problem in problems.items():
+        path = str(tmp_path / f"{name}.json")
+        write_problem(problem, path)
+        levels = len(lambda_set(problem, 8))
+        assert levels == (8 if name == "alternative" else 12)
+        for json_flag in ([], ["--json"]):
+            calls = Counter()
+            with monkeypatch.context() as patch:
+                for method in ("_richcmp", "__eq__", "__hash__"):
+                    original = getattr(Fraction, method)
+
+                    def counting(*args, method=method, original=original):
+                        calls[method] += 1
+                        return original(*args)
+
+                    patch.setattr(Fraction, method, counting)
+                assert main(["classify", *json_flag, "--problem", path, "--max-k", "8"]) == 0
+            assert calls == Counter({"__hash__": levels}), (name, json_flag)
+            out = capsys.readouterr().out
+            if json_flag:
+                payload = json.loads(out)
+                assert payload["zero_sum_subset"] == {"exists": False, "witness": None}
+                assert len(payload["reports"]) == levels
+            else:
+                assert out.endswith("zero-sum subsets among computed levels: none\n")
+                assert out.count("classification=NonCompactGuaranteed(") == levels
+
+
 def test_star_builds_no_subgroup(capsys):
     # the parser canonicalizes each generator to a key, so multiplying two
     # factors of 300 lines each, none parallel to a line of the other,
@@ -1262,9 +1316,10 @@ def test_dense_classify_ring_layer_counts(tmp_path, capsys, monkeypatch):
     # the pairwise product through intersections, with a separate negation
     # in every subtraction, built 336 elements here (and ran 1,912
     # intersections and normal forms); now each of the 21 levels builds
-    # three: B1, B1 * B1 and the index, while the degree on the null modes
-    # lays those parts end to end in grade order with no build of its own
-    assert counts["build"] == 3 * 21
+    # two: B1 * B1 and the index, while B1 is its sorted terms and the
+    # degree on the null modes lays those parts end to end in grade order,
+    # neither with a build of its own
+    assert counts["build"] == 2 * 21
 
 
 COMMANDS = ("levels", "index", "classify", "star", "example")

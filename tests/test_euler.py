@@ -10,8 +10,10 @@ import torbif
 from torbif import (
     EulerElementS1,
     EulerElementT2,
+    T2Representation,
     TorusSubgroup,
     build_report,
+    deg_minus_id_t2,
     embed_s1_to_t2,
     format_element,
     lambda_set,
@@ -23,6 +25,7 @@ from torbif.subgroups import _key, _label, _labels, _rows, _xgcd
 
 from oracles import (
     NotInvertible,
+    deg_minus_id_t2_expanded,
     element_text_and_json,
     generator_product_by_intersection,
     invert,
@@ -237,6 +240,41 @@ def test_star_by_direction_matches_pairwise_product(x, y):
             assert EulerElementT2.generator(h1).star(EulerElementT2.generator(h2)) == expected
 
 
+@st.composite
+def mode_sums(draw):
+    """A torus representation whose characters share one mode n >= 1, all
+    have mode 0, or spread over two or three modes, 0 among them or not:
+    a in -6..6, multiplicities 1..3 and a trivial part 0..3."""
+    kind = draw(st.sampled_from(("one", "zero", "mixed")))
+    if kind == "mixed":
+        modes = draw(st.lists(st.integers(0, 4), min_size=2, max_size=3, unique=True))
+    else:
+        modes = [0 if kind == "zero" else draw(st.integers(1, 5))]
+    chars = draw(st.lists(st.tuples(st.integers(-6, 6), st.sampled_from(modes)), min_size=1, max_size=6))
+    return T2Representation(draw(st.integers(0, 3)), [(ch, draw(st.integers(1, 3))) for ch in chars if ch != (0, 0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode_sums(), small, small)
+def test_one_mode_square_matches_the_oracles(rep, t, f):
+    # lines of one mode n >= 1 are squared pair by pair with no grouping by
+    # direction; lines of mode 0 are all parallel, so their square is 0
+    x = EulerElementT2([(TorusSubgroup.kernel(m, n), k) for (m, n), k in rep.characters])
+    y = x + t * I + f * gen((2, 0), (1, 3))
+    modes = {n for (_, n), _ in rep.characters}
+    grouped = []
+    with pytest.MonkeyPatch.context() as patch:
+        by_direction = torbif.euler._by_direction
+        patch.setattr(torbif.euler, "_by_direction", lambda lines: grouped.append(1) or by_direction(lines))
+        squares = x.star(x), y.star(y)
+        degree = deg_minus_id_t2(rep)
+    assert squares == (star_by_pairs(x, x), star_by_pairs(y, y))
+    assert degree == deg_minus_id_t2_expanded(rep)
+    if modes == {0}:
+        assert not squares[0]
+    assert (not grouped) == (bool(rep.characters) and len(modes) == 1 and 0 not in modes)
+
+
 @settings(max_examples=300)
 @given(st.integers(0, 10**9))
 def test_star_matches_pairwise_product(seed):
@@ -431,6 +469,8 @@ def test_ring_axioms(seed):
     assert a.star(b.star(c)) == a.star(b).star(c)
     assert a.star(b + c) == a.star(b) + a.star(c)
     assert I.star(a) == a
+    zero = EulerElementT2.zero()
+    assert zero + a == a + zero == a and (zero + zero)._terms == ()
 
 
 @given(st.integers(0, 10**9))

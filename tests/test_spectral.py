@@ -6,15 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torbif.bifurcation
 from torbif import (
     BifurcationLevel,
     CriticalPointProblem,
     EulerElementS1,
+    EulerElementT2,
     InvalidLevel,
     S1Representation,
     SpectralDatum,
     T2Representation,
+    TorusSubgroup,
+    any_zero_sum_subset,
     example_problem,
+    exists_zero_sum_subset,
     lambda_set,
     level_from_lambda_sq,
     loop_decompose,
@@ -181,6 +186,73 @@ def test_positive_eigenvalues_sort_by_an_integer_key_as_fractions(case):
     # integers, is that of their Fractions, also with 1,000-digit parts
     problem, _ = case
     assert [d.alpha for d in _ascending(problem)] == sorted(problem.positive_alphas())
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_lists())
+def test_lambda_set_builds_the_levels_the_constructor_builds(case):
+    # each level is stored through the trusted constructor from its (k,
+    # alpha): the same fields, in the same order and of the same types, as
+    # BifurcationLevel(k, alpha) stores, the same repr, and the hash of
+    # lambda_sq, also with 1,000-digit numerators and denominators
+    problem, max_k = case
+    for level in lambda_set(problem, max_k):
+        built = BifurcationLevel(level.k, level.alpha)
+        assert type(level) is BifurcationLevel
+        assert list(vars(level).items()) == list(vars(built).items())
+        assert [type(value) for value in vars(level).values()] == [int, Fraction, Fraction]
+        assert level == built and repr(level) == repr(built)
+        assert hash(level) == hash(built) == hash(level.lambda_sq)
+
+
+@st.composite
+def level_pools(draw):
+    """Distinct levels k / sqrt(alpha) in a drawn order, each with an index
+    c * H(1,1), c = 1 or -1, so that some subsets sum to zero, and one more
+    level equal to a drawn one, as (2k, 4 alpha).  k is mostly small, and
+    either every part of alpha is small, so that near levels have unlike
+    small denominators, or alpha's parts may have 300 digits."""
+    parts = st.integers(1, 12) if draw(st.booleans()) else st.integers(1, 12) | st.integers(1, 10**300)
+    ks = st.integers(1, 3) | st.integers(1, 40)
+    drawn = draw(st.lists(st.tuples(ks, st.builds(Fraction, parts, parts)), min_size=1, max_size=7))
+    distinct = {lvl.lambda_sq: lvl for lvl in (BifurcationLevel(k, alpha) for k, alpha in drawn)}
+    pool = draw(st.permutations(list(distinct.values())))
+    line = EulerElementT2.generator(TorusSubgroup.kernel(1, 1))
+    table = {lvl: draw(st.sampled_from((1, -1))) * line for lvl in pool}
+    twin = draw(st.sampled_from(pool))
+    return pool, table, BifurcationLevel(2 * twin.k, 4 * twin.alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_pools(), st.data())
+def test_zero_sum_searches_order_levels_as_fractions(case, data):
+    # both searches sort their levels by an exact integer key; the order
+    # they walk, the witnesses they return and the error on a repeated
+    # level are those of a sort by Fraction
+    pool, table, twin = case
+    anchor = data.draw(st.sampled_from(pool))
+    walked = []
+    dfs = torbif.bifurcation._zero_sum_dfs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            torbif.bifurcation, "_zero_sum_dfs", lambda base, levels, t: walked.append(levels) or dfs(base, levels, t)
+        )
+        found = any_zero_sum_subset(None, pool, table)
+        exists, witness = exists_zero_sum_subset(None, pool, anchor, table)
+    by_value = sorted(pool, key=lambda lvl: lvl.lambda_sq)
+    others = [lvl for lvl in by_value if lvl != anchor]
+    assert walked == [by_value, others]
+    assert found == (dfs(EulerElementT2.zero(), by_value, table) or None)
+    combo = dfs(table[anchor], others, table)
+    if combo is None:
+        assert (exists, witness) == (False, None)
+    else:
+        assert (exists, witness) == (True, tuple(sorted((anchor, *combo), key=lambda lvl: lvl.lambda_sq)))
+    assert twin in table
+    with pytest.raises(ValueError, match="levels must be pairwise distinct"):
+        any_zero_sum_subset(None, [*pool, twin], table)
+    with pytest.raises(ValueError, match="levels must be pairwise distinct"):
+        exists_zero_sum_subset(None, [twin, *pool], anchor, table)
 
 
 def test_lambda_set_empty_without_positive_eigenvalue():
